@@ -1,10 +1,11 @@
-"""Pluggable completion backends.
+"""Pluggable completion backends and the one way the engine asks them.
 
 Every backend satisfies one contract: ``complete(CompletionRequest) ->
 CompletionResult`` and is safe to call concurrently.  Three implementations
 ship here: a deterministic scripted backend for tests and replays, an HTTP
 client for OpenAI-compatible chat endpoints, and a record/replay cache that
-wraps either.
+wraps either.  ``ask`` sends a request, re-asking once when the reply does
+not parse; every engine call that expects a usable reply goes through it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import json
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 import requests
 
@@ -29,7 +30,12 @@ from .errors import (
     ScriptExhausted,
 )
 
-TAGS = ("routing", "solve", "check", "summarize", "triage")
+T = TypeVar("T")
+
+TAGS = ("routing", "solve", "check", "summarize")
+
+# Sends per ``ask``: the first try plus one re-ask.
+ASK_ATTEMPTS = 2
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,21 @@ class CompletionResult:
     completion_tokens: int = 0
     latency_ms: float = 0.0
     source: ResultSource = ResultSource.SCRIPT
+
+
+def ask(backend, request: CompletionRequest, parse: Callable[[str], Optional[T]]) -> Optional[T]:
+    """Send ``request`` until ``parse`` accepts a reply, at most ASK_ATTEMPTS
+    times; the first parsed value that is not None, or None."""
+    for _ in range(ASK_ATTEMPTS):
+        value = parse(backend.complete(request).text)
+        if value is not None:
+            return value
+    return None
+
+
+def nonblank(text: str) -> Optional[str]:
+    """Parser for free-text replies: the stripped text, None when blank."""
+    return text.strip() or None
 
 
 # --- scripted backend ---------------------------------------------------------
@@ -298,7 +319,6 @@ def _parse_retry_after(response: requests.Response) -> Optional[float]:
 class CacheMode(enum.Enum):
     RECORD = "record"
     REPLAY = "replay"
-    PASSTHROUGH = "passthrough"
 
 
 def cache_key(request: CompletionRequest, model: str) -> str:
@@ -339,8 +359,6 @@ class CacheBackend:
         return self.store / f"{key}.json"
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        if self.mode is CacheMode.PASSTHROUGH:
-            return self.inner.complete(request)
         key = cache_key(request, self.model)
         path = self._path(key)
 

@@ -11,8 +11,8 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from . import answers, executor as executor_mod, metrics, puzzles
-from . import model, router
-from .backends import ChatMessage, CompletionRequest, ScriptedBackend, TallyBackend
+from . import model, prompts, router
+from .backends import ScriptedBackend, TallyBackend
 from .errors import BackendFailure, EmptySuite
 from .model import FreeText, GridSchema, MultipleChoice, Numeric, Problem
 
@@ -240,15 +240,7 @@ def oracle_session_backend(task: Task) -> ScriptedBackend:
 def single_pass(task: Task, backend) -> str:
     """Baseline: one bare solver call with the problem and format instruction."""
     instruction = executor_mod.format_instruction_for(task.schema)
-    request = CompletionRequest(
-        messages=[
-            ChatMessage("system", "You are a careful problem solver."),
-            ChatMessage("user", f"{task.statement}\n\n{instruction}"),
-        ],
-        temperature=0.7,
-        tag="solve",
-    )
-    return backend.complete(request).text
+    return backend.complete(prompts.build_single_pass_prompt(task.statement, instruction)).text
 
 
 @dataclass
@@ -257,6 +249,8 @@ class TrialResult:
     trial: int
     verdict: Verdict
     rounds: int = 0
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
 
 
 @dataclass
@@ -344,7 +338,6 @@ def run_benchmark(
     else:
         factory = lambda task: backend  # noqa: E731
 
-    tally_total = {"prompt": 0, "completion": 0}
     started = time.monotonic()
 
     def run_task(task: Task) -> list[TrialResult]:
@@ -368,9 +361,16 @@ def run_benchmark(
                     verdict = score(task, single_pass(task, tally))
             except BackendFailure:
                 verdict = Verdict(correct=False, partial=0.0, failure="BackendFailure")
-            tally_total["prompt"] += tally.prompt_tokens
-            tally_total["completion"] += tally.completion_tokens
-            results.append(TrialResult(task_id=task.id, trial=trial, verdict=verdict, rounds=rounds))
+            results.append(
+                TrialResult(
+                    task_id=task.id,
+                    trial=trial,
+                    verdict=verdict,
+                    rounds=rounds,
+                    prompt_tokens=tally.prompt_tokens,
+                    completion_tokens=tally.completion_tokens,
+                )
+            )
         return results
 
     all_results: list[TrialResult] = []
@@ -387,7 +387,7 @@ def run_benchmark(
         strategy=strategy,
         trials=trials,
         results=all_results,
-        prompt_tokens=tally_total["prompt"],
-        completion_tokens=tally_total["completion"],
+        prompt_tokens=sum(r.prompt_tokens for r in all_results),
+        completion_tokens=sum(r.completion_tokens for r in all_results),
         wall_time_s=time.monotonic() - started,
     )

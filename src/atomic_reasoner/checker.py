@@ -7,8 +7,7 @@ import enum
 import re
 from typing import Optional
 
-from . import model, prompts
-from .backends import ChatMessage, CompletionRequest
+from . import backends, model, prompts
 from .errors import EmptyCompletion
 from .model import ActionCategory, AtomicAction, CheckReport, Node
 
@@ -208,13 +207,8 @@ def check(tree: model.AtomicTree, node: Node, backend) -> CheckReport:
     """One checker pass over a node.  Fail-open: unparseable output after one
     re-ask yields a NoError report with rationale 'unparseable'."""
     process = _node_process(tree, node)
-    bundle = prompts.build_checker_prompt(error_definitions(node.action), process)
-    report = None
-    for attempt in range(2):
-        result = backend.complete(_to_request(bundle, "check"))
-        report = parse_check_response(result.text, node.action)
-        if report is not None:
-            break
+    request = prompts.build_checker_prompt(error_definitions(node.action), process)
+    report = backends.ask(backend, request, lambda text: parse_check_response(text, node.action))
     if report is None:
         report = CheckReport(verdict="NoError", rationale="unparseable")
     node.check_reports.append(report)
@@ -226,7 +220,7 @@ def _node_process(tree: model.AtomicTree, node: Node) -> str:
     path = model.active_path(tree)
     for step, prior in enumerate(path, start=1):
         marker = "  <-- step under review" if prior.id == node.id else ""
-        lines.append(f"Step {step} ({prior.action.value}): {prior.content}{marker}")
+        lines.append(model.format_step(step, prior) + marker)
     if node.id not in {n.id for n in path}:
         lines.append(f"Step under review ({node.action.value}): {node.content}")
     return "\n".join(lines)
@@ -236,33 +230,13 @@ def revise(tree: model.AtomicTree, node: Node, report: CheckReport, backend) -> 
     """Rewrite a node's content from a checker error report (in place)."""
     if not report.is_error:
         raise ValueError("revise requires an Error report")
-    parts = [
-        "A checker reviewed the reasoning step below and found an error. "
-        "Rewrite the step so the error is fixed, keeping everything that was correct.",
-        "",
-        "# Original step content:",
-        node.content,
-        "",
-        "# Checker findings:",
-        report.rationale,
-    ]
-    if report.suggestion:
-        parts += ["", "# Suggested fix:", report.suggestion]
-    parts += ["", "Respond with the full revised step content only."]
-    bundle = prompts.PromptBundle(
-        messages=[
-            ChatMessage("system", prompts.load_template("solver_system")),
-            ChatMessage("user", "\n".join(parts)),
-        ],
-        params=prompts.SamplingParams(temperature=prompts.SOLVE_TEMPERATURE),
-    )
-    for attempt in range(2):
-        result = backend.complete(_to_request(bundle, "solve"))
-        if result.text.strip():
-            node.content = result.text.strip()
-            node.revised = True
-            return node
-    raise EmptyCompletion("revision produced a blank completion twice")
+    request = prompts.build_revision_prompt(node.content, report)
+    content = backends.ask(backend, request, backends.nonblank)
+    if content is None:
+        raise EmptyCompletion("revision produced a blank completion twice")
+    node.content = content
+    node.revised = True
+    return node
 
 
 def run_check_cycle(
@@ -285,12 +259,3 @@ def run_check_cycle(
         revise(tree, node, report, revise_backend)
         revisions += 1
 
-
-def _to_request(bundle: prompts.PromptBundle, tag: str) -> CompletionRequest:
-    return CompletionRequest(
-        messages=bundle.messages,
-        temperature=bundle.params.temperature,
-        max_tokens=bundle.params.max_tokens,
-        seed=bundle.params.seed,
-        tag=tag,
-    )

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from . import answers, model, prompts
+from . import answers, backends, model, prompts
 from .backends import CompletionRequest
 from .errors import EmptyCompletion
 from .model import (
@@ -30,23 +30,11 @@ class FinalAnswer:
     extracted: Optional[Any] = None  # option letter, grid dict, or normalized number
 
 
-def _to_request(bundle: prompts.PromptBundle, tag: str) -> CompletionRequest:
-    return CompletionRequest(
-        messages=bundle.messages,
-        temperature=bundle.params.temperature,
-        max_tokens=bundle.params.max_tokens,
-        seed=bundle.params.seed,
-        tag=tag,
-    )
-
-
-def _complete_nonempty(backend, bundle: prompts.PromptBundle, tag: str) -> str:
-    # one automatic retry on blank output
-    for attempt in range(2):
-        result = backend.complete(_to_request(bundle, tag))
-        if result.text.strip():
-            return result.text.strip()
-    raise EmptyCompletion(f"backend returned blank output twice (tag={tag})")
+def _complete_nonempty(backend, request: CompletionRequest) -> str:
+    text = backends.ask(backend, request, backends.nonblank)
+    if text is None:
+        raise EmptyCompletion(f"backend returned blank output twice (tag={request.tag})")
+    return text
 
 
 def execute(
@@ -59,8 +47,8 @@ def execute(
     """Run one Extend decision: build the solver prompt, call the backend,
     append the node.  Hypothesis steps missing the 'Hypothesis <k>:' marker
     get flagged for checker attention."""
-    bundle = prompts.build_expansion_prompt(tree, guidance, sop_guidance)
-    content = _complete_nonempty(backend, bundle, "solve")
+    request = prompts.build_expansion_prompt(tree, guidance, sop_guidance)
+    content = _complete_nonempty(backend, request)
     node_id = model.append_node(tree, action, guidance, content)
     node = tree.nodes[node_id]
     if action is AtomicAction.HYPOTHESIS_GENERATION and not HYPOTHESIS_MARKER.search(content):
@@ -90,12 +78,12 @@ def format_instruction_for(schema) -> str:
 def finalize(tree: AtomicTree, backend, mode: TerminationMode) -> FinalAnswer:
     """One summarizing backend call shaped by the problem's answer schema."""
     schema = tree.problem.answer_schema
-    bundle = prompts.build_summary_prompt(
+    request = prompts.build_summary_prompt(
         tree,
         format_instruction_for(schema),
         best_effort=(mode is TerminationMode.PASSIVE_LIMIT),
     )
-    text = _complete_nonempty(backend, bundle, "summarize")
+    text = _complete_nonempty(backend, request)
     extracted: Optional[Any] = None
     if isinstance(schema, MultipleChoice):
         extracted = answers.extract_mcq(text, answers.option_letters(schema))
@@ -109,7 +97,6 @@ def finalize(tree: AtomicTree, backend, mode: TerminationMode) -> FinalAnswer:
 def compress_chain(tree: AtomicTree, chain: Chain, backend) -> str:
     """Summarize a chain that just left Active status; stores and returns the
     summary."""
-    bundle = prompts.build_compression_prompt(tree, chain)
-    summary = _complete_nonempty(backend, bundle, "summarize")
+    summary = _complete_nonempty(backend, prompts.build_compression_prompt(tree, chain))
     chain.summary = summary
     return summary

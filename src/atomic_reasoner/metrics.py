@@ -327,10 +327,7 @@ class ScoredTrace:
 def linearize_final_path(tree: AtomicTree) -> str:
     """The terminating chain's ancestry, root to tip, one line per step;
     revised content already replaced the originals in place."""
-    lines = []
-    for step, node in enumerate(model.active_path(tree), start=1):
-        lines.append(f"Step {step} ({node.action.value}): {node.content}")
-    return "\n".join(lines)
+    return model.render_steps(model.active_path(tree))
 
 
 def to_sft_records(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     AlreadyTerminated,
@@ -323,23 +323,20 @@ def set_termination(tree: AtomicTree, mode: TerminationMode, final_answer: str) 
     tree.terminated = Termination(mode=mode, final_answer=final_answer)
 
 
-def reactivate_chain(tree: AtomicTree, chain_id: str) -> None:
-    """Wake a Dormant chain.  Implemented for completeness; the routing
-    prompt never solicits it."""
-    if tree.terminated is not None:
-        raise Terminated("tree is terminated")
-    target = tree.chains[chain_id]
-    if target.status is not ChainStatus.DORMANT:
-        raise ValueError(f"chain {chain_id} is not dormant")
-    active_chain(tree).status = ChainStatus.DORMANT
-    target.status = ChainStatus.ACTIVE
-    tree.active_chain_id = chain_id
-
-
 # --- rendering ----------------------------------------------------------------
 
+def format_step(step: int, node: Node) -> str:
+    """The one-line form of a step that every prompt and export shares."""
+    return f"Step {step} ({node.action.value}): {node.content}"
+
+
+def render_steps(nodes: Iterable[Node]) -> str:
+    """Consecutive steps numbered from 1, one per line."""
+    return "\n".join(format_step(step, node) for step, node in enumerate(nodes, start=1))
+
+
 def _render_node(step: int, node: Node) -> str:
-    text = f"Step {step} ({node.action.value}): {node.content}"
+    text = format_step(step, node)
     if node.revised:
         text += "\n  [revised after check]"
     return text

@@ -1,19 +1,18 @@
 """Prompt construction from plain-text template files.
 
-Templates live in ``templates/`` and use ``{{name}}`` placeholders.  All
-builders are pure functions of their inputs, so prompt construction is
-deterministic.
+Templates live in ``templates/`` and use ``{{name}}`` placeholders.  Every
+builder is a pure function of its inputs that returns a ready, tagged
+``CompletionRequest``, so prompt construction is deterministic and each
+request is built in exactly one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
 
 from . import model
-from .backends import ChatMessage
+from .backends import ChatMessage, CompletionRequest
 
 RENDER_BUDGET = 12000  # characters of tree context shown to any agent
 
@@ -23,27 +22,15 @@ SOLVE_TEMPERATURE = 0.7
 CHECK_TEMPERATURE = 0.0
 
 
-@dataclass
-class SamplingParams:
-    temperature: float = SOLVE_TEMPERATURE
-    max_tokens: int = 2048
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature out of range [0, 2]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
-
-
-@dataclass
-class PromptBundle:
-    messages: list[ChatMessage]
-    params: SamplingParams = field(default_factory=SamplingParams)
-
-    def __post_init__(self):
-        if not self.messages or self.messages[0].role != "system":
-            raise ValueError("first message must have role system")
+def _request(
+    system: str, user: str, tag: str, temperature: float, max_tokens: int = 2048
+) -> CompletionRequest:
+    return CompletionRequest(
+        messages=[ChatMessage("system", system), ChatMessage("user", user)],
+        temperature=temperature,
+        max_tokens=max_tokens,
+        tag=tag,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -63,23 +50,18 @@ def fill(template: str, **values: str) -> str:
     return text
 
 
-def build_routing_prompt(
-    tree: model.AtomicTree,
-    sop_hints: str = "",
-    seed: Optional[int] = None,
-) -> PromptBundle:
+def build_routing_prompt(tree: model.AtomicTree, sop_hints: str = "") -> CompletionRequest:
     body = fill(
         load_template("routing_expansion"),
         sop=sop_hints,
         problem=tree.problem.statement,
         tree=model.render_tree(tree, RENDER_BUDGET),
     )
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", "You are an expert routing agent for structured reasoning."),
-            ChatMessage("user", body),
-        ],
-        params=SamplingParams(temperature=ROUTING_TEMPERATURE, seed=seed),
+    return _request(
+        "You are an expert routing agent for structured reasoning.",
+        body,
+        "routing",
+        ROUTING_TEMPERATURE,
     )
 
 
@@ -87,8 +69,7 @@ def build_expansion_prompt(
     tree: model.AtomicTree,
     guidance: str,
     sop_guidance: str = "",
-    seed: Optional[int] = None,
-) -> PromptBundle:
+) -> CompletionRequest:
     parts = [
         "# The problem that needs to be solved is:",
         tree.problem.statement,
@@ -101,55 +82,60 @@ def build_expansion_prompt(
     ]
     if sop_guidance:
         parts += ["", "# Domain procedure for this action:", sop_guidance]
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", load_template("solver_system")),
-            ChatMessage("user", "\n".join(parts)),
-        ],
-        params=SamplingParams(temperature=SOLVE_TEMPERATURE, seed=seed),
+    return _request(load_template("solver_system"), "\n".join(parts), "solve", SOLVE_TEMPERATURE)
+
+
+def build_revision_prompt(content: str, report: model.CheckReport) -> CompletionRequest:
+    parts = [
+        "A checker reviewed the reasoning step below and found an error. "
+        "Rewrite the step so the error is fixed, keeping everything that was correct.",
+        "",
+        "# Original step content:",
+        content,
+        "",
+        "# Checker findings:",
+        report.rationale,
+    ]
+    if report.suggestion:
+        parts += ["", "# Suggested fix:", report.suggestion]
+    parts += ["", "Respond with the full revised step content only."]
+    return _request(load_template("solver_system"), "\n".join(parts), "solve", SOLVE_TEMPERATURE)
+
+
+def build_single_pass_prompt(statement: str, format_instruction: str) -> CompletionRequest:
+    return _request(
+        "You are a careful problem solver.",
+        f"{statement}\n\n{format_instruction}",
+        "solve",
+        SOLVE_TEMPERATURE,
     )
 
 
-def render_active_path(tree: model.AtomicTree) -> str:
-    lines = []
-    for step, node in enumerate(model.active_path(tree), start=1):
-        lines.append(f"Step {step} ({node.action.value}): {node.content}")
-    return "\n".join(lines)
-
-
-def build_backtracking_prompt(tree: model.AtomicTree, seed: Optional[int] = None) -> PromptBundle:
+def build_backtracking_prompt(tree: model.AtomicTree) -> CompletionRequest:
     body = fill(
         load_template("backtracking"),
         problem=tree.problem.statement,
         tree=model.render_tree(tree, RENDER_BUDGET),
-        chain=render_active_path(tree),
+        chain=model.render_steps(model.active_path(tree)),
     )
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", "You are a routing agent reviewing a finished reasoning chain."),
-            ChatMessage("user", body),
-        ],
-        params=SamplingParams(temperature=ROUTING_TEMPERATURE, seed=seed),
+    return _request(
+        "You are a routing agent reviewing a finished reasoning chain.",
+        body,
+        "routing",
+        ROUTING_TEMPERATURE,
     )
 
 
-def build_checker_prompt(error_definitions: str, process: str, seed: Optional[int] = None) -> PromptBundle:
+def build_checker_prompt(error_definitions: str, process: str) -> CompletionRequest:
     body = fill(load_template("checker"), errors=error_definitions, process=process)
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", "You are a meticulous reasoning checker."),
-            ChatMessage("user", body),
-        ],
-        params=SamplingParams(temperature=CHECK_TEMPERATURE, seed=seed),
-    )
+    return _request("You are a meticulous reasoning checker.", body, "check", CHECK_TEMPERATURE)
 
 
 def build_summary_prompt(
     tree: model.AtomicTree,
     format_instruction: str,
     best_effort: bool = False,
-    seed: Optional[int] = None,
-) -> PromptBundle:
+) -> CompletionRequest:
     instruction = format_instruction
     if best_effort:
         instruction = (
@@ -162,48 +148,24 @@ def build_summary_prompt(
         tree=model.render_tree(tree, RENDER_BUDGET),
         format_instruction=instruction,
     )
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", "You conclude reasoning sessions with a final answer."),
-            ChatMessage("user", body),
-        ],
-        params=SamplingParams(temperature=CHECK_TEMPERATURE, seed=seed),
+    return _request(
+        "You conclude reasoning sessions with a final answer.",
+        body,
+        "summarize",
+        CHECK_TEMPERATURE,
     )
 
 
-def build_compression_prompt(
-    tree: model.AtomicTree,
-    chain: model.Chain,
-    seed: Optional[int] = None,
-) -> PromptBundle:
-    lines = []
-    for step, nid in enumerate(chain.node_ids, start=1):
-        node = tree.nodes[nid]
-        lines.append(f"Step {step} ({node.action.value}): {node.content}")
+def build_compression_prompt(tree: model.AtomicTree, chain: model.Chain) -> CompletionRequest:
     body = fill(
         load_template("compression"),
         problem=tree.problem.statement,
-        chain="\n".join(lines),
+        chain=model.render_steps(tree.nodes[nid] for nid in chain.node_ids),
     )
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", "You compress finished reasoning chains into short summaries."),
-            ChatMessage("user", body),
-        ],
-        params=SamplingParams(temperature=CHECK_TEMPERATURE, max_tokens=512, seed=seed),
-    )
-
-
-def build_triage_prompt(statement: str, domains: list[str], seed: Optional[int] = None) -> PromptBundle:
-    body = fill(
-        load_template("triage"),
-        domains="\n".join(f"- {d}" for d in domains),
-        problem=statement,
-    )
-    return PromptBundle(
-        messages=[
-            ChatMessage("system", "You classify problems into reasoning domains."),
-            ChatMessage("user", body),
-        ],
-        params=SamplingParams(temperature=CHECK_TEMPERATURE, max_tokens=64, seed=seed),
+    return _request(
+        "You compress finished reasoning chains into short summaries.",
+        body,
+        "summarize",
+        CHECK_TEMPERATURE,
+        max_tokens=512,
     )

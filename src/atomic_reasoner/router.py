@@ -17,12 +17,12 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import checker as checker_mod
 from . import executor as executor_mod
+from . import backends as backends_mod
 from . import model, prompts, sop as sop_mod
-from .backends import CompletionRequest
 from .errors import BackendFailure, NoBacktrackCandidate, Terminated, UnknownAction
 from .executor import FinalAnswer
 from .model import (
@@ -115,14 +115,6 @@ def _as_role_backends(backends) -> RoleBackends:
     return RoleBackends.single(backends)
 
 
-@dataclass
-class SessionHooks:
-    on_decision: Optional[Callable[[AtomicTree, RoutingDecision], None]] = None
-    on_node: Optional[Callable[[AtomicTree, model.Node], None]] = None
-    on_check: Optional[Callable[[AtomicTree, model.Node, model.CheckReport], None]] = None
-    on_terminate: Optional[Callable[[AtomicTree, FinalAnswer], None]] = None
-
-
 # --- routing-response parsing ---------------------------------------------------
 
 _ACTION_LINE = re.compile(r"^\s*\**ACTION\s*[:\-]\s*(.+?)\s*\**$", re.IGNORECASE | re.MULTILINE)
@@ -205,19 +197,6 @@ def _verification_guidance(path: list[model.Node]) -> str:
     return "Verify the current conclusion against every premise, one premise at a time."
 
 
-def _routing_call(tree: AtomicTree, backend, sop_hints: str) -> str:
-    bundle = prompts.build_routing_prompt(tree, sop_hints)
-    result = backend.complete(
-        CompletionRequest(
-            messages=bundle.messages,
-            temperature=bundle.params.temperature,
-            max_tokens=bundle.params.max_tokens,
-            tag="routing",
-        )
-    )
-    return result.text
-
-
 def decide(
     tree: AtomicTree,
     config: RouterConfig,
@@ -252,20 +231,16 @@ def decide(
 
     # R2: a fresh hypothesis is verified promptly; backend gives guidance only.
     if path and path[-1].action is AtomicAction.HYPOTHESIS_GENERATION:
-        guidance = None
-        try:
-            guidance = parse_guidance_only(_routing_call(tree, backend, sop_hints))
-        except BackendFailure:
-            raise
+        reply = backend.complete(prompts.build_routing_prompt(tree, sop_hints))
         return Extend(
             AtomicAction.HYPOTHESIS_VERIFICATION,
-            guidance or _verification_guidance(path),
+            parse_guidance_only(reply.text) or _verification_guidance(path),
         )
 
     # R4 envelope: parse the proposal, one re-ask, then safe fallback.
-    proposal = parse_routing_response(_routing_call(tree, backend, sop_hints))
-    if proposal is None:
-        proposal = parse_routing_response(_routing_call(tree, backend, sop_hints))
+    proposal = backends_mod.ask(
+        backend, prompts.build_routing_prompt(tree, sop_hints), parse_routing_response
+    )
     if proposal is None:
         return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE)
 
@@ -339,24 +314,15 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     if not path:
         raise NoBacktrackCandidate("active path has no nodes")
 
-    for attempt in range(2):
-        bundle = prompts.build_backtracking_prompt(tree)
-        result = backend.complete(
-            CompletionRequest(
-                messages=bundle.messages,
-                temperature=bundle.params.temperature,
-                max_tokens=bundle.params.max_tokens,
-                tag="routing",
-            )
-        )
-        target_match = list(_TARGET_LINE.finditer(result.text))
+    def parse_target(text: str) -> Optional[tuple[str, BacktrackReason]]:
+        target_match = list(_TARGET_LINE.finditer(text))
         if not target_match:
-            continue
+            return None
         step = int(target_match[-1].group(1))
         if not 1 <= step <= len(path):
-            continue
+            return None
         reason = BacktrackReason.KEY_NODE
-        reason_match = list(_REASON_LINE.finditer(result.text))
+        reason_match = list(_REASON_LINE.finditer(text))
         if reason_match:
             token = re.sub(r"[^a-z]", "", reason_match[-1].group(1).lower())
             for candidate in BacktrackReason:
@@ -364,6 +330,10 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
                     reason = candidate
                     break
         return path[step - 1].id, reason
+
+    chosen = backends_mod.ask(backend, prompts.build_backtracking_prompt(tree), parse_target)
+    if chosen is not None:
+        return chosen
 
     # Fallback: deepest hypothesis-generation node, else the last node.
     for node in reversed(path):
@@ -390,7 +360,6 @@ def run_session(
     config: Optional[SessionConfig] = None,
     backends=None,
     sop_registry: Optional[sop_mod.SopRegistry] = None,
-    hooks: Optional[SessionHooks] = None,
 ) -> tuple[AtomicTree, FinalAnswer]:
     """Full solving loop: decide -> execute -> check -> (branch | terminate).
 
@@ -398,7 +367,6 @@ def run_session(
     (``exc.tree``)."""
     config = config or SessionConfig()
     roles = _as_role_backends(backends)
-    hooks = hooks or SessionHooks()
 
     tree = model.new_tree(problem)
     active_sop = None
@@ -409,14 +377,10 @@ def run_session(
     try:
         while True:
             decision = decide(tree, config.router, roles.routing, sop_hints)
-            if hooks.on_decision:
-                hooks.on_decision(tree, decision)
 
             if isinstance(decision, Terminate):
                 final = executor_mod.finalize(tree, roles.summarizing, decision.mode)
                 model.set_termination(tree, decision.mode, final.text)
-                if hooks.on_terminate:
-                    hooks.on_terminate(tree, final)
                 return tree, final
 
             if isinstance(decision, Backtrack):
@@ -432,14 +396,10 @@ def run_session(
             node = executor_mod.execute(
                 tree, decision.action, decision.guidance, roles.solving, guidance_extra
             )
-            if hooks.on_node:
-                hooks.on_node(tree, node)
             if _checker_applies(config.checker_mode, node.action):
                 checker_mod.run_check_cycle(
                     tree, node, roles.checking, roles.solving, config.max_revisions
                 )
-                if hooks.on_check and node.check_reports:
-                    hooks.on_check(tree, node, node.check_reports[-1])
     except BackendFailure as exc:
         exc.tree = tree  # preserve the partial trace for callers
         raise

@@ -21,6 +21,7 @@ error.  The registry always carries a default SOP.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -28,8 +29,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from . import prompts
-from .backends import CompletionRequest
 from .errors import MissingDefault, ParseError, UnknownAction
 from .model import AtomicAction, Problem, parse_action
 
@@ -169,7 +168,8 @@ def builtin_registry() -> SopRegistry:
 
 # --- triage -------------------------------------------------------------------
 
-def _load_keywords() -> dict[str, list[str]]:
+@functools.cache
+def triage_keywords() -> dict[str, list[str]]:
     data = (
         resources.files("atomic_reasoner")
         .joinpath("data")
@@ -179,23 +179,10 @@ def _load_keywords() -> dict[str, list[str]]:
     return json.loads(data)
 
 
-_KEYWORDS: Optional[dict[str, list[str]]] = None
-
-
-def triage_keywords() -> dict[str, list[str]]:
-    global _KEYWORDS
-    if _KEYWORDS is None:
-        _KEYWORDS = _load_keywords()
-    return _KEYWORDS
-
-
-def triage(problem: Problem, registry: SopRegistry, backend=None) -> str:
-    """Two-stage domain classification.
-
-    Stage 1: keyword heuristics over the statement (configured keyword lists).
-    Stage 2: one constrained backend call when supplied and stage 1 was
-    inconclusive.  Always returns a label present in the registry.
-    """
+def triage(problem: Problem, registry: SopRegistry) -> str:
+    """Domain classification by keyword heuristics over the statement
+    (configured keyword lists).  Always returns a label present in the
+    registry."""
     if problem.domain_hint and problem.domain_hint in registry.sops:
         return problem.domain_hint
     statement = problem.statement.lower()
@@ -209,21 +196,4 @@ def triage(problem: Problem, registry: SopRegistry, backend=None) -> str:
     if scores:
         # deterministic: highest score, ties broken alphabetically
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-
-    if backend is not None:
-        labels = registry.domains
-        bundle = prompts.build_triage_prompt(problem.statement, labels)
-        result = backend.complete(
-            CompletionRequest(
-                messages=bundle.messages,
-                temperature=bundle.params.temperature,
-                max_tokens=bundle.params.max_tokens,
-                tag="triage",
-            )
-        )
-        for line in result.text.splitlines():
-            if line.strip().lower().startswith("domain:"):
-                label = line.split(":", 1)[1].strip()
-                if label in registry.sops:
-                    return label
     return DEFAULT_DOMAIN

@@ -100,6 +100,7 @@ class TestCheckAndRevise:
         assert report.verdict == "NoError"
         assert report.rationale == "unparseable"
         assert len(backend.calls) == 2
+        assert backend.calls[0] == backend.calls[1]
 
     def test_checker_prompt_scopes_definitions_to_category(self):
         tree, node = make_tree_with_node(AtomicAction.HYPOTHESIS_VERIFICATION)

@@ -39,6 +39,7 @@ class TestExecute:
         with pytest.raises(EmptyCompletion):
             executor.execute(tree, AtomicAction.PREMISE_DISCOVERY, "g", backend)
         assert len(backend.calls) == 2
+        assert backend.calls[0] == backend.calls[1]
 
     def test_unmarked_hypothesis_generation_is_flagged(self):
         tree = make_tree()

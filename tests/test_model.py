@@ -120,16 +120,6 @@ def test_terminated_tree_is_frozen():
         model.set_termination(tree, TerminationMode.PASSIVE_LIMIT, "again")
 
 
-def test_reactivate_dormant_chain():
-    tree = make_tree()
-    nid = model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c1")
-    old_id = tree.active_chain_id
-    model.branch_at(tree, nid)
-    model.reactivate_chain(tree, old_id)
-    assert tree.active_chain_id == old_id
-    assert tree.chains[old_id].status is ChainStatus.ACTIVE
-
-
 def test_render_tree_is_deterministic_and_one_based():
     tree = make_tree("A short problem.")
     model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "first step")
@@ -175,9 +165,6 @@ def _random_walk(seed: int) -> None:
         ops = ["append"]
         if model.active_path(tree):
             ops.append("branch")
-        dormant = [c.id for c in tree.chains.values() if c.status is ChainStatus.DORMANT]
-        if dormant:
-            ops.append("reactivate")
         op = rng.choice(ops)
         if op == "append":
             action = rng.choice(list(AtomicAction))
@@ -185,11 +172,9 @@ def _random_walk(seed: int) -> None:
                 model.append_node(tree, action, "g", f"content-{rng.random():.6f}")
             except MissingHypothesis:
                 assert action is AtomicAction.HYPOTHESIS_VERIFICATION
-        elif op == "branch":
+        else:
             path = model.active_path(tree)
             model.branch_at(tree, rng.choice(path).id)
-        else:
-            model.reactivate_chain(tree, rng.choice(dormant))
 
         # single active chain
         active = [c for c in tree.chains.values() if c.status is ChainStatus.ACTIVE]

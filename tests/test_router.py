@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from atomic_reasoner import model, router
+from atomic_reasoner import cases, model, router, sop
 from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.errors import Terminated
 from atomic_reasoner.model import (
@@ -112,6 +114,7 @@ class TestHardRules:
         decision = router.decide(tree, RouterConfig(), backend)
         assert decision == Extend(AtomicAction.PREMISE_SUMMARIZATION, router.FALLBACK_GUIDANCE)
         assert len(backend.calls) == 2
+        assert backend.calls[0] == backend.calls[1]
 
     def test_r4_second_attempt_can_succeed(self):
         tree = make_tree()
@@ -154,9 +157,11 @@ class TestBacktracking:
 
     def test_unparseable_target_falls_back_to_deepest_hypothesis(self):
         tree = self.completed_tree()
-        decision = router.decide(tree, RouterConfig(), ScriptedBackend({"routing": "gibberish"}))
+        backend = ScriptedBackend({"routing": "gibberish"})
+        decision = router.decide(tree, RouterConfig(), backend)
         assert isinstance(decision, Backtrack)
         assert decision.target == model.active_path(tree)[1].id  # the hypothesis node
+        assert backend.calls[0] == backend.calls[1]
 
     def test_out_of_range_target_falls_back(self):
         tree = self.completed_tree()
@@ -290,3 +295,26 @@ def test_backend_failure_preserves_partial_tree():
             backends=backend,
         )
     assert model.round_count(excinfo.value.tree) == 1
+
+
+GOLDEN_REQUEST_STREAMS = {
+    "case1": (16, "03fdb3f0237be6f2bb28f1c85a75dfe957583e221e3e0741d0cb6e83d96c81dc"),
+    "case2": (21, "9ce956f6ead5c17c14a49bfb9481a872fa9b9ff14df59a051a7bbbfca91f79a7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REQUEST_STREAMS))
+def test_case_request_stream_is_byte_identical(name):
+    """Every request a shipped case sends (tag, sampling, seed, messages) is
+    pinned by digest, so refactors of the prompt path cannot drift silently."""
+    fx = cases.load_case(name)
+    recorder = fx.backend()
+    router.run_session(
+        fx.task.to_problem(), backends=recorder, sop_registry=sop.builtin_registry()
+    )
+    stream = [
+        [r.tag, r.temperature, r.max_tokens, r.seed, [[m.role, m.content] for m in r.messages]]
+        for r in recorder.calls
+    ]
+    digest = hashlib.sha256(json.dumps(stream, sort_keys=True).encode("utf-8")).hexdigest()
+    assert (len(stream), digest) == GOLDEN_REQUEST_STREAMS[name]

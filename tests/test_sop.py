@@ -1,7 +1,6 @@
 import pytest
 
 from atomic_reasoner import sop
-from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.errors import MissingDefault, ParseError
 from atomic_reasoner.model import AtomicAction, FreeText, Problem
 
@@ -115,13 +114,3 @@ class TestTriage:
     def test_inconclusive_without_backend_uses_default(self):
         reg = sop.builtin_registry()
         assert sop.triage(make_problem("hello there"), reg) == sop.DEFAULT_DOMAIN
-
-    def test_backend_stage_parses_domain_line(self):
-        reg = sop.builtin_registry()
-        backend = ScriptedBackend({"triage": ["DOMAIN: science-problem"]})
-        assert sop.triage(make_problem("hello there"), reg, backend) == "science-problem"
-
-    def test_backend_stage_rejects_unknown_label(self):
-        reg = sop.builtin_registry()
-        backend = ScriptedBackend({"triage": ["DOMAIN: astrology"]})
-        assert sop.triage(make_problem("hello there"), reg, backend) == sop.DEFAULT_DOMAIN
