@@ -42,7 +42,6 @@ from .puzzles import brute_solve, generate_puzzle
 from .router import (
     Backtrack,
     Extend,
-    RouterConfig,
     SessionConfig,
     Terminate,
     decide,
@@ -73,7 +72,6 @@ __all__ = [
     "HttpConfig",
     "Node",
     "Problem",
-    "RouterConfig",
     "ScriptedBackend",
     "SessionConfig",
     "Sop",

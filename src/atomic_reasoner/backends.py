@@ -10,10 +10,13 @@ not parse; every engine call that expects a usable reply goes through it.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import json
+import os
 import random
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -78,9 +81,13 @@ class CompletionResult:
 
 def ask(backend, request: CompletionRequest, parse: Callable[[str], Optional[T]]) -> Optional[T]:
     """Send ``request`` until ``parse`` accepts a reply, at most ASK_ATTEMPTS
-    times; the first parsed value that is not None, or None."""
-    for _ in range(ASK_ATTEMPTS):
-        value = parse(backend.complete(request).text)
+    times; the first parsed value that is not None, or None.
+
+    Re-ask k carries ``seed=k``, so it is a request of its own: a cache does
+    not answer it with the reply just rejected."""
+    for attempt in range(ASK_ATTEMPTS):
+        sent = dataclasses.replace(request, seed=attempt) if attempt else request
+        value = parse(backend.complete(sent).text)
         if value is not None:
             return value
     return None
@@ -163,28 +170,6 @@ class HttpConfig:
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
     max_concurrent: int = 4
-    requests_per_second: Optional[float] = None
-
-
-class _TokenBucket:
-    def __init__(self, rate: float, capacity: Optional[float] = None):
-        self.rate = rate
-        self.capacity = capacity if capacity is not None else max(1.0, rate)
-        self.tokens = self.capacity
-        self.updated = time.monotonic()
-        self.lock = threading.Lock()
-
-    def acquire(self, sleep=time.sleep) -> None:
-        while True:
-            with self.lock:
-                now = time.monotonic()
-                self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
-                self.updated = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
-                    return
-                wait = (1.0 - self.tokens) / self.rate
-            sleep(wait)
 
 
 class HttpBackend:
@@ -208,15 +193,8 @@ class HttpBackend:
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._semaphore = threading.Semaphore(config.max_concurrent)
-        self._bucket = (
-            _TokenBucket(config.requests_per_second)
-            if config.requests_per_second
-            else None
-        )
 
     def _headers(self) -> dict[str, str]:
-        import os
-
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.config.api_key_env)
         if key:
@@ -237,8 +215,6 @@ class HttpBackend:
         last_error: Exception = BackendTimeout("no attempt made")
         with self._semaphore:
             for attempt in range(self.config.max_retries + 1):
-                if self._bucket is not None:
-                    self._bucket.acquire(self._sleep)
                 started = time.monotonic()
                 try:
                     response = self._session.post(
@@ -351,7 +327,6 @@ class CacheBackend:
         self.strict = strict
         self.store = Path(store_path)
         self.model = getattr(inner, "model", "scripted")
-        self._lock = threading.Lock()
         if mode is CacheMode.RECORD:
             self.store.mkdir(parents=True, exist_ok=True)
 
@@ -387,45 +362,47 @@ class CacheBackend:
                 "completion_tokens": result.completion_tokens,
             },
         }
-        with self._lock:
-            path.write_text(
-                json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2),
-                encoding="utf-8",
-            )
+        # A reader sees either no entry or a whole one: write aside, then rename.
+        fd, tmp = tempfile.mkstemp(dir=self.store, prefix=f".{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return result
 
     @staticmethod
     def _load(path: Path) -> CompletionResult:
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            stored = record["result"]
+            stored = json.loads(path.read_text(encoding="utf-8"))["result"]
+            text = stored["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text is {type(text).__name__}, not str")
             return CompletionResult(
-                text=stored["text"],
+                text=text,
                 prompt_tokens=int(stored.get("prompt_tokens", 0)),
                 completion_tokens=int(stored.get("completion_tokens", 0)),
                 source=ResultSource.CACHE,
             )
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(f"corrupt cache entry {path.name}: {exc}")
 
 
 class TallyBackend:
-    """Wrapper that accumulates usage and latency across calls (thread-safe)."""
+    """Wrapper that accumulates token usage across calls (thread-safe)."""
 
     def __init__(self, inner):
         self.inner = inner
         self.model = getattr(inner, "model", "scripted")
         self._lock = threading.Lock()
-        self.calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
-        self.latency_ms = 0.0
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         result = self.inner.complete(request)
         with self._lock:
-            self.calls += 1
             self.prompt_tokens += result.prompt_tokens
             self.completion_tokens += result.completion_tokens
-            self.latency_ms += result.latency_ms
         return result

@@ -210,7 +210,9 @@ def brute_solve_task(task: Task, limit: Optional[int] = None) -> list[dict[int, 
 
 def oracle_session_backend(task: Task) -> ScriptedBackend:
     """Scripted backend whose answers come from the brute-force oracle,
-    driving a clean single-chain session to the correct solution."""
+    driving a default-config session to the correct solution: one clean
+    chain, then the backtrack to its hypothesis that follows a completed
+    chain, verified again and concluded."""
     solutions = brute_solve_task(task, limit=2)
     if len(solutions) != 1:
         raise ValueError(f"task {task.id} does not have a unique solution")
@@ -222,12 +224,17 @@ def oracle_session_backend(task: Task) -> ScriptedBackend:
                 "ACTION: HypothesisGeneration\nGUIDANCE: Propose the full assignment.",
                 "GUIDANCE: Check the proposed assignment against every clue.",
                 "ACTION: SUMMARY<FINISHED>\nGUIDANCE: State the verified assignment.",
+                "TARGET: Step 2\nREASON: KeyNode",
+                "GUIDANCE: Re-check the proposed assignment clue by clue.",
+                "ACTION: SUMMARY<FINISHED>\nGUIDANCE: State the verified assignment.",
             ],
             "solve": [
                 "The clues are enumerated and classified.",
                 f"Hypothesis 1: the assignment is\n{answer_block}",
                 "Checked every clue against Hypothesis 1: all satisfied.",
                 f"All clues verified.\n{answer_block}",
+                "Re-checked every clue against Hypothesis 1: all satisfied.",
+                f"All clues verified again.\n{answer_block}",
             ],
             "check": "Check Result: No error.",
             "summarize": f"All clues are satisfied by the assignment.\n{answer_block}",

@@ -239,21 +239,15 @@ def revise(tree: model.AtomicTree, node: Node, report: CheckReport, backend) -> 
     return node
 
 
-def run_check_cycle(
-    tree: model.AtomicTree,
-    node: Node,
-    check_backend,
-    revise_backend,
-    max_revisions: int = MAX_REVISIONS,
-) -> Node:
-    """check -> revise loop, bounded: after max_revisions revisions a still-
+def run_check_cycle(tree: model.AtomicTree, node: Node, check_backend, revise_backend) -> Node:
+    """check -> revise loop, bounded: after MAX_REVISIONS revisions a still-
     erroring node is accepted with its flag set."""
     revisions = 0
     while True:
         report = check(tree, node, check_backend)
         if not report.is_error:
             return node
-        if revisions >= max_revisions:
+        if revisions >= MAX_REVISIONS:
             node.flagged = True
             return node
         revise(tree, node, report, revise_backend)

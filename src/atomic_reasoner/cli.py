@@ -9,6 +9,7 @@ import argparse
 import datetime as _dt
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -126,8 +127,7 @@ def _build_backend(args):
 
 def _session_config(args) -> router.SessionConfig:
     return router.SessionConfig(
-        router=router.RouterConfig(max_rounds=args.max_rounds, max_chains=args.max_chains),
-        checker_mode=args.checker_mode,
+        max_rounds=args.max_rounds, max_chains=args.max_chains, checker_mode=args.checker_mode
     )
 
 
@@ -151,7 +151,12 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 
 
-def _write_trace(out: Path, name: str, tree, correct: Optional[bool], suite: str) -> Path:
+_UNSAFE_NAME_CHARS = re.compile(r"[^A-Za-z0-9._-]")
+
+
+def _write_trace(out: Path, problem_id: str, tree, correct: Optional[bool], suite: str) -> Path:
+    # Task ids come from input files: keep the names they make inside ``out``.
+    name = _UNSAFE_NAME_CHARS.sub("_", problem_id).lstrip(".") or "problem"
     trace_path = out / f"{name}.trace.json"
     trace_path.write_text(metrics.serialize_trace(tree), encoding="utf-8")
     meta = {"correct": correct, "suite": suite}
@@ -174,7 +179,7 @@ def cmd_solve(args) -> int:
     correct = None
     if task is not None:
         correct = bench_mod.score(task, final.text).correct
-    _write_trace(out, problem.id or "problem", tree, correct, task.suite if task else "")
+    _write_trace(out, problem.id, tree, correct, task.suite if task else "")
     (out / "answer.txt").write_text(final.text + "\n", encoding="utf-8")
     print(f"rounds: {model.round_count(tree)}  chains: {len(tree.chains)}")
     print(final.text)

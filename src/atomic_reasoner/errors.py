@@ -33,12 +33,6 @@ class UnknownAction(AtomicReasonerError):
     pass
 
 
-# --- router errors ----------------------------------------------------------
-
-class NoBacktrackCandidate(AtomicReasonerError):
-    pass
-
-
 # --- backend errors ---------------------------------------------------------
 
 class BackendFailure(AtomicReasonerError):

@@ -1,5 +1,5 @@
 """Trace serialization, run statistics, SFT-corpus export, and discrete
-entropy diagnostics over action-selection profiles."""
+entropy diagnostics over action selection."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .model import (
 )
 
 PROB_TOLERANCE = 1e-9
-NUM_ACTIONS = len(AtomicAction)
 TRACE_FORMAT_VERSION = 1
 
 
@@ -65,29 +64,6 @@ def entropy(dist: DiscreteDistribution) -> float:
     return total
 
 
-@dataclass
-class ActionSelectionProfile:
-    """Per-step action-selection probabilities: steps x actions matrix, each
-    row a distribution over the six actions."""
-
-    rows: list[list[float]]
-
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if len(row) != NUM_ACTIONS:
-                raise DimensionMismatch(
-                    f"row {i} has {len(row)} entries, expected {NUM_ACTIONS}"
-                )
-            if any(p < 0 for p in row):
-                raise InvalidDistribution(f"row {i} has a negative probability")
-            if abs(sum(row) - 1.0) > PROB_TOLERANCE:
-                raise InvalidDistribution(f"row {i} sums to {sum(row)}, not 1")
-
-    @property
-    def steps(self) -> int:
-        return len(self.rows)
-
-
 def weighted_step_entropy(selection_row: Sequence[float], per_action_entropies: Sequence[float]) -> float:
     """Expected per-step entropy when each action j (with its own output
     entropy E_j) is selected with probability r_j: sum_j r_j * E_j."""
@@ -115,19 +91,10 @@ class TraceStats:
     backtracks: int
     revisions: int
     check_errors: int
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    wall_time_ms: float = 0.0
 
 
-def trace_stats(
-    tree: AtomicTree,
-    prompt_tokens: int = 0,
-    completion_tokens: int = 0,
-    wall_time_ms: float = 0.0,
-) -> TraceStats:
-    """Counts computed purely from the trace; token/time totals are supplied
-    by the caller (the tree does not record backend usage)."""
+def trace_stats(tree: AtomicTree) -> TraceStats:
+    """Counts computed purely from the trace."""
     histogram = {action.value: 0 for action in AtomicAction}
     revisions = 0
     check_errors = 0
@@ -143,9 +110,6 @@ def trace_stats(
         backtracks=max(0, len(tree.chains) - 1),
         revisions=revisions,
         check_errors=check_errors,
-        prompt_tokens=prompt_tokens,
-        completion_tokens=completion_tokens,
-        wall_time_ms=wall_time_ms,
     )
 
 

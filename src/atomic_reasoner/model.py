@@ -271,15 +271,11 @@ def append_node(tree: AtomicTree, action: AtomicAction, guidance: str, content: 
     return node.id
 
 
-def branch_at(
-    tree: AtomicTree,
-    target_node: str,
-    old_status: Optional[ChainStatus] = None,
-) -> str:
+def branch_at(tree: AtomicTree, target_node: str) -> str:
     """Fork a new Active chain off a node on the active path.
 
     The old active chain becomes Suspended when it ran to a SummaryFinished
-    ending (or the caller says so), Dormant when merely paused.
+    ending, Dormant when merely paused.
     """
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
@@ -289,12 +285,10 @@ def branch_at(
     chain_id, index = location
 
     old = active_chain(tree)
-    if old_status is None:
-        ended_in_summary = bool(old.node_ids) and (
-            tree.nodes[old.node_ids[-1]].action is AtomicAction.SUMMARY_FINISHED
-        )
-        old_status = ChainStatus.SUSPENDED if ended_in_summary else ChainStatus.DORMANT
-    old.status = old_status
+    ended_in_summary = bool(old.node_ids) and (
+        tree.nodes[old.node_ids[-1]].action is AtomicAction.SUMMARY_FINISHED
+    )
+    old.status = ChainStatus.SUSPENDED if ended_in_summary else ChainStatus.DORMANT
 
     new = Chain(id=_chain_id(tree), parent=(chain_id, index))
     tree.chains[new.id] = new

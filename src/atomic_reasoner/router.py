@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import checker as checker_mod
 from . import executor as executor_mod
 from . import backends as backends_mod
 from . import model, prompts, sop as sop_mod
-from .errors import BackendFailure, NoBacktrackCandidate, Terminated, UnknownAction
+from .errors import BackendFailure, Terminated, UnknownAction
 from .executor import FinalAnswer
 from .model import (
     ActionCategory,
@@ -65,32 +65,20 @@ class Terminate:
 RoutingDecision = Union[Extend, Backtrack, Terminate]
 
 
+CHECKER_MODES = ("every", "reasoning-only", "ending-only", "off")
+
+
 @dataclass
-class RouterConfig:
+class SessionConfig:
     max_rounds: int = 12
-    force_verify_on_first_finish: bool = True
     max_chains: int = 4
-    backtrack_after_summary: bool = True
+    checker_mode: str = "every"
 
     def __post_init__(self):
         if self.max_rounds < 2:
             raise ValueError("max_rounds must be >= 2")
         if self.max_chains < 1:
             raise ValueError("max_chains must be >= 1")
-
-
-CHECKER_MODES = ("every", "reasoning-only", "ending-only", "off")
-
-
-@dataclass
-class SessionConfig:
-    router: RouterConfig = field(default_factory=RouterConfig)
-    checker_mode: str = "every"
-    max_revisions: int = checker_mod.MAX_REVISIONS
-    compress_chains: bool = True
-    use_sop: bool = True
-
-    def __post_init__(self):
         if self.checker_mode not in CHECKER_MODES:
             raise ValueError(f"checker_mode must be one of {CHECKER_MODES}")
 
@@ -199,7 +187,7 @@ def _verification_guidance(path: list[model.Node]) -> str:
 
 def decide(
     tree: AtomicTree,
-    config: RouterConfig,
+    config: SessionConfig,
     backend,
     sop_hints: str = "",
 ) -> RoutingDecision:
@@ -220,8 +208,7 @@ def decide(
             for c in tree.chains.values()
         )
         if (
-            not config.backtrack_after_summary
-            or explored_before
+            explored_before
             or len(tree.chains) >= config.max_chains
             or model.round_count(tree) + 2 > config.max_rounds
         ):
@@ -246,7 +233,7 @@ def decide(
 
     if proposal.kind in ("finish", "terminate"):
         # R3: the first finish claim on an unverified path is not accepted.
-        if config.force_verify_on_first_finish and not _has_verification(path):
+        if not _has_verification(path):
             if _has_hypothesis(path):
                 return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, _verification_guidance(path))
             # Nothing to verify yet: demand an explicit hypothesis first.
@@ -311,8 +298,6 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     prompt's three target categories; deterministic fallback to the deepest
     hypothesis-generation node."""
     path = model.active_path(tree)
-    if not path:
-        raise NoBacktrackCandidate("active path has no nodes")
 
     def parse_target(text: str) -> Optional[tuple[str, BacktrackReason]]:
         target_match = list(_TARGET_LINE.finditer(text))
@@ -370,13 +355,13 @@ def run_session(
 
     tree = model.new_tree(problem)
     active_sop = None
-    if config.use_sop and sop_registry is not None:
+    if sop_registry is not None:
         active_sop = sop_registry.get(sop_mod.triage(problem, sop_registry))
     sop_hints = active_sop.scheduling_hints if active_sop else ""
 
     try:
         while True:
-            decision = decide(tree, config.router, roles.routing, sop_hints)
+            decision = decide(tree, config, roles.routing, sop_hints)
 
             if isinstance(decision, Terminate):
                 final = executor_mod.finalize(tree, roles.summarizing, decision.mode)
@@ -386,7 +371,7 @@ def run_session(
             if isinstance(decision, Backtrack):
                 old_chain = model.active_chain(tree)
                 model.branch_at(tree, decision.target)
-                if config.compress_chains and old_chain.node_ids:
+                if old_chain.node_ids:
                     executor_mod.compress_chain(tree, old_chain, roles.summarizing)
                 continue
 
@@ -397,9 +382,7 @@ def run_session(
                 tree, decision.action, decision.guidance, roles.solving, guidance_extra
             )
             if _checker_applies(config.checker_mode, node.action):
-                checker_mod.run_check_cycle(
-                    tree, node, roles.checking, roles.solving, config.max_revisions
-                )
+                checker_mod.run_check_cycle(tree, node, roles.checking, roles.solving)
     except BackendFailure as exc:
         exc.tree = tree  # preserve the partial trace for callers
         raise

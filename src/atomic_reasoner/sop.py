@@ -11,12 +11,8 @@ SOPs live in ``.sop`` files: UTF-8, INI-like sections.
     [action:premise_discovery]
     <strategy text for that action>
 
-    [example]
-    problem = <excerpt>
-    step = <worked step>
-
-Action section names use snake_case action names; unknown names are a parse
-error.  The registry always carries a default SOP.
+Action section names use snake_case action names; unknown action or section
+names are a parse error.  The registry always carries a default SOP.
 """
 
 from __future__ import annotations
@@ -38,17 +34,10 @@ DEFAULT_DOMAIN = "default"
 
 
 @dataclass
-class SopExample:
-    problem_excerpt: str
-    worked_step: str
-
-
-@dataclass
 class Sop:
     domain: str
     action_strategies: dict[AtomicAction, str] = field(default_factory=dict)
     scheduling_hints: str = ""
-    examples: list[SopExample] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.domain.strip():
@@ -79,14 +68,12 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
     domain = ""
     schedule_lines: list[str] = []
     strategies: dict[AtomicAction, str] = {}
-    examples: list[SopExample] = []
 
     section: Optional[str] = None
     section_action: Optional[AtomicAction] = None
     buffer: list[str] = []
-    example_fields: dict[str, str] = {}
 
-    def flush(line_no: int):
+    def flush():
         nonlocal domain
         if section is None:
             return
@@ -101,19 +88,14 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
             schedule_lines.append(body)
         elif section == "action":
             strategies[section_action] = body
-        elif section == "example":
-            if "problem" not in example_fields or "step" not in example_fields:
-                raise ParseError("example needs problem= and step=", source, line_no)
-            examples.append(SopExample(example_fields["problem"], example_fields["step"]))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            flush(line_no)
+            flush()
             buffer = []
-            example_fields = {}
             header = stripped[1:-1].strip()
-            if header == "meta" or header == "schedule" or header == "example":
+            if header == "meta" or header == "schedule":
                 section, section_action = header, None
             elif header.startswith("action:"):
                 name = header.split(":", 1)[1].strip()
@@ -125,11 +107,8 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
             else:
                 raise ParseError(f"unknown section [{header}]", source, line_no)
             continue
-        if section == "example" and "=" in raw:
-            key, value = raw.split("=", 1)
-            example_fields[key.strip()] = value.strip()
         buffer.append(raw)
-    flush(len(text.splitlines()) + 1)
+    flush()
 
     if not domain:
         raise ParseError("missing [meta] domain", source)
@@ -137,7 +116,6 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
         domain=domain,
         action_strategies=strategies,
         scheduling_hints="\n".join(s for s in schedule_lines if s),
-        examples=examples,
     )
 
 

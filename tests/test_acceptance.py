@@ -136,7 +136,7 @@ def test_criterion_2_router_rule_suite():
     model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "facts")
     model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "Hypothesis 1: x")
     decision = router.decide(
-        tree, router.RouterConfig(), ScriptedBackend({"routing": "ACTION: SUMMARY<FINISHED>\nGUIDANCE: wrap up"})
+        tree, router.SessionConfig(), ScriptedBackend({"routing": "ACTION: SUMMARY<FINISHED>\nGUIDANCE: wrap up"})
     )
     assert isinstance(decision, router.Extend)
     assert decision.action is AtomicAction.HYPOTHESIS_VERIFICATION
@@ -145,14 +145,14 @@ def test_criterion_2_router_rule_suite():
     bare = model.new_tree(Problem(id="r3b", statement="p", answer_schema=FreeText()))
     model.append_node(bare, AtomicAction.PREMISE_DISCOVERY, "g", "facts")
     decision = router.decide(
-        bare, router.RouterConfig(), ScriptedBackend({"routing": "ACTION: TERMINATE"})
+        bare, router.SessionConfig(), ScriptedBackend({"routing": "ACTION: TERMINATE"})
     )
     assert isinstance(decision, router.Extend)
     assert decision.action is AtomicAction.HYPOTHESIS_GENERATION
 
     # R4: unparseable twice falls back to a summarization step
     noisy = ScriptedBackend({"routing": ["noise", "more noise"]})
-    decision = router.decide(bare, router.RouterConfig(), noisy)
+    decision = router.decide(bare, router.SessionConfig(), noisy)
     assert decision == router.Extend(AtomicAction.PREMISE_SUMMARIZATION, router.FALLBACK_GUIDANCE)
     assert len(noisy.calls) == 2
     print("criterion 2: PASS (200 matrix cases, R1-R4 direct checks)")
@@ -215,9 +215,7 @@ def test_criterion_4_oracle_equivalence():
         assert solutions == [gold], f"seed {seed} not uniquely solvable"
         tasks.append(task)
 
-    config = router.SessionConfig(
-        router=router.RouterConfig(backtrack_after_summary=False)
-    )
+    config = router.SessionConfig()
     report = bench.run_benchmark(
         tasks,
         "ar",

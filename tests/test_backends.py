@@ -262,3 +262,33 @@ class TestCacheBackend:
         )
         assert final2.text == final1.text
         assert metrics.serialize_trace(tree2) == metrics.serialize_trace(tree1)
+
+    def test_reask_under_record_reaches_the_inner_backend(self, tmp_path):
+        from atomic_reasoner import model
+        from atomic_reasoner.model import AtomicAction, FreeText, Problem
+
+        inner = ScriptedBackend({"routing": ["???", "ACTION: PremiseDiscovery\nGUIDANCE: ok"]})
+        recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
+        tree = model.new_tree(Problem(id="p", statement="A puzzle.", answer_schema=FreeText()))
+        decision = router.decide(tree, router.SessionConfig(), recorder)
+        assert decision == router.Extend(AtomicAction.PREMISE_DISCOVERY, "ok")
+        assert len(inner.calls) == 2
+
+        replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
+        assert router.decide(tree, router.SessionConfig(), replayer) == decision
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "[]",
+            '{"result": null}',
+            '{"result": {"text": "x", "prompt_tokens": null}}',
+            '{"result": {"text": 7}}',
+        ],
+    )
+    def test_corrupt_entry_is_malformed_response(self, tmp_path, entry):
+        request = make_request("q")
+        (tmp_path / f"{cache_key(request, 'scripted')}.json").write_text(entry, encoding="utf-8")
+        replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
+        with pytest.raises(MalformedResponse, match="corrupt cache entry"):
+            replayer.complete(request)

@@ -109,9 +109,7 @@ class TestScore:
 class TestOracle:
     def test_oracle_backend_drives_full_pipeline_to_gold(self):
         task, gold = bench.gen_puzzle(11, 3, 3)
-        config = router.SessionConfig(
-            router=router.RouterConfig(backtrack_after_summary=False)
-        )
+        config = router.SessionConfig()
         tree, final = router.run_session(
             task.to_problem(),
             config=config,
@@ -132,9 +130,7 @@ class TestRunBenchmark:
         return [bench.gen_puzzle(seed, 3, 2)[0] for seed in range(n)]
 
     def oracle_config(self):
-        return router.SessionConfig(
-            router=router.RouterConfig(backtrack_after_summary=False)
-        )
+        return router.SessionConfig()
 
     def test_ar_strategy_with_backend_factory(self):
         tasks = self.make_tasks()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -100,7 +101,7 @@ class TestCheckAndRevise:
         assert report.verdict == "NoError"
         assert report.rationale == "unparseable"
         assert len(backend.calls) == 2
-        assert backend.calls[0] == backend.calls[1]
+        assert backend.calls[1] == dataclasses.replace(backend.calls[0], seed=1)
 
     def test_checker_prompt_scopes_definitions_to_category(self):
         tree, node = make_tree_with_node(AtomicAction.HYPOTHESIS_VERIFICATION)
@@ -143,10 +144,10 @@ class TestCheckAndRevise:
             {"check": "Check Result: There is an error.\nError Type: Conclusion Error"}
         )
         revise_backend = ScriptedBackend({"solve": ["try 1", "try 2", "try 3"]})
-        checker.run_check_cycle(tree, node, check_backend, revise_backend, max_revisions=2)
+        checker.run_check_cycle(tree, node, check_backend, revise_backend)
         assert node.flagged is True
         assert node.content == "try 2"  # exactly two revision cycles ran
-        assert len(node.check_reports) == 3  # max_revisions + 1 checks
+        assert len(node.check_reports) == 3  # MAX_REVISIONS + 1 checks
 
     def test_cycle_never_moves_the_node(self):
         tree, node = make_tree_with_node()

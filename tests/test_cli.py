@@ -103,6 +103,18 @@ class TestSolve:
         answer = (out / "answer.txt").read_text(encoding="utf-8")
         assert answer.rstrip().endswith("second from the right.")
 
+    def test_trace_files_stay_inside_out(self, case_files, tmp_path):
+        task_path, script_path = case_files("case1")
+        record = json.loads(task_path.read_text(encoding="utf-8"))
+        record["id"] = "../escaped"
+        task_path.write_text(json.dumps(record), encoding="utf-8")
+        runs = tmp_path / "runs"
+        out = runs / "one"
+        code = run_cli(["solve", str(task_path), "--script", str(script_path), "--out", str(out)])
+        assert code == 0
+        written = sorted(p.relative_to(runs).as_posix() for p in runs.rglob("*") if p.is_file())
+        assert written == ["one/_escaped.meta.json", "one/_escaped.trace.json", "one/answer.txt"]
+
     def test_max_rounds_caps_the_trace(self, case_files, tmp_path):
         task_path, script_path = case_files("case1")
         out = tmp_path / "run2"

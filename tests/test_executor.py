@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from atomic_reasoner import executor, model
@@ -39,7 +41,7 @@ class TestExecute:
         with pytest.raises(EmptyCompletion):
             executor.execute(tree, AtomicAction.PREMISE_DISCOVERY, "g", backend)
         assert len(backend.calls) == 2
-        assert backend.calls[0] == backend.calls[1]
+        assert backend.calls[1] == dataclasses.replace(backend.calls[0], seed=1)
 
     def test_unmarked_hypothesis_generation_is_flagged(self):
         tree = make_tree()

@@ -7,7 +7,6 @@ import pytest
 from atomic_reasoner import metrics, model
 from atomic_reasoner.errors import DimensionMismatch, InvalidDistribution, ParseError
 from atomic_reasoner.metrics import (
-    ActionSelectionProfile,
     DiscreteDistribution,
     ScoredTrace,
     entropy,
@@ -103,10 +102,6 @@ class TestWeightedStepEntropy:
             oracle = sum(r * e for r, e in zip(row, entropies))
             assert abs(weighted_step_entropy(row, entropies) - oracle) < 1e-12
 
-    def test_profile_row_width_enforced(self):
-        with pytest.raises(DimensionMismatch):
-            ActionSelectionProfile(rows=[[0.5, 0.5]])
-
 
 class TestTraceStats:
     def test_counts_from_case_like_tree(self):
@@ -120,7 +115,7 @@ class TestTraceStats:
             CheckReport(verdict="Error", kinds=["ConclusionError"], rationale="r")
         )
         node.revised = True
-        stats = metrics.trace_stats(tree, prompt_tokens=10, completion_tokens=5)
+        stats = metrics.trace_stats(tree)
         assert stats.rounds == 3
         assert stats.chains == 2
         assert stats.backtracks == 1

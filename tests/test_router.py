@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -18,7 +19,6 @@ from atomic_reasoner.router import (
     Backtrack,
     BacktrackReason,
     Extend,
-    RouterConfig,
     SessionConfig,
     Terminate,
 )
@@ -66,14 +66,14 @@ class TestHardRules:
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
         model.append_node(tree, AtomicAction.PREMISE_RETRIEVAL, "g", "c")
         backend = ScriptedBackend([])  # any call would raise ScriptExhausted
-        decision = router.decide(tree, RouterConfig(max_rounds=2), backend)
+        decision = router.decide(tree, SessionConfig(max_rounds=2), backend)
         assert decision == Terminate(TerminationMode.PASSIVE_LIMIT)
 
     def test_r2_forced_verification_after_hypothesis(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "Hypothesis 1: x")
         decision = router.decide(
-            tree, RouterConfig(), routing("ACTION: SummaryFinished\nGUIDANCE: wrap up")
+            tree, SessionConfig(), routing("ACTION: SummaryFinished\nGUIDANCE: wrap up")
         )
         assert isinstance(decision, Extend)
         assert decision.action is AtomicAction.HYPOTHESIS_VERIFICATION
@@ -81,7 +81,7 @@ class TestHardRules:
     def test_r2_uses_backend_guidance_text(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "Hypothesis 1: x")
-        decision = router.decide(tree, RouterConfig(), routing("GUIDANCE: check clue 3 first"))
+        decision = router.decide(tree, SessionConfig(), routing("GUIDANCE: check clue 3 first"))
         assert decision.action is AtomicAction.HYPOTHESIS_VERIFICATION
         assert decision.guidance == "check clue 3 first"
 
@@ -90,49 +90,49 @@ class TestHardRules:
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
         model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "Hypothesis 1: x")
         model.append_node(tree, AtomicAction.PREMISE_SUMMARIZATION, "g", "c")
-        decision = router.decide(tree, RouterConfig(), routing("ACTION: SUMMARY<FINISHED>"))
+        decision = router.decide(tree, SessionConfig(), routing("ACTION: SUMMARY<FINISHED>"))
         assert isinstance(decision, Extend)
         assert decision.action is AtomicAction.HYPOTHESIS_VERIFICATION
 
     def test_r3_without_any_hypothesis_demands_one(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
-        decision = router.decide(tree, RouterConfig(), routing("ACTION: TERMINATE"))
+        decision = router.decide(tree, SessionConfig(), routing("ACTION: TERMINATE"))
         assert decision.action is AtomicAction.HYPOTHESIS_GENERATION
 
     def test_r3_finish_accepted_after_verification(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "Hypothesis 1: x")
         model.append_node(tree, AtomicAction.HYPOTHESIS_VERIFICATION, "g", "checked")
-        decision = router.decide(tree, RouterConfig(), routing("ACTION: SUMMARY<FINISHED>"))
+        decision = router.decide(tree, SessionConfig(), routing("ACTION: SUMMARY<FINISHED>"))
         assert isinstance(decision, Extend)
         assert decision.action is AtomicAction.SUMMARY_FINISHED
 
     def test_r4_unparseable_retries_once_then_falls_back(self):
         tree = make_tree()
         backend = ScriptedBackend({"routing": ["???", "still nothing"]})
-        decision = router.decide(tree, RouterConfig(), backend)
+        decision = router.decide(tree, SessionConfig(), backend)
         assert decision == Extend(AtomicAction.PREMISE_SUMMARIZATION, router.FALLBACK_GUIDANCE)
         assert len(backend.calls) == 2
-        assert backend.calls[0] == backend.calls[1]
+        assert backend.calls[1] == dataclasses.replace(backend.calls[0], seed=1)
 
     def test_r4_second_attempt_can_succeed(self):
         tree = make_tree()
         backend = ScriptedBackend({"routing": ["???", "ACTION: PremiseDiscovery\nGUIDANCE: ok"]})
-        decision = router.decide(tree, RouterConfig(), backend)
+        decision = router.decide(tree, SessionConfig(), backend)
         assert decision.action is AtomicAction.PREMISE_DISCOVERY
 
     def test_decide_on_terminated_tree_raises(self):
         tree = make_tree()
         model.set_termination(tree, TerminationMode.ACTIVE_SOLVED, "x")
         with pytest.raises(Terminated):
-            router.decide(tree, RouterConfig(), routing("ACTION: TERMINATE"))
+            router.decide(tree, SessionConfig(), routing("ACTION: TERMINATE"))
 
     def test_verification_proposal_without_hypothesis_converted(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
         decision = router.decide(
-            tree, RouterConfig(), routing("ACTION: HypothesisVerification\nGUIDANCE: verify")
+            tree, SessionConfig(), routing("ACTION: HypothesisVerification\nGUIDANCE: verify")
         )
         assert decision.action is AtomicAction.HYPOTHESIS_GENERATION
 
@@ -149,7 +149,7 @@ class TestBacktracking:
     def test_completed_chain_backtracks_to_named_step(self):
         tree = self.completed_tree()
         decision = router.decide(
-            tree, RouterConfig(), routing("TARGET: Step 2\nREASON: UnexploredBranch")
+            tree, SessionConfig(), routing("TARGET: Step 2\nREASON: UnexploredBranch")
         )
         assert isinstance(decision, Backtrack)
         assert decision.target == model.active_path(tree)[1].id
@@ -158,14 +158,14 @@ class TestBacktracking:
     def test_unparseable_target_falls_back_to_deepest_hypothesis(self):
         tree = self.completed_tree()
         backend = ScriptedBackend({"routing": "gibberish"})
-        decision = router.decide(tree, RouterConfig(), backend)
+        decision = router.decide(tree, SessionConfig(), backend)
         assert isinstance(decision, Backtrack)
         assert decision.target == model.active_path(tree)[1].id  # the hypothesis node
-        assert backend.calls[0] == backend.calls[1]
+        assert backend.calls[1] == dataclasses.replace(backend.calls[0], seed=1)
 
     def test_out_of_range_target_falls_back(self):
         tree = self.completed_tree()
-        decision = router.decide(tree, RouterConfig(), ScriptedBackend({"routing": "TARGET: Step 99"}))
+        decision = router.decide(tree, SessionConfig(), ScriptedBackend({"routing": "TARGET: Step 99"}))
         assert isinstance(decision, Backtrack)
         assert decision.target == model.active_path(tree)[1].id
 
@@ -174,19 +174,19 @@ class TestBacktracking:
         model.branch_at(tree, model.active_path(tree)[1].id)
         model.append_node(tree, AtomicAction.HYPOTHESIS_VERIFICATION, "g", "ok")
         model.append_node(tree, AtomicAction.SUMMARY_FINISHED, "g", "done again")
-        decision = router.decide(tree, RouterConfig(), ScriptedBackend([]))
+        decision = router.decide(tree, SessionConfig(), ScriptedBackend([]))
         assert decision == Terminate(TerminationMode.ACTIVE_SOLVED)
 
-    def test_backtrack_after_summary_disabled_terminates(self):
+    def test_completed_chain_at_chain_cap_terminates(self):
         tree = self.completed_tree()
-        cfg = RouterConfig(backtrack_after_summary=False)
+        cfg = SessionConfig(max_chains=1)
         decision = router.decide(tree, cfg, ScriptedBackend([]))
         assert decision == Terminate(TerminationMode.ACTIVE_SOLVED)
 
     def test_max_chains_converts_backtrack_proposal_to_passive_terminate(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
-        cfg = RouterConfig(max_chains=1)
+        cfg = SessionConfig(max_chains=1)
         decision = router.decide(tree, cfg, routing("ACTION: BACKTRACK"))
         assert decision == Terminate(TerminationMode.PASSIVE_LIMIT)
 
@@ -263,7 +263,7 @@ def test_session_case_flow_with_scripted_backend():
         checking=ScriptedBackend({"check": "Check Result: No error."}),
         summarizing=ScriptedBackend({"summarize": "chain summary or final"}),
     )
-    config = SessionConfig(router=RouterConfig(backtrack_after_summary=False))
+    config = SessionConfig(max_chains=1)
     tree, final = router.run_session(
         Problem(id="p", statement="A puzzle.", answer_schema=FreeText()),
         config=config,

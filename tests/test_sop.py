@@ -16,10 +16,6 @@ List all reagents and conditions.
 
 [action:hypothesis_verification]
 Re-derive each product from the balanced equation.
-
-[example]
-problem = What is the yield of ...
-step = Step 1 (PremiseDiscovery): reagents are ...
 """
 
 
@@ -35,8 +31,6 @@ class TestParsing:
         assert parsed.action_strategies[AtomicAction.PREMISE_DISCOVERY] == (
             "List all reagents and conditions."
         )
-        assert len(parsed.examples) == 1
-        assert parsed.examples[0].problem_excerpt.startswith("What is the yield")
 
     def test_unknown_action_section_is_parse_error(self):
         bad = "[meta]\ndomain = x\n\n[action:telepathy]\nguess\n"
@@ -52,9 +46,9 @@ class TestParsing:
         with pytest.raises(ParseError):
             sop.parse_sop("[schedule]\nhello\n")
 
-    def test_example_requires_both_fields(self):
-        with pytest.raises(ParseError):
-            sop.parse_sop("[meta]\ndomain = x\n\n[example]\nproblem = p\n")
+    def test_example_section_is_parse_error(self):
+        with pytest.raises(ParseError, match=r"unknown section \[example\]"):
+            sop.parse_sop("[meta]\ndomain = x\n\n[example]\nproblem = p\nstep = s\n")
 
 
 class TestRegistry:
