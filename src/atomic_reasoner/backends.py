@@ -176,8 +176,9 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
 
     Retries Timeout/429/5xx with exponential backoff (base 1 s, factor 2,
-    jitter), up to ``max_retries`` extra attempts.  API keys are read from
-    the environment only.
+    jitter), up to ``max_retries`` extra attempts.  At most
+    ``max_concurrent`` requests are in flight; a caller sleeping through a
+    backoff holds no slot.  API keys are read from the environment only.
     """
 
     def __init__(
@@ -213,43 +214,44 @@ class HttpBackend:
 
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         last_error: Exception = BackendTimeout("no attempt made")
-        with self._semaphore:
-            for attempt in range(self.config.max_retries + 1):
-                started = time.monotonic()
-                try:
+        for attempt in range(self.config.max_retries + 1):
+            try:
+                # the slot is held for the request only, never through a backoff
+                with self._semaphore:
+                    started = time.monotonic()
                     response = self._session.post(
                         url,
                         json=body,
                         headers=self._headers(),
                         timeout=self.config.timeout,
                     )
-                except requests.Timeout:
-                    last_error = BackendTimeout(f"request timed out after {self.config.timeout}s")
-                    self._backoff(attempt)
-                    continue
-                except requests.RequestException as exc:
-                    last_error = BackendTimeout(f"connection error: {exc}")
-                    self._backoff(attempt)
-                    continue
+            except requests.Timeout:
+                last_error = BackendTimeout(f"request timed out after {self.config.timeout}s")
+                self._backoff(attempt)
+                continue
+            except requests.RequestException as exc:
+                last_error = BackendTimeout(f"connection error: {exc}")
+                self._backoff(attempt)
+                continue
 
-                latency = (time.monotonic() - started) * 1000.0
-                if response.status_code in (401, 403):
-                    raise AuthError(f"auth failed with status {response.status_code}")
-                if response.status_code == 429 or response.status_code >= 500:
-                    retry_after = _parse_retry_after(response)
-                    last_error = RateLimited(
-                        f"status {response.status_code}", retry_after=retry_after
-                    ) if response.status_code == 429 else BackendTimeout(
-                        f"server error {response.status_code}"
-                    )
-                    self._backoff(attempt, floor=retry_after)
-                    continue
-                if response.status_code != 200:
-                    raise MalformedResponse(
-                        f"unexpected status {response.status_code}",
-                        excerpt=response.text[:200],
-                    )
-                return self._parse(response, latency)
+            latency = (time.monotonic() - started) * 1000.0
+            if response.status_code in (401, 403):
+                raise AuthError(f"auth failed with status {response.status_code}")
+            if response.status_code == 429 or response.status_code >= 500:
+                retry_after = _parse_retry_after(response)
+                last_error = RateLimited(
+                    f"status {response.status_code}", retry_after=retry_after
+                ) if response.status_code == 429 else BackendTimeout(
+                    f"server error {response.status_code}"
+                )
+                self._backoff(attempt, floor=retry_after)
+                continue
+            if response.status_code != 200:
+                raise MalformedResponse(
+                    f"unexpected status {response.status_code}",
+                    excerpt=response.text[:200],
+                )
+            return self._parse(response, latency)
         raise last_error
 
     def _backoff(self, attempt: int, floor: Optional[float] = None) -> None:

@@ -88,6 +88,7 @@ def _task_from_record(record: dict, format: str, suite: str) -> Task:
     )
     if format == "grid" and "clues" in record:
         task.clues = [puzzles.clue_from_json(c) for c in record["clues"]]
+        puzzles.validate_clues(schema, task.clues)
     return task
 
 

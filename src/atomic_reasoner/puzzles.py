@@ -1,16 +1,22 @@
 """Logic-grid puzzle generation and an independent brute-force solver.
 
-The solver enumerates permutation assignments attribute-by-attribute with
-early clue filtering; it is the oracle against which generated puzzles are
-checked for solution uniqueness.
+The solver enumerates permutation assignments attribute by attribute; it is
+the oracle against which generated puzzles are checked for solution
+uniqueness.  Its enumeration order (attributes in schema order, each
+attribute's permutations in ``itertools.permutations`` order) is part of its
+contract, because ``limit`` cuts the search there.  Every permutation's
+house of each value is precomputed once, at import; clues naming a single
+attribute prefilter that attribute's permutations before the search, and
+every other clue becomes an integer comparison of two house indices.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import GenerationExhausted, TooLarge
 from .model import GridSchema
@@ -147,6 +153,55 @@ def clue_from_json(data: dict) -> Clue:
 
 # --- brute-force solver -------------------------------------------------------------
 
+def _adjacent(h: int, q: int) -> bool:
+    return abs(h - q) == 1
+
+
+# Each two-sided clue kind as (a test of the house index of side a against
+# that of side b, the same test with the sides swapped).
+_CLUE_TESTS = {
+    LeftOf: (operator.lt, operator.gt),
+    Adjacent: (_adjacent, _adjacent),
+    SameHouse: (operator.eq, operator.eq),
+}
+
+# A permutation of the value indices 0..n-1 (index = house index) and its
+# inverse (index = value index).
+_Placement = tuple[tuple[int, ...], tuple[int, ...]]
+
+# Per house count, every placement, in ``itertools.permutations`` order.
+_PLACEMENTS: dict[int, list[_Placement]] = {
+    n: [(perm, tuple(perm.index(v) for v in range(n))) for perm in permutations(range(n))]
+    for n in range(1, MAX_HOUSES + 1)
+}
+
+
+def validate_clues(schema: GridSchema, clues: list[Clue]) -> None:
+    """Raise ``ValueError`` unless every attribute holds ``schema.houses``
+    distinct values and every clue names a schema attribute, one of that
+    attribute's values and (``FixedPosition``) a house in ``1..houses``."""
+    values = dict(schema.attributes)
+    if len(values) != len(schema.attributes):
+        raise ValueError("grid schema repeats an attribute")
+    for attr, pool in values.items():
+        if len(set(pool)) != len(pool) or len(pool) != schema.houses:
+            raise ValueError(f"attribute {attr!r} needs {schema.houses} distinct values")
+    for clue in clues:
+        if isinstance(clue, FixedPosition):
+            sides = [(clue.attribute, clue.value)]
+            if not isinstance(clue.house, int) or not 1 <= clue.house <= schema.houses:
+                raise ValueError(f"{clue!r}: house outside 1..{schema.houses}")
+        elif type(clue) in _CLUE_TESTS:
+            sides = [(clue.attribute_a, clue.value_a), (clue.attribute_b, clue.value_b)]
+        else:
+            raise ValueError(f"unknown clue type {type(clue).__name__}")
+        for attr, value in sides:
+            if attr not in values:
+                raise ValueError(f"{clue!r}: unknown attribute {attr!r}")
+            if value not in values[attr]:
+                raise ValueError(f"{clue!r}: {value!r} is not a value of {attr!r}")
+
+
 def brute_solve(
     schema: GridSchema,
     clues: list[Clue],
@@ -154,37 +209,87 @@ def brute_solve(
 ) -> list[Assignment]:
     """All assignments consistent with the clues, by exhaustive enumeration.
 
-    Assigns one attribute's permutation at a time and rejects early on any
-    clue whose attributes are all assigned.  ``limit`` stops the search after
-    that many solutions (uniqueness checks use limit=2)."""
+    Places one attribute's permutation at a time, in schema order, trying
+    each attribute's permutations in ``itertools.permutations`` order; that
+    enumeration order is the contract, since ``limit`` stops the search
+    after that many solutions (uniqueness checks use limit=2).  Each
+    permutation's house of every value is precomputed.  Clues naming one
+    attribute (``FixedPosition``, and two-sided clues whose sides share an
+    attribute) drop that attribute's failing permutations before the search;
+    every other clue compares the house indices of its two sides once the
+    later of its attributes is placed.  Raises ``ValueError`` for a clue
+    that does not fit the schema (see ``validate_clues``)."""
     if schema.houses > MAX_HOUSES:
         raise TooLarge(f"brute force capped at {MAX_HOUSES} houses")
-    attrs = list(schema.attribute_names)
-    perms = {attr: list(permutations(schema.values_for(attr))) for attr in attrs}
+    validate_clues(schema, clues)
+    depth_of = {attr: depth for depth, (attr, _) in enumerate(schema.attributes)}
+    index_of = {attr: {value: i for i, value in enumerate(pool)} for attr, pool in schema.attributes}
 
-    # Clues become checkable once the last attribute they mention is placed.
-    stage: dict[int, list[Clue]] = {i: [] for i in range(len(attrs))}
-    order = {attr: i for i, attr in enumerate(attrs)}
+    # fixed[d]: (value index, house index) pairs attribute d must place;
+    # pairs[d]: (test, value index, value index) clues within attribute d;
+    # staged[d]: (test, value index of d, earlier depth e, value index of e)
+    # clues between d and an earlier attribute, tested once d is placed.
+    fixed: list[list] = [[] for _ in schema.attributes]
+    pairs: list[list] = [[] for _ in schema.attributes]
+    staged: list[list] = [[] for _ in schema.attributes]
     for clue in clues:
-        stage[max(order[a] for a in clue.attributes())].append(clue)
+        if isinstance(clue, FixedPosition):
+            fixed[depth_of[clue.attribute]].append((index_of[clue.attribute][clue.value], clue.house - 1))
+            continue
+        test_a, test_b = _CLUE_TESTS[type(clue)]
+        side_a = (depth_of[clue.attribute_a], index_of[clue.attribute_a][clue.value_a], test_a)
+        side_b = (depth_of[clue.attribute_b], index_of[clue.attribute_b][clue.value_b], test_b)
+        (depth, v, test), (other, w, _) = (side_a, side_b) if side_a[0] >= side_b[0] else (side_b, side_a)
+        if depth == other:
+            pairs[depth].append((test, v, w))
+        else:
+            staged[depth].append((test, v, other, w))
 
+    # The permutations of each attribute that pass its one-attribute clues, in order.
+    candidates = [
+        [
+            (perm, houses)
+            for perm, houses in _PLACEMENTS[schema.houses]
+            if all(houses[v] == h for v, h in fixed[depth])
+            and all(test(houses[v], houses[w]) for test, v, w in pairs[depth])
+        ]
+        for depth in range(len(schema.attributes))
+    ]
+
+    # Depth-first search: pending[d] yields the permutations of attribute d
+    # that fit the ones chosen for attributes 0..d-1.
+    last = len(schema.attributes) - 1
+    chosen: list[_Placement] = [((), ())] * len(schema.attributes)
+    pending = [_fitting(candidates[0], staged[0], chosen)]
     solutions: list[Assignment] = []
-
-    def recurse(depth: int, partial: Assignment) -> bool:
-        if depth == len(attrs):
-            solutions.append(dict(partial))
-            return limit is not None and len(solutions) >= limit
-        attr = attrs[depth]
-        for perm in perms[attr]:
-            partial[attr] = perm
-            if all(clue.holds(partial) for clue in stage[depth]):
-                if recurse(depth + 1, partial):
-                    return True
-        del partial[attr]
-        return False
-
-    recurse(0, {})
+    while pending:
+        depth = len(pending) - 1
+        placed = next(pending[depth], None)
+        if placed is None:
+            pending.pop()
+            continue
+        chosen[depth] = placed
+        if depth < last:
+            pending.append(_fitting(candidates[depth + 1], staged[depth + 1], chosen))
+            continue
+        solutions.append({
+            attr: tuple(pool[i] for i in perm)
+            for (attr, pool), (perm, _) in zip(schema.attributes, chosen)
+        })
+        if limit is not None and len(solutions) >= limit:
+            break
     return solutions
+
+
+def _fitting(candidates: list[_Placement], staged: list, chosen: list[_Placement]) -> Iterator[_Placement]:
+    """The candidates that pass every staged clue against the permutations
+    already chosen for earlier attributes."""
+    for perm, houses in candidates:
+        for test, v, earlier, w in staged:
+            if not test(houses[v], chosen[earlier][1][w]):
+                break
+        else:
+            yield perm, houses
 
 
 def assignment_to_grid(schema: GridSchema, assignment: Assignment) -> dict[int, dict[str, str]]:

@@ -200,6 +200,27 @@ class TestHttpBackend:
             backend.complete(make_request())
         assert len(sleeps) == 1
 
+    def test_backoff_releases_the_concurrency_slot(self, stub_server):
+        stub_server.script = [("status", 429), ("ok", ok_payload("second")), ("ok", ok_payload("first"))]
+        second = {}
+
+        def sleep(delay):
+            # the first caller is backing off: a second caller must get the only slot now
+            caller = threading.Thread(target=lambda: second.update(result=backend.complete(make_request())))
+            caller.start()
+            caller.join(timeout=5)
+            second["finished_during_backoff"] = not caller.is_alive()
+
+        config = HttpConfig(
+            base_url=f"http://127.0.0.1:{stub_server.server_address[1]}/v1",
+            model="stub-model",
+            max_concurrent=1,
+        )
+        backend = HttpBackend(config, sleep=sleep, rng=random.Random(0))
+        assert backend.complete(make_request()).text == "first"
+        assert second["finished_during_backoff"]
+        assert second["result"].text == "second"
+
     def test_api_key_header_from_env(self, stub_server, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-unit-test")
         stub_server.script = [("ok", ok_payload())]

@@ -59,6 +59,23 @@ class TestLoadTasks:
         assert isinstance(task.schema, GridSchema)
         assert bench.brute_solve_task(task) == [task.gold]
 
+    @pytest.mark.parametrize(
+        "bad_clue",
+        [
+            {"kind": "FixedPosition", "attribute": "name", "value": "Arnold", "house": 0},
+            {"kind": "FixedPosition", "attribute": "name", "value": "Zed", "house": 1},
+            {"kind": "SameHouse", "attribute_a": "name", "value_a": "Arnold",
+             "attribute_b": "colour", "value_b": "red"},
+        ],
+    )
+    def test_grid_clue_outside_schema_becomes_reject(self, tmp_path, bad_clue):
+        record = grid_record()
+        record["clues"].append(bad_clue)
+        path = write_suite(tmp_path, [grid_record(), record])
+        tasks, rejects = bench.load_tasks(path, "grid")
+        assert len(tasks) == 1
+        assert [r.line for r in rejects] == [2]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import math
 import random
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import puzzles
+from atomic_reasoner import bench, puzzles
 from atomic_reasoner.errors import TooLarge
 from atomic_reasoner.model import GridSchema
 from atomic_reasoner.puzzles import Adjacent, FixedPosition, LeftOf, SameHouse
@@ -11,6 +16,89 @@ SCHEMA2 = GridSchema(
     houses=2,
     attributes=(("name", ("Arnold", "Eric")), ("pet", ("cat", "dog"))),
 )
+
+
+GOLDEN = Path(__file__).parent / "data" / "genpuzzles_sha256.json"
+
+
+def reference_solve(schema, clues, limit=None):
+    """The straightforward enumerator ``puzzles.brute_solve`` replaced, kept
+    as ground truth: every clue is evaluated through ``Clue.holds``."""
+    if schema.houses > puzzles.MAX_HOUSES:
+        raise TooLarge(f"brute force capped at {puzzles.MAX_HOUSES} houses")
+    attrs = list(schema.attribute_names)
+    perms = {attr: list(permutations(schema.values_for(attr))) for attr in attrs}
+
+    # Clues become checkable once the last attribute they mention is placed.
+    stage = {i: [] for i in range(len(attrs))}
+    order = {attr: i for i, attr in enumerate(attrs)}
+    for clue in clues:
+        stage[max(order[a] for a in clue.attributes())].append(clue)
+
+    solutions = []
+
+    def recurse(depth, partial):
+        if depth == len(attrs):
+            solutions.append(dict(partial))
+            return limit is not None and len(solutions) >= limit
+        attr = attrs[depth]
+        for perm in perms[attr]:
+            partial[attr] = perm
+            if all(clue.holds(partial) for clue in stage[depth]):
+                if recurse(depth + 1, partial):
+                    return True
+        del partial[attr]
+        return False
+
+    recurse(0, {})
+    return solutions
+
+
+def grid_schema(houses, attributes):
+    pools = puzzles.ATTRIBUTE_POOLS[:attributes]
+    return GridSchema(houses=houses, attributes=tuple((n, v[:houses]) for n, v in pools))
+
+
+def random_clue(rng, schema, solution, true):
+    """A clue of a random kind over random sides (possibly one attribute);
+    with ``true`` it holds in ``solution``, else it is drawn blind."""
+    attrs = schema.attribute_names
+    while True:
+        kind = rng.choice((FixedPosition, LeftOf, Adjacent, SameHouse))
+        attr_a = rng.choice(attrs)
+        attr_b = attr_a if rng.random() < 0.3 else rng.choice(attrs)
+        value_a = rng.choice(schema.values_for(attr_a))
+        value_b = rng.choice(schema.values_for(attr_b))
+        if kind is FixedPosition:
+            clue = FixedPosition(attr_a, value_a, rng.randint(1, schema.houses))
+        else:
+            clue = kind(attr_a, value_a, attr_b, value_b)
+        if not true or clue.holds(solution):
+            return clue
+
+
+def cross_check_cases(seed, count):
+    """Seeded (schema, clues) cases over 2-5 houses x 1-4 attributes: clue
+    sets that hold in a hidden solution, sets with blind clues mixed in, and
+    contradictory sets.  Larger grids get more clues, which keeps the
+    reference's search short: a sparse 5x4 set can take it minutes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        houses, attributes = rng.randint(2, 5), rng.randint(1, 4)
+        schema = grid_schema(houses, attributes)
+        solution = {a: tuple(rng.sample(schema.values_for(a), houses)) for a in schema.attribute_names}
+        size = houses * attributes
+        fewest = size if math.factorial(houses) ** attributes > 20_000 else size // 3
+        clues = [random_clue(rng, schema, solution, true=True) for _ in range(rng.randint(fewest, 2 * size))]
+        style = rng.choice(("true", "blind", "contradiction"))
+        if style == "blind":
+            clues += [random_clue(rng, schema, solution, true=False) for _ in range(rng.randint(1, 3))]
+        elif style == "contradiction":  # two clues that cannot both hold
+            attr_a, attr_b = rng.choice(schema.attribute_names), rng.choice(schema.attribute_names)
+            value_a, value_b = rng.choice(schema.values_for(attr_a)), rng.choice(schema.values_for(attr_b))
+            clues += [SameHouse(attr_a, value_a, attr_b, value_b), LeftOf(attr_a, value_a, attr_b, value_b)]
+        rng.shuffle(clues)
+        yield schema, clues
 
 
 class TestClues:
@@ -59,6 +147,40 @@ class TestBruteSolve:
         with pytest.raises(TooLarge):
             puzzles.brute_solve(big, [])
 
+    @pytest.mark.parametrize(
+        "clue",
+        [
+            FixedPosition("name", "Eric", 0),  # would index the last house
+            FixedPosition("name", "Eric", 3),
+            FixedPosition("colour", "red", 1),
+            FixedPosition("name", "Zed", 1),
+            SameHouse("name", "Eric", "pet", "Eric"),
+            LeftOf("name", "Arnold", "color", "red"),
+        ],
+    )
+    def test_clue_outside_schema_rejected(self, clue):
+        # after a contradiction on the first attribute the search never
+        # evaluates a clue staged at a later one
+        with pytest.raises(ValueError):
+            puzzles.brute_solve(SCHEMA2, [FixedPosition("name", "Eric", 1), FixedPosition("name", "Eric", 2), clue])
+        with pytest.raises(ValueError):
+            puzzles.brute_solve(SCHEMA2, [clue], limit=1)
+
+    def test_schema_without_one_value_per_house_rejected(self):
+        short = GridSchema(houses=3, attributes=(("name", ("Arnold", "Eric")),))
+        with pytest.raises(ValueError):
+            puzzles.brute_solve(short, [])
+
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    def test_matches_reference_enumerator(self, limit):
+        for schema, clues in cross_check_cases(seed=20250, count=300):
+            assert puzzles.brute_solve(schema, clues, limit=limit) == reference_solve(schema, clues, limit=limit)
+
+    def test_matches_reference_without_clues(self):
+        for houses in range(2, 5):
+            schema = grid_schema(houses, 2)
+            assert puzzles.brute_solve(schema, []) == reference_solve(schema, [])
+
 
 class TestGeneration:
     def test_deterministic_per_seed(self):
@@ -96,3 +218,19 @@ class TestGeneration:
         schema, _, solution = puzzles.generate_puzzle(2, 3, 3)
         grid = puzzles.assignment_to_grid(schema, solution)
         assert puzzles.grid_to_assignment(schema, grid) == solution
+
+
+@pytest.mark.parametrize("size", ["3x3", "3x4", "4x3", "4x4", "5x3", "5x4"])
+def test_generator_output_matches_golden_digests(size):
+    """Generated task records are byte-identical to the recorded digests
+    (sha256 of each record's JSON line, one per seed 0-199 and size).  Five
+    houses check seeds 0-9 only: all 200 take minutes."""
+    houses, attributes = map(int, size.split("x"))
+    seeds = range(10) if houses == 5 else range(200)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[size]
+    digests = []
+    for seed in seeds:
+        task, _ = bench.gen_puzzle(seed, houses, attributes)
+        line = json.dumps(bench.task_to_record(task, "grid"), ensure_ascii=False)
+        digests.append(hashlib.sha256(line.encode("utf-8")).hexdigest())
+    assert digests == golden[: len(seeds)]
