@@ -10,6 +10,7 @@ not parse; every engine call that expects a usable reply goes through it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -315,7 +316,12 @@ def cache_key(request: CompletionRequest, model: str) -> str:
 
 
 class CacheBackend:
-    """Record/replay layer over another backend; one file per key."""
+    """Record/replay layer over another backend; one file per key.
+
+    Recording is single-flight per key: concurrent callers of one request
+    wait for the first one's entry, so the inner backend sees each key once.
+    Callers with different keys never wait on each other, and replay takes
+    no lock."""
 
     def __init__(
         self,
@@ -329,11 +335,27 @@ class CacheBackend:
         self.strict = strict
         self.store = Path(store_path)
         self.model = getattr(inner, "model", "scripted")
+        self._guard = threading.Lock()
+        self._key_locks: dict[str, list] = {}  # key -> [lock, callers holding or waiting]
         if mode is CacheMode.RECORD:
             self.store.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.store / f"{key}.json"
+
+    @contextlib.contextmanager
+    def _single_flight(self, key: str):
+        with self._guard:
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         key = cache_key(request, self.model)
@@ -346,10 +368,14 @@ class CacheBackend:
                 raise MalformedResponse("cache miss", excerpt=key)
             return self.inner.complete(request)
 
-        # record mode
-        if path.exists():
-            return self._load(path)
-        result = self.inner.complete(request)
+        with self._single_flight(key):
+            if path.exists():
+                return self._load(path)
+            result = self.inner.complete(request)
+            self._write(key, path, request, result)
+        return result
+
+    def _write(self, key: str, path: Path, request: CompletionRequest, result: CompletionResult) -> None:
         record = {
             "request": {
                 "messages": [[m.role, m.content] for m in request.messages],
@@ -373,7 +399,6 @@ class CacheBackend:
         except BaseException:
             os.unlink(tmp)
             raise
-        return result
 
     @staticmethod
     def _load(path: Path) -> CompletionResult:

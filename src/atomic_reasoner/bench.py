@@ -329,16 +329,15 @@ def run_benchmark(
     trace_sink: Optional[Callable[[Task, model.AtomicTree, Verdict], None]] = None,
 ) -> BenchReport:
     """Run every task ``trials`` times under a strategy ('ar' or
-    'single-pass').  Task-level parallelism; per-task trials run
-    sequentially.  A callable ``backend`` is treated as a per-task factory."""
+    'single-pass').  Each (task, trial) pair is one job for one pool of
+    ``workers`` threads (default: one per job, at most 8; sessions wait on the
+    backend, not the CPU).  Results stay task-major, trials ascending.  A
+    callable ``backend`` is a factory, called with the task at the start of
+    each trial in that trial's thread."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if strategy not in ("ar", "single-pass"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if workers is None:
-        import os
-
-        workers = min(8, os.cpu_count() or 1)
 
     factory: BackendFactory
     if callable(backend) and not hasattr(backend, "complete"):
@@ -346,49 +345,45 @@ def run_benchmark(
     else:
         factory = lambda task: backend  # noqa: E731
 
+    items = [(task, trial) for task in tasks for trial in range(1, trials + 1)]
+    if workers is None:
+        workers = min(8, len(items))
     started = time.monotonic()
 
-    def run_task(task: Task) -> list[TrialResult]:
-        results = []
-        for trial in range(1, trials + 1):
-            tally = TallyBackend(factory(task))
-            rounds = 0
-            try:
-                if strategy == "ar":
-                    tree, final = router.run_session(
-                        task.to_problem(),
-                        config=session_config,
-                        backends=tally,
-                        sop_registry=sop_registry,
-                    )
-                    rounds = model.round_count(tree)
-                    verdict = score(task, final.text)
-                    if trace_sink:
-                        trace_sink(task, tree, verdict)
-                else:
-                    verdict = score(task, single_pass(task, tally))
-            except BackendFailure:
-                verdict = Verdict(correct=False, partial=0.0, failure="BackendFailure")
-            results.append(
-                TrialResult(
-                    task_id=task.id,
-                    trial=trial,
-                    verdict=verdict,
-                    rounds=rounds,
-                    prompt_tokens=tally.prompt_tokens,
-                    completion_tokens=tally.completion_tokens,
+    def run_trial(item: tuple[Task, int]) -> TrialResult:
+        task, trial = item
+        tally = TallyBackend(factory(task))
+        rounds = 0
+        try:
+            if strategy == "ar":
+                tree, final = router.run_session(
+                    task.to_problem(),
+                    config=session_config,
+                    backends=tally,
+                    sop_registry=sop_registry,
                 )
-            )
-        return results
+                rounds = model.round_count(tree)
+                verdict = score(task, final.text)
+                if trace_sink:
+                    trace_sink(task, tree, verdict)
+            else:
+                verdict = score(task, single_pass(task, tally))
+        except BackendFailure:
+            verdict = Verdict(correct=False, partial=0.0, failure="BackendFailure")
+        return TrialResult(
+            task_id=task.id,
+            trial=trial,
+            verdict=verdict,
+            rounds=rounds,
+            prompt_tokens=tally.prompt_tokens,
+            completion_tokens=tally.completion_tokens,
+        )
 
-    all_results: list[TrialResult] = []
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            all_results.extend(run_task(task))
+    if workers <= 1 or len(items) <= 1:
+        all_results = [run_trial(item) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(run_task, tasks):
-                all_results.extend(chunk)
+            all_results = list(pool.map(run_trial, items))
 
     return BenchReport(
         suite=suite or (tasks[0].suite if tasks else ""),

@@ -1,11 +1,14 @@
 import json
 import random
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from atomic_reasoner import router
+from atomic_reasoner import bench, router, sop
 from atomic_reasoner.backends import (
     CacheBackend,
     CacheMode,
@@ -238,6 +241,27 @@ class TestHttpBackend:
         assert captured["Authorization"] == "Bearer sk-unit-test"
 
 
+class BlockingBackend:
+    """Inner backend that answers each prompt with ``answer to <prompt>``;
+    a call for ``blocked`` waits until ``release`` is set (at most 5 s)."""
+
+    def __init__(self, blocked: str):
+        self.blocked = blocked
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+        self.calls: list[str] = []
+
+    def complete(self, request):
+        text = request.messages[-1].content
+        with self._lock:
+            self.calls.append(text)
+        if text == self.blocked:
+            self.entered.set()
+            self.release.wait(5)
+        return CompletionResult(text=f"answer to {text}")
+
+
 class TestCacheBackend:
     def test_key_is_stable_and_order_sensitive(self):
         a = cache_key(make_request("one"), "m")
@@ -297,6 +321,74 @@ class TestCacheBackend:
 
         replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
         assert router.decide(tree, router.SessionConfig(), replayer) == decision
+
+    def test_concurrent_record_of_one_request_calls_inner_once(self, tmp_path):
+        inner = BlockingBackend("q")
+        recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
+        texts = []
+        threads = [
+            threading.Thread(target=lambda: texts.append(recorder.complete(make_request("q")).text))
+            for _ in range(2)
+        ]
+        threads[0].start()
+        assert inner.entered.wait(5)
+        threads[1].start()
+        time.sleep(0.1)  # the second caller reaches the cache while the first is blocked
+        inner.release.set()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        assert inner.calls == ["q"]
+        assert texts == ["answer to q", "answer to q"]
+
+    def test_record_of_another_key_does_not_wait(self, tmp_path):
+        inner = BlockingBackend("slow")
+        recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
+        slow = threading.Thread(target=recorder.complete, args=(make_request("slow"),))
+        slow.start()
+        try:
+            assert inner.entered.wait(5)
+            assert recorder.complete(make_request("fast")).text == "answer to fast"
+            assert slow.is_alive()
+        finally:
+            inner.release.set()
+            slow.join(5)
+        assert not slow.is_alive()
+
+    def test_record_stress_each_key_reaches_inner_once(self, tmp_path):
+        inner = ScriptedBackend({}, default=lambda request: f"answer to {request.messages[-1].content}")
+        recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
+        requests = [make_request(f"q{i % 5}") for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                texts = list(pool.map(lambda request: recorder.complete(request).text, requests))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [f"answer to q{i % 5}" for i in range(40)]
+        assert sorted(r.messages[-1].content for r in inner.calls) == [f"q{i}" for i in range(5)]
+        assert recorder._key_locks == {}
+
+    def test_concurrent_trials_make_one_trial_of_inner_calls(self, tmp_path):
+        task = bench.gen_puzzle(0, 3, 2)[0]
+        registry = sop.builtin_registry()
+        solo = bench.oracle_session_backend(task)
+        router.run_session(task.to_problem(), backends=solo, sop_registry=registry)
+
+        inner = bench.oracle_session_backend(task)
+        recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
+        barrier = threading.Barrier(2, timeout=5)
+
+        def factory(task):
+            barrier.wait()  # both trials run at once
+            return recorder
+
+        report = bench.run_benchmark(
+            [task], "ar", factory, trials=2, workers=2, sop_registry=registry
+        )
+        assert report.mean_success() == 1.0
+        assert inner.calls == solo.calls
 
     @pytest.mark.parametrize(
         "entry",

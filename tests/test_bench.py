@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import pytest
 
@@ -208,6 +210,46 @@ class TestRunBenchmark:
         assert payload["aggregates"]["overall"] == 1.0
         assert payload["aggregates"]["easy"] == 1.0
         assert payload["aggregates"]["hard"] == 1.0
+
+    def test_trials_of_one_task_run_side_by_side(self):
+        task = bench._task_from_record(mcq_record(), "mcq", "")
+        barrier = threading.Barrier(2, timeout=5)
+
+        def factory(task):
+            barrier.wait()  # breaks unless both trials run at once
+            return ScriptedBackend({"solve": "The correct answer is (A)"})
+
+        report = bench.run_benchmark([task], "single-pass", factory, trials=2, workers=2)
+        assert [r.trial for r in report.results] == [1, 2]
+        assert report.mean_success() == 1.0
+
+    def test_results_task_major_when_trials_finish_out_of_order(self):
+        tasks = [bench._task_from_record(mcq_record(id=f"t{i}"), "mcq", "") for i in range(3)]
+        lock = threading.Lock()
+        starts = {task.id: 0 for task in tasks}
+        finished = []
+
+        def factory(task):
+            with lock:
+                start = starts[task.id]
+                starts[task.id] += 1
+            index = 2 * int(task.id[1:]) + start
+            time.sleep(0.06 * (5 - index))  # earlier items finish later
+
+            def answer(request):
+                with lock:
+                    finished.append((task.id, start))
+                return "The correct answer is (A)"
+
+            return ScriptedBackend({}, default=answer)
+
+        report = bench.run_benchmark(tasks, "single-pass", factory, trials=2, workers=3)
+        assert [(r.task_id, r.trial) for r in report.results] == [
+            (f"t{i}", trial) for i in range(3) for trial in (1, 2)
+        ]
+        assert report.mean_success() == 1.0
+        # the second trial of t0 to start finished first, so the trials overlapped
+        assert finished.index(("t0", 1)) < finished.index(("t0", 0))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
