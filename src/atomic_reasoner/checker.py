@@ -4,6 +4,7 @@ and bounded revision of flagged nodes."""
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from typing import Optional
 
@@ -134,10 +135,17 @@ def applicable_errors(action: AtomicAction) -> list[ErrorKind]:
 
 
 def error_definitions(action: AtomicAction) -> str:
-    parts = []
-    for i, kind in enumerate(applicable_errors(action), start=1):
-        parts.append(f"{i}. **{_human_name(kind)}**:\n   {_DEFINITIONS[kind]}")
-    return "\n\n".join(parts)
+    """The numbered definitions of the error kinds that apply to ``action``."""
+    return _category_definitions(model.category(action))
+
+
+@functools.cache
+def _category_definitions(cat: ActionCategory) -> str:
+    kinds = [k for k in ErrorKind if _KIND_CATEGORY[k] is cat]
+    return "\n\n".join(
+        f"{i}. **{_human_name(kind)}**:\n   {_DEFINITIONS[kind]}"
+        for i, kind in enumerate(kinds, start=1)
+    )
 
 
 def _human_name(kind: ErrorKind) -> str:
@@ -206,24 +214,12 @@ def parse_check_response(text: str, action: AtomicAction) -> Optional[CheckRepor
 def check(tree: model.AtomicTree, node: Node, backend) -> CheckReport:
     """One checker pass over a node.  Fail-open: unparseable output after one
     re-ask yields a NoError report with rationale 'unparseable'."""
-    process = _node_process(tree, node)
-    request = prompts.build_checker_prompt(error_definitions(node.action), process)
+    request = prompts.build_checker_prompt(tree, node, error_definitions(node.action))
     report = backends.ask(backend, request, lambda text: parse_check_response(text, node.action))
     if report is None:
         report = CheckReport(verdict="NoError", rationale="unparseable")
     node.check_reports.append(report)
     return report
-
-
-def _node_process(tree: model.AtomicTree, node: Node) -> str:
-    lines = [f"Problem: {tree.problem.statement}", ""]
-    path = model.active_path(tree)
-    for step, prior in enumerate(path, start=1):
-        marker = "  <-- step under review" if prior.id == node.id else ""
-        lines.append(model.format_step(step, prior) + marker)
-    if node.id not in {n.id for n in path}:
-        lines.append(f"Step under review ({node.action.value}): {node.content}")
-    return "\n".join(lines)
 
 
 def revise(tree: model.AtomicTree, node: Node, report: CheckReport, backend) -> Node:

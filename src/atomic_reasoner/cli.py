@@ -235,7 +235,9 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     tree = metrics.deserialize_trace(Path(args.trace).read_text(encoding="utf-8"))
-    print(model.render_tree(tree, budget=1_000_000))
+    print(f"Problem: {tree.problem.statement}")
+    print()
+    print(model.render_tree(tree))
     stats = metrics.trace_stats(tree)
     print()
     print(f"rounds: {stats.rounds}  chains: {len(tree.chains)}  backtracks: {stats.backtracks}")

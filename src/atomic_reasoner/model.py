@@ -21,6 +21,7 @@ from .errors import (
 )
 
 ELISION_MARKER = "[... earlier steps elided ...]"
+REVIEW_MARK = "  <-- step under review"
 
 # Minimum number of trailing nodes the active chain keeps under truncation,
 # so the router always sees the recent context.
@@ -324,9 +325,44 @@ def format_step(step: int, node: Node) -> str:
     return f"Step {step} ({node.action.value}): {node.content}"
 
 
-def render_steps(nodes: Iterable[Node]) -> str:
-    """Consecutive steps numbered from 1, one per line."""
-    return "\n".join(format_step(step, node) for step, node in enumerate(nodes, start=1))
+def render_steps(
+    nodes: Iterable[Node], budget: Optional[int] = None, focus: Optional[Node] = None
+) -> str:
+    """Consecutive steps numbered from 1, one per line; ``focus`` ends with
+    REVIEW_MARK.
+
+    Under a character budget, steps are dropped oldest-first, never
+    ``focus``, and one elision marker stands where the first dropped step
+    was; the other steps keep their numbers.  When every other step is gone
+    and the text still exceeds the budget, only ``focus`` is returned (the
+    empty string without one).
+    """
+    nodes = list(nodes)
+    lines = [format_step(step, node) for step, node in enumerate(nodes, start=1)]
+    at = next((i for i, n in enumerate(nodes) if focus is not None and n.id == focus.id), None)
+    if at is not None:
+        lines[at] += REVIEW_MARK
+    text = "\n".join(lines)
+    if budget is None or len(text) <= budget:
+        return text
+
+    size = len(text) + len(ELISION_MARKER) + 1
+    dropped: list[int] = []
+    for i, line in enumerate(lines):
+        if i == at:
+            continue
+        dropped.append(i)
+        size -= len(line) + 1
+        if size <= budget:
+            break
+    else:
+        return lines[at] if at is not None else ""
+    gone = set(dropped)
+    return "\n".join(
+        ELISION_MARKER if i == dropped[0] else line
+        for i, line in enumerate(lines)
+        if i == dropped[0] or i not in gone
+    )
 
 
 def _render_node(step: int, node: Node) -> str:
@@ -346,52 +382,50 @@ def _chain_header(tree: AtomicTree, chain: Chain, ordinal: int) -> str:
 
 
 def render_tree(tree: AtomicTree, budget: Optional[int] = None) -> str:
-    """Deterministic textual outline of the whole tree.
+    """Deterministic textual outline of the tree's chains.
 
-    Non-active chains render via their summary when present.  Under a
-    character budget, nodes are dropped oldest-first (non-active chains
-    first), each truncated chain showing one elision marker; the active
-    chain never drops below its last ACTIVE_CHAIN_KEEP nodes.
+    The problem statement is not part of it: every prompt, and ``inspect``,
+    shows the statement once itself.  Non-active chains render via their
+    summary when present.  Under a character budget, nodes are dropped
+    oldest-first (non-active chains first), each truncated chain showing one
+    elision marker; the active chain never drops below its last
+    ACTIVE_CHAIN_KEEP nodes.  If that is still too long, the head is cut.
     """
-    # drops[chain_id] = number of leading nodes elided
-    drops: dict[str, int] = {cid: 0 for cid in tree.chains}
-
-    def build() -> str:
-        lines = [f"Problem: {tree.problem.statement}"]
-        for ordinal, (cid, chain) in enumerate(tree.chains.items(), start=1):
+    lines: list[str] = []
+    # Droppable node lines per chain: (is the active chain, first, end) over
+    # ``lines``; sorted, that is the drop order.
+    ranges: list[tuple[bool, int, int]] = []
+    for ordinal, (cid, chain) in enumerate(tree.chains.items(), start=1):
+        if lines:
             lines.append("")
-            lines.append(_chain_header(tree, chain, ordinal))
-            if chain.status is not ChainStatus.ACTIVE and chain.summary:
-                lines.append(f"Summary: {chain.summary}")
-                continue
-            dropped = drops[cid]
-            if dropped:
-                lines.append(ELISION_MARKER)
-            for offset, nid in enumerate(chain.node_ids[dropped:], start=dropped + 1):
-                lines.append(_render_node(offset, tree.nodes[nid]))
-        return "\n".join(lines)
-
-    text = build()
+        lines.append(_chain_header(tree, chain, ordinal))
+        if chain.status is not ChainStatus.ACTIVE and chain.summary:
+            lines.append(f"Summary: {chain.summary}")
+            continue
+        first = len(lines)
+        lines.extend(_render_node(i, tree.nodes[n]) for i, n in enumerate(chain.node_ids, start=1))
+        active = cid == tree.active_chain_id
+        end = len(lines) - (ACTIVE_CHAIN_KEEP if active else 0)
+        ranges.append((active, first, max(first, end)))
+    text = "\n".join(lines)
     if budget is None or len(text) <= budget:
         return text
 
-    # Oldest-first truncation: walk non-active chains in creation order,
-    # then the active chain down to its keep-suffix.
-    candidates: list[tuple[str, int]] = []
-    for cid, chain in tree.chains.items():
-        if cid == tree.active_chain_id:
-            continue
-        if chain.status is not ChainStatus.ACTIVE and chain.summary:
-            continue  # already compact
-        candidates.extend((cid, i) for i in range(len(chain.node_ids)))
-    act = active_chain(tree)
-    droppable = max(0, len(act.node_ids) - ACTIVE_CHAIN_KEEP)
-    candidates.extend((act.id, i) for i in range(droppable))
-
-    for cid, _ in candidates:
-        drops[cid] += 1
-        text = build()
-        if len(text) <= budget:
-            return text
+    # One pass over the line lengths; ``size`` tracks the truncated length.
+    size = len(text)
+    cuts: dict[int, int] = {}  # first line of a truncated chain -> lines elided
+    for _, first, end in sorted(ranges):
+        for i in range(first, end):
+            if size <= budget:
+                break
+            if i == first:
+                size += len(ELISION_MARKER) + 1
+            size -= len(lines[i]) + 1
+            cuts[first] = i + 1 - first
+    for first, count in sorted(cuts.items(), reverse=True):
+        lines[first:first + count] = [ELISION_MARKER]
+    text = "\n".join(lines)
+    if size <= budget:
+        return text
     # Everything droppable is gone; hard-cut the head as a last resort.
     return text[-budget:] if budget >= 0 else ""

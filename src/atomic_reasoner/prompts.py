@@ -14,7 +14,9 @@ from importlib import resources
 from . import model
 from .backends import ChatMessage, CompletionRequest
 
-RENDER_BUDGET = 12000  # characters of tree context shown to any agent
+# Characters of the session a prompt shows, statement included: the tree,
+# the active chain or the checked path gets what the statement leaves.
+RENDER_BUDGET = 12000
 
 # Sampling defaults per role (mirrors common slow-thinking framework settings).
 ROUTING_TEMPERATURE = 0.2
@@ -43,6 +45,11 @@ def load_template(name: str) -> str:
     )
 
 
+def _budget(tree: model.AtomicTree) -> int:
+    """What RENDER_BUDGET leaves for rendering the session after its statement."""
+    return RENDER_BUDGET - len(tree.problem.statement)
+
+
 def fill(template: str, **values: str) -> str:
     text = template
     for key, value in values.items():
@@ -55,7 +62,7 @@ def build_routing_prompt(tree: model.AtomicTree, sop_hints: str = "") -> Complet
         load_template("routing_expansion"),
         sop=sop_hints,
         problem=tree.problem.statement,
-        tree=model.render_tree(tree, RENDER_BUDGET),
+        tree=model.render_tree(tree, _budget(tree)),
     )
     return _request(
         "You are an expert routing agent for structured reasoning.",
@@ -75,7 +82,7 @@ def build_expansion_prompt(
         tree.problem.statement,
         "",
         "# The reasoning steps up to the current point:",
-        model.render_tree(tree, RENDER_BUDGET),
+        model.render_tree(tree, _budget(tree)),
         "",
         "# The expert's guidance for the current step:",
         guidance,
@@ -115,8 +122,8 @@ def build_backtracking_prompt(tree: model.AtomicTree) -> CompletionRequest:
     body = fill(
         load_template("backtracking"),
         problem=tree.problem.statement,
-        tree=model.render_tree(tree, RENDER_BUDGET),
-        chain=model.render_steps(model.active_path(tree)),
+        tree=model.render_tree(tree, _budget(tree)),
+        chain=model.render_steps(model.active_path(tree), _budget(tree)),
     )
     return _request(
         "You are a routing agent reviewing a finished reasoning chain.",
@@ -126,7 +133,16 @@ def build_backtracking_prompt(tree: model.AtomicTree) -> CompletionRequest:
     )
 
 
-def build_checker_prompt(error_definitions: str, process: str) -> CompletionRequest:
+def build_checker_prompt(
+    tree: model.AtomicTree, node: model.Node, error_definitions: str
+) -> CompletionRequest:
+    """The checker reviews ``node`` in the context of the active path, steps
+    numbered along the path; a node off the path is reviewed as its next step."""
+    path = model.active_path(tree)
+    if all(prior.id != node.id for prior in path):
+        path.append(node)
+    steps = model.render_steps(path, _budget(tree), focus=node)
+    process = f"Problem: {tree.problem.statement}\n\n{steps}"
     body = fill(load_template("checker"), errors=error_definitions, process=process)
     return _request("You are a meticulous reasoning checker.", body, "check", CHECK_TEMPERATURE)
 
@@ -145,7 +161,7 @@ def build_summary_prompt(
     body = fill(
         load_template("summary"),
         problem=tree.problem.statement,
-        tree=model.render_tree(tree, RENDER_BUDGET),
+        tree=model.render_tree(tree, _budget(tree)),
         format_instruction=instruction,
     )
     return _request(
@@ -160,7 +176,7 @@ def build_compression_prompt(tree: model.AtomicTree, chain: model.Chain) -> Comp
     body = fill(
         load_template("compression"),
         problem=tree.problem.statement,
-        chain=model.render_steps(tree.nodes[nid] for nid in chain.node_ids),
+        chain=model.render_steps((tree.nodes[nid] for nid in chain.node_ids), _budget(tree)),
     )
     return _request(
         "You compress finished reasoning chains into short summaries.",

@@ -255,6 +255,15 @@ class TestInspectAndSynth:
         assert "rounds: 6  chains: 2  backtracks: 1" in stdout
         assert "termination:" in stdout
 
+    def test_inspect_prints_the_statement_once(self, case_files, tmp_path, capsys):
+        out = self.solve_case(case_files, tmp_path, "case1")
+        statement = json.loads((tmp_path / "case1.json").read_text(encoding="utf-8"))["statement"]
+        capsys.readouterr()
+        assert run_cli(["inspect", str(out / "case1.trace.json")]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"Problem: {statement}\n\nChain 1 [")
+        assert stdout.count(statement) == 1
+
     def test_inspect_missing_file_is_io_error(self, tmp_path):
         assert run_cli(["inspect", str(tmp_path / "nope.trace.json")]) == 3
 

@@ -156,6 +156,134 @@ def test_render_tree_uses_summary_for_inactive_chains():
     assert "abandoned detail" not in text
 
 
+def _reference_render_tree(tree, budget=None):
+    """The quadratic truncation render_tree replaced (without its old
+    ``Problem:`` line): rebuild the whole text after every dropped node."""
+    drops = {cid: 0 for cid in tree.chains}
+
+    def build():
+        lines = []
+        for ordinal, (cid, chain) in enumerate(tree.chains.items(), start=1):
+            if lines:
+                lines.append("")
+            lines.append(model._chain_header(tree, chain, ordinal))
+            if chain.status is not ChainStatus.ACTIVE and chain.summary:
+                lines.append(f"Summary: {chain.summary}")
+                continue
+            dropped = drops[cid]
+            if dropped:
+                lines.append(model.ELISION_MARKER)
+            for offset, nid in enumerate(chain.node_ids[dropped:], start=dropped + 1):
+                lines.append(model._render_node(offset, tree.nodes[nid]))
+        return "\n".join(lines)
+
+    text = build()
+    if budget is None or len(text) <= budget:
+        return text
+    candidates = []
+    for cid, chain in tree.chains.items():
+        if cid == tree.active_chain_id:
+            continue
+        if chain.status is not ChainStatus.ACTIVE and chain.summary:
+            continue
+        candidates.extend((cid, i) for i in range(len(chain.node_ids)))
+    act = model.active_chain(tree)
+    droppable = max(0, len(act.node_ids) - model.ACTIVE_CHAIN_KEEP)
+    candidates.extend((act.id, i) for i in range(droppable))
+    for cid, _ in candidates:
+        drops[cid] += 1
+        text = build()
+        if len(text) <= budget:
+            return text
+    return text[-budget:] if budget >= 0 else ""
+
+
+def _random_rendered_tree(rng):
+    """A tree with branches, summarized and unsummarized old chains, revised
+    nodes and multi-line contents."""
+    tree = make_tree()
+    for _ in range(rng.randrange(0, 25)):
+        path = model.active_path(tree)
+        if path and rng.random() < 0.2:
+            old = model.active_chain(tree)
+            model.branch_at(tree, rng.choice(path).id)
+            if rng.random() < 0.5:
+                old.summary = f"summary {rng.random():.4f}"
+            continue
+        lines = [f"line {i} " + "x" * rng.randrange(0, 60) for i in range(rng.randrange(1, 4))]
+        try:
+            nid = model.append_node(tree, rng.choice(list(AtomicAction)), "g", "\n".join(lines))
+        except MissingHypothesis:
+            continue
+        tree.nodes[nid].revised = rng.random() < 0.2
+    return tree
+
+
+def test_render_tree_matches_reference_truncation():
+    rng = random.Random(7)
+    renders = 0
+    for _ in range(300):
+        tree = _random_rendered_tree(rng)
+        full = len(_reference_render_tree(tree))
+        budgets = [None, -1, 0, 5, full, full - 1] + [rng.randrange(0, full + 2) for _ in range(8)]
+        for budget in budgets:
+            assert model.render_tree(tree, budget) == _reference_render_tree(tree, budget), budget
+            renders += 1
+    assert renders == 300 * 14
+
+
+def test_render_tree_omits_the_statement():
+    tree = make_tree("A statement shown once by the prompt.")
+    model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "first step")
+    text = model.render_tree(tree)
+    assert "A statement shown once" not in text
+    assert text.startswith("Chain 1 [Active]")
+
+
+def _steps_tree(contents):
+    tree = make_tree()
+    for content in contents:
+        model.append_node(tree, AtomicAction.PREMISE_RETRIEVAL, "g", content)
+    return model.active_path(tree)
+
+
+@pytest.mark.parametrize("focus_at", [0, 4, 9])
+def test_render_steps_budget_keeps_the_focus(focus_at):
+    path = _steps_tree([f"content {i} " + "y" * 50 for i in range(10)])
+    focus = path[focus_at]
+    full = model.render_steps(path, focus=focus)
+    for budget in range(0, len(full) + 1, 7):
+        text = model.render_steps(path, budget, focus=focus)
+        focus_line = model.format_step(focus_at + 1, focus) + model.REVIEW_MARK
+        assert focus_line in text.splitlines()
+        assert text.count(model.REVIEW_MARK) == 1
+        assert len(text) <= budget or len(focus_line) > budget
+        if text != full:
+            assert text.count(model.ELISION_MARKER) <= 1
+        shown = [int(line.split()[1]) for line in text.splitlines() if line.startswith("Step ")]
+        assert shown == sorted(shown)
+        for line in text.splitlines():
+            if line.startswith("Step "):
+                step = int(line.split()[1])
+                assert line.startswith(model.format_step(step, path[step - 1]))
+
+
+def test_render_steps_drops_oldest_first_with_one_marker():
+    path = _steps_tree([f"content {i} " + "y" * 50 for i in range(10)])
+    full = model.render_steps(path)
+    assert full == model.render_steps(path, len(full))
+    text = model.render_steps(path, len(full) // 2, focus=path[0])
+    lines = text.splitlines()
+    assert lines[0] == model.format_step(1, path[0]) + model.REVIEW_MARK
+    assert lines[1] == model.ELISION_MARKER
+    assert lines[-1] == model.format_step(10, path[9])
+    assert text.count(model.ELISION_MARKER) == 1
+    assert len(text) <= len(full) // 2
+    no_focus = model.render_steps(path, len(full) // 2)
+    assert no_focus.splitlines()[0] == model.ELISION_MARKER
+    assert "content 0" not in no_focus and "content 9" in no_focus
+
+
 def _random_walk(seed: int) -> None:
     """One randomized op-sequence; asserts the structural invariants after
     every operation."""

@@ -298,8 +298,8 @@ def test_backend_failure_preserves_partial_tree():
 
 
 GOLDEN_REQUEST_STREAMS = {
-    "case1": (16, "03fdb3f0237be6f2bb28f1c85a75dfe957583e221e3e0741d0cb6e83d96c81dc"),
-    "case2": (21, "9ce956f6ead5c17c14a49bfb9481a872fa9b9ff14df59a051a7bbbfca91f79a7"),
+    "case1": (16, "4d76cf8450e8d38181cb47276cc9c66bb968fb0e818fc033a1ccd09e03954544"),
+    "case2": (21, "22e4248b622147b06d2c0e4f407421235a810a146766fcf68be8d8ada1fa3907"),
 }
 
 
