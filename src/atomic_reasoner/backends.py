@@ -29,6 +29,7 @@ import requests
 from .errors import (
     AuthError,
     BackendTimeout,
+    EmptyCompletion,
     MalformedResponse,
     RateLimited,
     ScriptExhausted,
@@ -97,6 +98,15 @@ def ask(backend, request: CompletionRequest, parse: Callable[[str], Optional[T]]
 def nonblank(text: str) -> Optional[str]:
     """Parser for free-text replies: the stripped text, None when blank."""
     return text.strip() or None
+
+
+def ask_text(backend, request: CompletionRequest) -> str:
+    """``ask`` for a free-text reply: the stripped text; raises
+    EmptyCompletion when every attempt comes back blank."""
+    text = ask(backend, request, nonblank)
+    if text is None:
+        raise EmptyCompletion(f"backend returned blank output twice (tag={request.tag})")
+    return text
 
 
 # --- scripted backend ---------------------------------------------------------

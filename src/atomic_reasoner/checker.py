@@ -9,7 +9,6 @@ import re
 from typing import Optional
 
 from . import backends, model, prompts
-from .errors import EmptyCompletion
 from .model import ActionCategory, AtomicAction, CheckReport, Node
 
 MAX_REVISIONS = 2  # revision cycles per node before accept-with-flag
@@ -227,25 +226,23 @@ def revise(tree: model.AtomicTree, node: Node, report: CheckReport, backend) -> 
     if not report.is_error:
         raise ValueError("revise requires an Error report")
     request = prompts.build_revision_prompt(node.content, report)
-    content = backends.ask(backend, request, backends.nonblank)
-    if content is None:
-        raise EmptyCompletion("revision produced a blank completion twice")
-    node.content = content
+    node.content = backends.ask_text(backend, request)
     node.revised = True
     return node
 
 
-def run_check_cycle(tree: model.AtomicTree, node: Node, check_backend, revise_backend) -> Node:
+def run_check_cycle(tree: model.AtomicTree, node: Node, backend) -> Node:
     """check -> revise loop, bounded: after MAX_REVISIONS revisions a still-
-    erroring node is accepted with its flag set."""
+    erroring node is accepted with its flag set.  Checks are tagged ``check``
+    and revisions ``solve``, so one backend serves both roles."""
     revisions = 0
     while True:
-        report = check(tree, node, check_backend)
+        report = check(tree, node, backend)
         if not report.is_error:
             return node
         if revisions >= MAX_REVISIONS:
             node.flagged = True
             return node
-        revise(tree, node, report, revise_backend)
+        revise(tree, node, report, backend)
         revisions += 1
 

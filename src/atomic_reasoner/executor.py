@@ -5,11 +5,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Optional
 
-from . import answers, backends, model, prompts
-from .backends import CompletionRequest
-from .errors import EmptyCompletion
+from . import backends, model, prompts
 from .model import (
     AtomicAction,
     AtomicTree,
@@ -27,14 +24,6 @@ HYPOTHESIS_MARKER = re.compile(r"^\s*[-*]?\s*\**Hypothesis\s+\d+\s*\**:", re.IGN
 @dataclass
 class FinalAnswer:
     text: str
-    extracted: Optional[Any] = None  # option letter, grid dict, or normalized number
-
-
-def _complete_nonempty(backend, request: CompletionRequest) -> str:
-    text = backends.ask(backend, request, backends.nonblank)
-    if text is None:
-        raise EmptyCompletion(f"backend returned blank output twice (tag={request.tag})")
-    return text
 
 
 def execute(
@@ -48,7 +37,7 @@ def execute(
     append the node.  Hypothesis steps missing the 'Hypothesis <k>:' marker
     get flagged for checker attention."""
     request = prompts.build_expansion_prompt(tree, guidance, sop_guidance)
-    content = _complete_nonempty(backend, request)
+    content = backends.ask_text(backend, request)
     node_id = model.append_node(tree, action, guidance, content)
     node = tree.nodes[node_id]
     if action is AtomicAction.HYPOTHESIS_GENERATION and not HYPOTHESIS_MARKER.search(content):
@@ -76,27 +65,19 @@ def format_instruction_for(schema) -> str:
 
 
 def finalize(tree: AtomicTree, backend, mode: TerminationMode) -> FinalAnswer:
-    """One summarizing backend call shaped by the problem's answer schema."""
-    schema = tree.problem.answer_schema
+    """One summarizing backend call shaped by the problem's answer schema;
+    the answer is extracted from its text by ``bench.score``."""
     request = prompts.build_summary_prompt(
         tree,
-        format_instruction_for(schema),
+        format_instruction_for(tree.problem.answer_schema),
         best_effort=(mode is TerminationMode.PASSIVE_LIMIT),
     )
-    text = _complete_nonempty(backend, request)
-    extracted: Optional[Any] = None
-    if isinstance(schema, MultipleChoice):
-        extracted = answers.extract_mcq(text, answers.option_letters(schema))
-    elif isinstance(schema, GridSchema):
-        extracted = answers.parse_grid(text, schema)
-    elif isinstance(schema, Numeric):
-        extracted = answers.normalize_numeric(text)
-    return FinalAnswer(text=text, extracted=extracted)
+    return FinalAnswer(backends.ask_text(backend, request))
 
 
 def compress_chain(tree: AtomicTree, chain: Chain, backend) -> str:
     """Summarize a chain that just left Active status; stores and returns the
     summary."""
-    summary = _complete_nonempty(backend, prompts.build_compression_prompt(tree, chain))
+    summary = backends.ask_text(backend, prompts.build_compression_prompt(tree, chain))
     chain.summary = summary
     return summary

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     AlreadyTerminated,
@@ -233,22 +233,24 @@ def active_chain(tree: AtomicTree) -> Chain:
     return tree.chains[tree.active_chain_id]
 
 
+def _active_segments(tree: AtomicTree) -> Iterator[tuple[Chain, list[str]]]:
+    """Each chain on the active path with its node ids on the path, from the
+    active chain back to the root chain."""
+    chain = active_chain(tree)
+    ids = chain.node_ids
+    while True:
+        yield chain, ids
+        if chain.parent is None:
+            return
+        parent_id, index = chain.parent
+        chain = tree.chains[parent_id]
+        ids = chain.node_ids[: index + 1]
+
+
 def active_path(tree: AtomicTree) -> list[Node]:
     """Nodes from the root to the tip of the active chain, in order."""
-    segments: list[list[str]] = []
-    chain: Optional[Chain] = active_chain(tree)
-    cutoff: Optional[int] = None
-    while chain is not None:
-        ids = chain.node_ids if cutoff is None else chain.node_ids[: cutoff + 1]
-        segments.append(ids)
-        if chain.parent is None:
-            chain = None
-        else:
-            parent_id, index = chain.parent
-            chain = tree.chains[parent_id]
-            cutoff = index
     path: list[Node] = []
-    for ids in reversed(segments):
+    for _, ids in reversed(list(_active_segments(tree))):
         path.extend(tree.nodes[nid] for nid in ids)
     return path
 
@@ -298,17 +300,9 @@ def branch_at(tree: AtomicTree, target_node: str) -> str:
 
 
 def _locate_on_active_path(tree: AtomicTree, node_id: str) -> Optional[tuple[str, int]]:
-    chain: Optional[Chain] = active_chain(tree)
-    cutoff: Optional[int] = None
-    while chain is not None:
-        ids = chain.node_ids if cutoff is None else chain.node_ids[: cutoff + 1]
+    for chain, ids in _active_segments(tree):
         if node_id in ids:
             return chain.id, ids.index(node_id)
-        if chain.parent is None:
-            return None
-        parent_id, index = chain.parent
-        chain = tree.chains[parent_id]
-        cutoff = index
     return None
 
 
@@ -428,4 +422,4 @@ def render_tree(tree: AtomicTree, budget: Optional[int] = None) -> str:
     if size <= budget:
         return text
     # Everything droppable is gone; hard-cut the head as a last resort.
-    return text[-budget:] if budget >= 0 else ""
+    return text[-budget:] if budget > 0 else ""

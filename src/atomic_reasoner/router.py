@@ -83,26 +83,6 @@ class SessionConfig:
             raise ValueError(f"checker_mode must be one of {CHECKER_MODES}")
 
 
-@dataclass
-class RoleBackends:
-    """Per-role completion backends; a single backend may serve all roles."""
-
-    routing: object
-    solving: object
-    checking: object
-    summarizing: object
-
-    @classmethod
-    def single(cls, backend) -> "RoleBackends":
-        return cls(routing=backend, solving=backend, checking=backend, summarizing=backend)
-
-
-def _as_role_backends(backends) -> RoleBackends:
-    if isinstance(backends, RoleBackends):
-        return backends
-    return RoleBackends.single(backends)
-
-
 # --- routing-response parsing ---------------------------------------------------
 
 _ACTION_LINE = re.compile(r"^\s*\**ACTION\s*[:\-]\s*(.+?)\s*\**$", re.IGNORECASE | re.MULTILINE)
@@ -129,8 +109,7 @@ def parse_routing_response(text: str) -> Optional[RoutingProposal]:
     if not matches:
         return None
     raw_action = matches[-1].group(1).strip().strip("*").strip()
-    guidance_matches = list(_GUIDANCE_LINE.finditer(text))
-    guidance = guidance_matches[-1].group(1).strip().strip("*").strip() if guidance_matches else ""
+    guidance = parse_guidance_only(text) or ""
 
     normalized = raw_action.upper().replace(" ", "")
     if "SUMMARY<FINISHED>" in normalized or "SUMMARYFINISHED" in normalized:
@@ -348,10 +327,11 @@ def run_session(
 ) -> tuple[AtomicTree, FinalAnswer]:
     """Full solving loop: decide -> execute -> check -> (branch | terminate).
 
-    On BackendFailure the partial tree is preserved on the raised exception
-    (``exc.tree``)."""
+    ``backends`` is the one backend every call goes to; each request names its
+    role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
+    can serve each role from a different model.  On BackendFailure the partial
+    tree is preserved on the raised exception (``exc.tree``)."""
     config = config or SessionConfig()
-    roles = _as_role_backends(backends)
 
     tree = model.new_tree(problem)
     active_sop = None
@@ -361,10 +341,10 @@ def run_session(
 
     try:
         while True:
-            decision = decide(tree, config, roles.routing, sop_hints)
+            decision = decide(tree, config, backends, sop_hints)
 
             if isinstance(decision, Terminate):
-                final = executor_mod.finalize(tree, roles.summarizing, decision.mode)
+                final = executor_mod.finalize(tree, backends, decision.mode)
                 model.set_termination(tree, decision.mode, final.text)
                 return tree, final
 
@@ -372,17 +352,17 @@ def run_session(
                 old_chain = model.active_chain(tree)
                 model.branch_at(tree, decision.target)
                 if old_chain.node_ids:
-                    executor_mod.compress_chain(tree, old_chain, roles.summarizing)
+                    executor_mod.compress_chain(tree, old_chain, backends)
                 continue
 
             guidance_extra = (
                 sop_mod.sop_guidance(active_sop, decision.action) if active_sop else ""
             )
             node = executor_mod.execute(
-                tree, decision.action, decision.guidance, roles.solving, guidance_extra
+                tree, decision.action, decision.guidance, backends, guidance_extra
             )
             if _checker_applies(config.checker_mode, node.action):
-                checker_mod.run_check_cycle(tree, node, roles.checking, roles.solving)
+                checker_mod.run_check_cycle(tree, node, backends)
     except BackendFailure as exc:
         exc.tree = tree  # preserve the partial trace for callers
         raise

@@ -91,19 +91,18 @@ def _run_matrix_case(opening: str, seed: int):
     rng = random.Random(seed)
     responses = iter([opening])
 
-    def route(request):
-        return next(responses, None) or rng.choice(RANDOM_VERBS)
+    def reply(request):
+        if request.tag == "routing":
+            return next(responses, None) or rng.choice(RANDOM_VERBS)
+        return f"Hypothesis 1: guess {rng.random():.4f}"  # solve
 
-    backends = router.RoleBackends(
-        routing=ScriptedBackend({}, default=route),
-        solving=ScriptedBackend({}, default=lambda r: f"Hypothesis 1: guess {rng.random():.4f}"),
-        checking=ScriptedBackend({}, default="Check Result: No error."),
-        summarizing=ScriptedBackend({}, default="summary"),
+    backend = ScriptedBackend(
+        {"check": "Check Result: No error.", "summarize": "summary"}, default=reply
     )
     tree, _final = router.run_session(
         Problem(id=f"m{seed}", statement="A puzzle.", answer_schema=FreeText()),
         config=router.SessionConfig(),
-        backends=backends,
+        backends=backend,
     )
     return tree
 
@@ -264,12 +263,12 @@ def test_criterion_5_checker_taxonomy():
     tree = model.new_tree(Problem(id="rev", statement="p", answer_schema=FreeText()))
     nid = model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "draft")
     node = tree.nodes[nid]
-    always_error = ScriptedBackend(
-        {"check": "Check Result: There is an error.\nError Type: Content Conflict\nSuggestion: redo"}
-    )
     drafts = iter(f"try {n}" for n in itertools.count(1))
-    reviser = ScriptedBackend({}, default=lambda request: next(drafts))
-    checker.run_check_cycle(tree, node, always_error, reviser)
+    always_error = ScriptedBackend(
+        {"check": "Check Result: There is an error.\nError Type: Content Conflict\nSuggestion: redo"},
+        default=lambda request: next(drafts),
+    )
+    checker.run_check_cycle(tree, node, always_error)
     assert node.flagged
     assert len(node.check_reports) <= checker.MAX_REVISIONS + 1
     assert sum(1 for _ in node.check_reports) == 3  # 1 initial + 2 bounded retries

@@ -7,6 +7,7 @@ import pytest
 from atomic_reasoner import checker, model
 from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.checker import ErrorKind
+from atomic_reasoner.errors import EmptyCompletion
 from atomic_reasoner.model import (
     ActionCategory,
     AtomicAction,
@@ -125,6 +126,16 @@ class TestCheckAndRevise:
         prompt_text = "\n".join(m.content for m in backend.calls[0].messages)
         assert "original content" in prompt_text and "flip it" in prompt_text
 
+    def test_revise_raises_after_two_blank_replies(self):
+        tree, node = make_tree_with_node()
+        report = checker.parse_check_response("Check Result: There is an error.", node.action)
+        backend = ScriptedBackend({"solve": ["", "  \n"]})
+        with pytest.raises(EmptyCompletion):
+            checker.revise(tree, node, report, backend)
+        assert len(backend.calls) == 2
+        assert backend.calls[1] == dataclasses.replace(backend.calls[0], seed=1)
+        assert node.content == "original content" and not node.revised
+
     def test_revise_rejects_no_error_report(self):
         tree, node = make_tree_with_node()
         report = checker.parse_check_response("Check Result: No error.", node.action)
@@ -133,18 +144,20 @@ class TestCheckAndRevise:
 
     def test_cycle_stops_on_first_clean_check(self):
         tree, node = make_tree_with_node()
-        check_backend = ScriptedBackend({"check": ["Check Result: No error."]})
-        checker.run_check_cycle(tree, node, check_backend, ScriptedBackend({}))
+        backend = ScriptedBackend({"check": ["Check Result: No error."]})
+        checker.run_check_cycle(tree, node, backend)
         assert len(node.check_reports) == 1
         assert not node.flagged and not node.revised
 
     def test_adversarial_checker_capped_at_two_revisions(self):
         tree, node = make_tree_with_node()
-        check_backend = ScriptedBackend(
-            {"check": "Check Result: There is an error.\nError Type: Conclusion Error"}
+        backend = ScriptedBackend(
+            {
+                "check": "Check Result: There is an error.\nError Type: Conclusion Error",
+                "solve": ["try 1", "try 2", "try 3"],
+            }
         )
-        revise_backend = ScriptedBackend({"solve": ["try 1", "try 2", "try 3"]})
-        checker.run_check_cycle(tree, node, check_backend, revise_backend)
+        checker.run_check_cycle(tree, node, backend)
         assert node.flagged is True
         assert node.content == "try 2"  # exactly two revision cycles ran
         assert len(node.check_reports) == 3  # MAX_REVISIONS + 1 checks
@@ -152,9 +165,12 @@ class TestCheckAndRevise:
     def test_cycle_never_moves_the_node(self):
         tree, node = make_tree_with_node()
         before = list(model.active_chain(tree).node_ids)
-        check_backend = ScriptedBackend(
-            {"check": ["Check Result: There is an error.", "Check Result: No error."]}
+        backend = ScriptedBackend(
+            {
+                "check": ["Check Result: There is an error.", "Check Result: No error."],
+                "solve": ["fixed"],
+            }
         )
-        checker.run_check_cycle(tree, node, check_backend, ScriptedBackend({"solve": ["fixed"]}))
+        checker.run_check_cycle(tree, node, backend)
         assert model.active_chain(tree).node_ids == before
         assert node.action is AtomicAction.HYPOTHESIS_VERIFICATION

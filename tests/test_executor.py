@@ -83,12 +83,6 @@ class TestFormatInstruction:
 
 
 class TestFinalize:
-    def test_mcq_final_answer_extracted(self):
-        tree = make_tree(MultipleChoice(options=("(A) x", "(B) y")))
-        backend = ScriptedBackend({"summarize": ["The correct answer is (B)"]})
-        final = executor.finalize(tree, backend, TerminationMode.ACTIVE_SOLVED)
-        assert final.extracted == "B"
-
     def test_passive_limit_requests_best_effort(self):
         tree = make_tree()
         backend = ScriptedBackend({"summarize": ["partial conclusion"]})

@@ -195,7 +195,7 @@ def _reference_render_tree(tree, budget=None):
         text = build()
         if len(text) <= budget:
             return text
-    return text[-budget:] if budget >= 0 else ""
+    return text[-budget:] if budget > 0 else ""
 
 
 def _random_rendered_tree(rng):
@@ -230,6 +230,14 @@ def test_render_tree_matches_reference_truncation():
             assert model.render_tree(tree, budget) == _reference_render_tree(tree, budget), budget
             renders += 1
     assert renders == 300 * 14
+
+
+def test_render_tree_budget_zero_is_empty():
+    tree = make_tree()
+    model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "first step")
+    assert model.render_tree(tree, 0) == ""
+    assert model.render_tree(tree, -1) == ""
+    assert len(model.render_tree(tree, 1)) == 1
 
 
 def test_render_tree_omits_the_statement():

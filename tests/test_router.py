@@ -192,7 +192,8 @@ class TestBacktracking:
 
 
 def adversarial_backend(rng):
-    """Emits random structured and unstructured routing responses."""
+    """Emits random structured and unstructured routing responses; solve and
+    summarize requests get a random hypothesis, and every check passes."""
     verbs = [
         "ACTION: PremiseDiscovery\nGUIDANCE: g",
         "ACTION: PremiseRetrieval\nGUIDANCE: g",
@@ -209,22 +210,21 @@ def adversarial_backend(rng):
         "ACTION: NotARealAction",
     ]
 
-    def pick(request):
-        return rng.choice(verbs)
+    def reply(request):
+        if request.tag == "routing":
+            return rng.choice(verbs)
+        return f"Hypothesis 1: guess {rng.random():.4f}"  # solve, summarize
 
-    return ScriptedBackend({}, default=pick)
+    return ScriptedBackend({"check": "Check Result: No error."}, default=reply)
 
 
 def run_adversarial_session(seed):
     rng = random.Random(seed)
-    backend = adversarial_backend(rng)
-    solver = ScriptedBackend({}, default=lambda r: f"Hypothesis 1: guess {rng.random():.4f}")
-    checker = ScriptedBackend({}, default="Check Result: No error.")
     config = SessionConfig()
     tree, final = router.run_session(
         Problem(id=f"adv-{seed}", statement="A puzzle.", answer_schema=FreeText()),
         config=config,
-        backends=router.RoleBackends(routing=backend, solving=solver, checking=checker, summarizing=solver),
+        backends=adversarial_backend(rng),
     )
     return tree
 
@@ -244,25 +244,25 @@ def test_adversarial_sessions_respect_engine_rules():
                     assert nxt is AtomicAction.HYPOTHESIS_VERIFICATION
 
 
+def four_step_backend():
+    return ScriptedBackend(
+        {
+            "routing": [
+                "ACTION: PremiseDiscovery\nGUIDANCE: extract",
+                "ACTION: HypothesisGeneration\nGUIDANCE: propose",
+                "GUIDANCE: verify carefully",
+                "ACTION: SUMMARY<FINISHED>\nGUIDANCE: summarize",
+            ],
+            "solve": ["premises", "Hypothesis 1: the answer is 42", "verified", "final content"],
+            "check": "Check Result: No error.",
+            "summarize": "chain summary or final",
+        }
+    )
+
+
 def test_session_case_flow_with_scripted_backend():
     """A clean extend-verify-finish-terminate session end to end."""
-    backend = router.RoleBackends(
-        routing=ScriptedBackend(
-            {
-                "routing": [
-                    "ACTION: PremiseDiscovery\nGUIDANCE: extract",
-                    "ACTION: HypothesisGeneration\nGUIDANCE: propose",
-                    "GUIDANCE: verify carefully",
-                    "ACTION: SUMMARY<FINISHED>\nGUIDANCE: summarize",
-                ]
-            }
-        ),
-        solving=ScriptedBackend(
-            {"solve": ["premises", "Hypothesis 1: the answer is 42", "verified", "final content"]}
-        ),
-        checking=ScriptedBackend({"check": "Check Result: No error."}),
-        summarizing=ScriptedBackend({"summarize": "chain summary or final"}),
-    )
+    backend = four_step_backend()
     config = SessionConfig(max_chains=1)
     tree, final = router.run_session(
         Problem(id="p", statement="A puzzle.", answer_schema=FreeText()),
@@ -280,12 +280,32 @@ def test_session_case_flow_with_scripted_backend():
     assert final.text == "chain summary or final"
 
 
+@pytest.mark.parametrize(
+    "mode, checks",
+    [("every", 4), ("reasoning-only", 2), ("ending-only", 1), ("off", 0)],
+)
+def test_checker_mode_picks_the_checked_steps(mode, checks):
+    """The four-step session checks PD, HG, HV and SF under "every", the two
+    reasoning steps (HG, HV) under "reasoning-only", SF alone under
+    "ending-only" and nothing under "off"."""
+    backend = four_step_backend()
+    tree, _final = router.run_session(
+        Problem(id="p", statement="A puzzle.", answer_schema=FreeText()),
+        config=SessionConfig(max_chains=1, checker_mode=mode),
+        backends=backend,
+    )
+    assert model.round_count(tree) == 4
+    assert sum(request.tag == "check" for request in backend.calls) == checks
+    assert sum(len(node.check_reports) for node in tree.nodes.values()) == checks
+
+
 def test_backend_failure_preserves_partial_tree():
-    backend = router.RoleBackends(
-        routing=ScriptedBackend({"routing": ["ACTION: PremiseDiscovery\nGUIDANCE: g"]}),
-        solving=ScriptedBackend({"solve": ["some premises"]}),
-        checking=ScriptedBackend({"check": []}),  # exhausted on first check
-        summarizing=ScriptedBackend({}),
+    backend = ScriptedBackend(
+        {
+            "routing": ["ACTION: PremiseDiscovery\nGUIDANCE: g"],
+            "solve": ["some premises"],
+            "check": [],  # exhausted on first check
+        }
     )
     from atomic_reasoner.errors import BackendFailure
 
