@@ -310,23 +310,33 @@ class CacheMode(enum.Enum):
     REPLAY = "replay"
 
 
+# Hashed first by every key, so a change of key or entry layout misses old stores.
+CACHE_FORMAT = b"atomic-reasoner cache 2"
+
+
 def cache_key(request: CompletionRequest, model: str) -> str:
-    canonical = json.dumps(
-        {
-            "model": model,
-            "messages": [[m.role, m.content] for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-            "seed": request.seed,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """sha256 over CACHE_FORMAT and the length-prefixed UTF-8 of the model,
+    ``repr(temperature)``, ``max_tokens``, ``seed`` and each message's role
+    and content.  The tag is not part of the key."""
+    fields = [model, repr(request.temperature), str(request.max_tokens), str(request.seed)]
+    for message in request.messages:
+        fields += (message.role, message.content)
+    digest = hashlib.sha256(CACHE_FORMAT)
+    for field in fields:
+        data = field.encode("utf-8")
+        digest.update(b"%d:" % len(data))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 class CacheBackend:
     """Record/replay layer over another backend; one file per key.
+
+    The key (``cache_key``) covers the model, temperature, max_tokens, seed
+    and messages, not the tag.  An entry holds two compact JSON lines:
+    ``{"result": ...}``, then ``{"request": ...}`` with the model and tag, for
+    audit.  A lookup reads the first line only.  Stores recorded before
+    format 2 miss and must be re-recorded.
 
     Recording is single-flight per key: concurrent callers of one request
     wait for the first one's entry, so the inner backend sees each key once.
@@ -345,13 +355,11 @@ class CacheBackend:
         self.strict = strict
         self.store = Path(store_path)
         self.model = getattr(inner, "model", "scripted")
+        self._prefix = os.path.join(self.store, "")
         self._guard = threading.Lock()
         self._key_locks: dict[str, list] = {}  # key -> [lock, callers holding or waiting]
         if mode is CacheMode.RECORD:
             self.store.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.store / f"{key}.json"
 
     @contextlib.contextmanager
     def _single_flight(self, key: str):
@@ -369,51 +377,67 @@ class CacheBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         key = cache_key(request, self.model)
-        path = self._path(key)
 
         if self.mode is CacheMode.REPLAY:
-            if path.exists():
-                return self._load(path)
+            result = self._load(key)
+            if result is not None:
+                return result
             if self.strict:
-                raise MalformedResponse("cache miss", excerpt=key)
+                raise MalformedResponse(
+                    f"cache miss (tag={request.tag}) in {self.store}", excerpt=key
+                )
             return self.inner.complete(request)
 
         with self._single_flight(key):
-            if path.exists():
-                return self._load(path)
-            result = self.inner.complete(request)
-            self._write(key, path, request, result)
+            result = self._load(key)
+            if result is None:
+                result = self.inner.complete(request)
+                self._write(key, request, result)
         return result
 
-    def _write(self, key: str, path: Path, request: CompletionRequest, result: CompletionResult) -> None:
-        record = {
-            "request": {
-                "messages": [[m.role, m.content] for m in request.messages],
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-                "seed": request.seed,
-                "tag": request.tag,
+    def _write(self, key: str, request: CompletionRequest, result: CompletionResult) -> None:
+        lines = (
+            {
+                "result": {
+                    "text": result.text,
+                    "prompt_tokens": result.prompt_tokens,
+                    "completion_tokens": result.completion_tokens,
+                },
             },
-            "result": {
-                "text": result.text,
-                "prompt_tokens": result.prompt_tokens,
-                "completion_tokens": result.completion_tokens,
+            {
+                "request": {
+                    "model": self.model,
+                    "messages": [[m.role, m.content] for m in request.messages],
+                    "temperature": request.temperature,
+                    "max_tokens": request.max_tokens,
+                    "seed": request.seed,
+                    "tag": request.tag,
+                },
             },
-        }
+        )
+        entry = "".join(
+            json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n" for line in lines
+        )
         # A reader sees either no entry or a whole one: write aside, then rename.
         fd, tmp = tempfile.mkstemp(dir=self.store, prefix=f".{key}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2))
-            os.replace(tmp, path)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(entry.encode("utf-8"))
+            os.replace(tmp, f"{self._prefix}{key}.json")
         except BaseException:
             os.unlink(tmp)
             raise
 
-    @staticmethod
-    def _load(path: Path) -> CompletionResult:
+    def _load(self, key: str) -> Optional[CompletionResult]:
+        """The stored result for ``key``, from the entry's first line; None
+        when there is no entry."""
         try:
-            stored = json.loads(path.read_text(encoding="utf-8"))["result"]
+            with open(f"{self._prefix}{key}.json", "rb") as handle:
+                line = handle.readline()
+        except FileNotFoundError:
+            return None
+        try:
+            stored = json.loads(line)["result"]
             text = stored["text"]
             if not isinstance(text, str):
                 raise TypeError(f"text is {type(text).__name__}, not str")
@@ -424,7 +448,7 @@ class CacheBackend:
                 source=ResultSource.CACHE,
             )
         except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedResponse(f"corrupt cache entry {path.name}: {exc}")
+            raise MalformedResponse(f"corrupt cache entry {key}.json: {exc}")
 
 
 class TallyBackend:

@@ -192,7 +192,13 @@ def cmd_bench(args) -> int:
         print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
     if not tasks:
         raise UsageError("suite contains no valid tasks")
-    backend = _build_backend(args)
+    if args.backend == "scripted" and args.cache != "record":
+        # A script is used up as it answers: every (task, trial) gets its own.
+        # Recording keeps one chain, so concurrent trials share one
+        # single-flight layer and pop the script once per stored key.
+        backend = lambda task: _build_backend(args)  # noqa: E731
+    else:
+        backend = _build_backend(args)
     out = _out_dir(args)
     report = bench_mod.run_benchmark(
         tasks,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -266,8 +267,72 @@ class TestCacheBackend:
     def test_key_is_stable_and_order_sensitive(self):
         a = cache_key(make_request("one"), "m")
         assert a == cache_key(make_request("one"), "m")
+        assert a == cache_key(make_request("one", tag="routing"), "m")  # the tag is not in the key
         assert a != cache_key(make_request("two"), "m")
         assert a != cache_key(make_request("one"), "other-model")
+
+    def test_key_golden_digest(self):
+        request = CompletionRequest(
+            messages=[ChatMessage("system", "sys"), ChatMessage("user", "Which house? é")],
+            temperature=0.5,
+            max_tokens=512,
+            seed=3,
+            tag="routing",
+        )
+        assert cache_key(request, "gpt-4o-mini") == (
+            "e555ae2cdf770107ea2792abcabe99a1577f5005b1c74909574f87a53e6c2464"
+        )
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"messages": [("user", "ab"), ("user", "c")]}, {"messages": [("user", "a"), ("user", "bc")]}),
+            ({"messages": [("user", "system")]}, {"messages": [("system", "user")]}),
+            ({"seed": None}, {"seed": 0}),
+            ({"temperature": 0.7}, {"temperature": 0.70000001}),
+            ({"max_tokens": 2048}, {"max_tokens": 2049}),
+            ({"model": "m"}, {"model": "m2"}),
+            ({"messages": [("user", "q")]}, {"messages": [("user", "q"), ("user", "q")]}),
+        ],
+    )
+    def test_key_tells_requests_apart(self, first, second):
+        def key(fields):
+            fields = dict(fields)
+            model = fields.pop("model", "m")
+            messages = [ChatMessage(*m) for m in fields.pop("messages", [("user", "q")])]
+            return cache_key(CompletionRequest(messages=messages, **fields), model)
+
+        assert key(first) != key(second)
+
+    def test_entry_is_result_line_then_request_line(self, tmp_path):
+        inner = ScriptedBackend({"check": ["Check Result: No error."]})
+        recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
+        request = dataclasses.replace(make_request("q", tag="check"), seed=1)
+        recorder.complete(request)
+
+        key = cache_key(request, "scripted")
+        lines = (tmp_path / f"{key}.json").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"result": {"text": "Check Result: No error.", "prompt_tokens": 2, "completion_tokens": 4}},
+            {
+                "request": {
+                    "model": "scripted",
+                    "messages": [["system", "sys"], ["user", "q"]],
+                    "temperature": 0.5,
+                    "max_tokens": 2048,
+                    "seed": 1,
+                    "tag": "check",
+                }
+            },
+        ]
+        assert list(tmp_path.iterdir()) == [tmp_path / f"{key}.json"]
+
+    def test_replay_reads_only_the_result_line(self, tmp_path):
+        request = make_request("q")
+        path = tmp_path / f"{cache_key(request, 'scripted')}.json"
+        path.write_text('{"result": {"text": "stored", "prompt_tokens": 3}}\n', encoding="utf-8")
+        result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
+        assert (result.text, result.prompt_tokens, result.completion_tokens) == ("stored", 3, 0)
 
     def test_record_then_replay_identical(self, tmp_path):
         inner = ScriptedBackend({"solve": ["recorded answer"]})
@@ -284,6 +349,12 @@ class TestCacheBackend:
         replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
         with pytest.raises(MalformedResponse, match="cache miss"):
             replayer.complete(make_request("never recorded"))
+
+    def test_strict_replay_miss_names_tag_and_store(self, tmp_path):
+        replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
+        with pytest.raises(MalformedResponse) as excinfo:
+            replayer.complete(make_request("never recorded", tag="routing"))
+        assert str(excinfo.value) == f"cache miss (tag=routing) in {tmp_path}"
 
     def test_nonstrict_replay_falls_through(self, tmp_path):
         inner = ScriptedBackend({"solve": ["live"]})
@@ -397,6 +468,11 @@ class TestCacheBackend:
             '{"result": null}',
             '{"result": {"text": "x", "prompt_tokens": null}}',
             '{"result": {"text": 7}}',
+            pytest.param("", id="empty"),
+            pytest.param(
+                json.dumps({"request": {"tag": "solve"}, "result": {"text": "x"}}, sort_keys=True, indent=2),
+                id="format-1",
+            ),
         ],
     )
     def test_corrupt_entry_is_malformed_response(self, tmp_path, entry):

@@ -194,6 +194,95 @@ class TestBench:
         assert len(payload["results"]) == 6
         assert "overall: 1.000" in capsys.readouterr().out
 
+    def _case1_suite(self, case_files, tmp_path, ids):
+        task_path, script_path = case_files("case1")
+        record = json.loads(task_path.read_text(encoding="utf-8"))
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(
+            "".join(json.dumps({**record, "id": task_id}) + "\n" for task_id in ids),
+            encoding="utf-8",
+        )
+        return task_path, script_path, suite
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_scripted_tasks_and_trials_each_get_the_whole_script(
+        self, case_files, tmp_path, workers
+    ):
+        _, script_path, suite = self._case1_suite(case_files, tmp_path, ["t1", "t2"])
+        out = tmp_path / "bench-out"
+        code = run_cli(
+            [
+                "bench",
+                str(suite),
+                "--format",
+                "mcq",
+                "--trials",
+                "2",
+                "--workers",
+                workers,
+                "--script",
+                str(script_path),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+        assert [(r["task_id"], r["trial"], r["correct"]) for r in results] == [
+            ("t1", 1, True),
+            ("t1", 2, True),
+            ("t2", 1, True),
+            ("t2", 2, True),
+        ]
+
+    def test_scripted_trials_recording_side_by_side_store_each_answer_once(
+        self, case_files, tmp_path
+    ):
+        task_path, script_path, suite = self._case1_suite(case_files, tmp_path, ["case1"])
+        solo, shared = tmp_path / "solo-store", tmp_path / "bench-store"
+        code = run_cli(
+            [
+                "solve",
+                str(task_path),
+                "--script",
+                str(script_path),
+                "--cache",
+                "record",
+                "--cache-dir",
+                str(solo),
+                "--out",
+                str(tmp_path / "solve-out"),
+            ]
+        )
+        assert code == 0
+        out = tmp_path / "bench-out"
+        code = run_cli(
+            [
+                "bench",
+                str(suite),
+                "--format",
+                "mcq",
+                "--trials",
+                "2",
+                "--workers",
+                "2",
+                "--script",
+                str(script_path),
+                "--cache",
+                "record",
+                "--cache-dir",
+                str(shared),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+        assert [(r["trial"], r["correct"]) for r in results] == [(1, True), (2, True)]
+        # every entry holds the answer a lone sequential run stored for its request
+        entries = lambda store: {p.name: p.read_bytes() for p in store.iterdir()}  # noqa: E731
+        assert entries(shared) == entries(solo)
+
     def test_rejects_reported_on_stderr(self, tmp_path, capsys):
         suite = tmp_path / "suite.jsonl"
         suite.write_text(
