@@ -321,12 +321,16 @@ def cache_key(request: CompletionRequest, model: str) -> str:
     fields = [model, repr(request.temperature), str(request.max_tokens), str(request.seed)]
     for message in request.messages:
         fields += (message.role, message.content)
-    digest = hashlib.sha256(CACHE_FORMAT)
+    parts = [CACHE_FORMAT]
     for field in fields:
         data = field.encode("utf-8")
-        digest.update(b"%d:" % len(data))
-        digest.update(data)
-    return digest.hexdigest()
+        parts += (b"%d:" % len(data), data)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+# Bytes asked for per read of an entry: the result line of a 2048-token reply
+# (about 8 KB of text) arrives in the first read.
+_READ_SIZE = 8192
 
 
 class CacheBackend:
@@ -335,7 +339,8 @@ class CacheBackend:
     The key (``cache_key``) covers the model, temperature, max_tokens, seed
     and messages, not the tag.  An entry holds two compact JSON lines:
     ``{"result": ...}``, then ``{"request": ...}`` with the model and tag, for
-    audit.  A lookup reads the first line only.  Stores recorded before
+    audit.  A hit is one read of the entry, and more only while the result
+    line has not ended; only that line is parsed.  Stores recorded before
     format 2 miss and must be re-recorded.
 
     Recording is single-flight per key: concurrent callers of one request
@@ -432,12 +437,20 @@ class CacheBackend:
         """The stored result for ``key``, from the entry's first line; None
         when there is no entry."""
         try:
-            with open(f"{self._prefix}{key}.json", "rb") as handle:
-                line = handle.readline()
+            fd = os.open(f"{self._prefix}{key}.json", os.O_RDONLY)
         except FileNotFoundError:
             return None
         try:
-            stored = json.loads(line)["result"]
+            chunk = os.read(fd, _READ_SIZE)
+            chunks = [chunk]
+            while chunk and b"\n" not in chunk:
+                chunk = os.read(fd, _READ_SIZE)
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        line = b"".join(chunks).partition(b"\n")[0]
+        try:
+            stored = json.loads(line.decode("utf-8"))["result"]
             text = stored["text"]
             if not isinstance(text, str):
                 raise TypeError(f"text is {type(text).__name__}, not str")

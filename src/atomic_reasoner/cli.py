@@ -105,23 +105,23 @@ def _out_dir(args) -> Path:
 
 
 def _build_backend(args):
-    if args.backend == "scripted":
-        if not args.script:
-            raise UsageError("--backend scripted requires --script")
-        script = json.loads(Path(args.script).read_text(encoding="utf-8"))
-        backend = ScriptedBackend(script)
-    elif args.backend == "http":
-        backend = HttpBackend(
-            HttpConfig(base_url=args.base_url, model=args.model, api_key_env=args.api_key_env)
-        )
-    else:  # replay: serve recorded responses only, no inner backend
+    if args.backend == "replay":  # serve recorded responses only, no inner backend
         backend = CacheBackend(None, CacheMode.REPLAY, args.cache_dir)
-        backend.model = args.model
-        return backend
-    if args.cache == "record":
-        backend = CacheBackend(backend, CacheMode.RECORD, args.cache_dir)
-    elif args.cache == "replay":
-        backend = CacheBackend(backend, CacheMode.REPLAY, args.cache_dir, strict=False)
+    else:
+        if args.backend == "scripted":
+            if not args.script:
+                raise UsageError("--backend scripted requires --script")
+            script = json.loads(Path(args.script).read_text(encoding="utf-8"))
+            inner = ScriptedBackend(script)
+        else:
+            inner = HttpBackend(
+                HttpConfig(base_url=args.base_url, model=args.model, api_key_env=args.api_key_env)
+            )
+        if args.cache == "off":
+            return inner
+        backend = CacheBackend(inner, CacheMode(args.cache), args.cache_dir, strict=False)
+    # Every cache layer keys under --model, so a store replays whichever backend recorded it.
+    backend.model = args.model
     return backend
 
 

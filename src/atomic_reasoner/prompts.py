@@ -8,6 +8,7 @@ request is built in exactly one place.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from importlib import resources
 
@@ -50,11 +51,26 @@ def _budget(tree: model.AtomicTree) -> int:
     return RENDER_BUDGET - len(tree.problem.statement)
 
 
+_SLOT = re.compile(r"\{\{(\w+)\}\}")
+
+
+@lru_cache(maxsize=64)
+def _pieces(template: str) -> tuple[str, ...]:
+    """``template`` cut at its ``{{name}}`` slots: literal text at even
+    indices, slot names at odd ones."""
+    return tuple(_SLOT.split(template))
+
+
 def fill(template: str, **values: str) -> str:
-    text = template
-    for key, value in values.items():
-        text = text.replace("{{" + key + "}}", value)
-    return text
+    """``template`` with each ``{{name}}`` slot replaced by ``values[name]``,
+    in one pass: a value's own ``{{...}}`` text is never filled, and a slot
+    with no value stays as written."""
+    pieces = _pieces(template)
+    out = list(pieces)
+    for i in range(1, len(pieces), 2):
+        name = pieces[i]
+        out[i] = values[name] if name in values else "{{" + name + "}}"
+    return "".join(out)
 
 
 def build_routing_prompt(tree: model.AtomicTree, sop_hints: str = "") -> CompletionRequest:

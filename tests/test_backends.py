@@ -334,6 +334,20 @@ class TestCacheBackend:
         result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
         assert (result.text, result.prompt_tokens, result.completion_tokens) == ("stored", 3, 0)
 
+    def test_result_line_longer_than_one_read_replays_whole(self, tmp_path):
+        text = "".join(chr(0x61 + i % 26) if i % 1000 else "é" for i in range(300_000))
+        recorder = CacheBackend(ScriptedBackend({"solve": [text]}), CacheMode.RECORD, tmp_path)
+        recorder.complete(make_request("q"))
+        result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(make_request("q"))
+        assert result.text == text
+
+    def test_entry_without_trailing_newline_replays(self, tmp_path):
+        request = make_request("q")
+        path = tmp_path / f"{cache_key(request, 'scripted')}.json"
+        path.write_text('{"result": {"text": "last line"}}', encoding="utf-8")
+        result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
+        assert (result.text, result.prompt_tokens) == ("last line", 0)
+
     def test_record_then_replay_identical(self, tmp_path):
         inner = ScriptedBackend({"solve": ["recorded answer"]})
         recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)

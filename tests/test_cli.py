@@ -135,6 +135,39 @@ class TestSolve:
         assert len(doc["nodes"]) <= 2
         assert doc["terminated"]["mode"] == "PassiveLimit"
 
+    def test_store_recorded_from_a_script_replays_with_default_flags(
+        self, case_files, tmp_path, capsys
+    ):
+        task_path, script_path = case_files("case1")
+        store = str(tmp_path / "store")
+        code = run_cli(
+            [
+                "solve",
+                str(task_path),
+                "--script",
+                str(script_path),
+                "--cache",
+                "record",
+                "--cache-dir",
+                store,
+                "--out",
+                str(tmp_path / "recorded"),
+            ]
+        )
+        assert code == 0
+        recorded = capsys.readouterr().out
+        out = tmp_path / "replayed"
+        code = run_cli(
+            ["solve", str(task_path), "--backend", "replay", "--cache-dir", store, "--out", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == recorded
+        assert recorded.rstrip().endswith(
+            "The correct answer is (A) The hummingbird is the second from the right."
+        )
+        meta = json.loads((out / "case1.meta.json").read_text(encoding="utf-8"))
+        assert meta["correct"] is True
+
     def test_stdin_problem(self, tmp_path, capsys, monkeypatch):
         import io
 

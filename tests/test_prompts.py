@@ -1,6 +1,6 @@
 import pytest
 
-from atomic_reasoner import checker, model, prompts, router
+from atomic_reasoner import bench, cases, checker, model, prompts, router, sop
 from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.model import AtomicAction, FreeText, Problem
 
@@ -84,3 +84,48 @@ def test_checker_reviews_a_node_off_the_active_path_as_its_next_step():
     body = user_text(request)
     assert body.count(model.REVIEW_MARK) == 1
     assert model.format_step(2, second) + model.REVIEW_MARK in body
+
+
+SLOTS = "{{tree}}, {{chain}}, {{problem}} and {{sop}}"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_slot_text_in_the_statement_and_steps_reaches_the_prompt_verbatim(name):
+    statement = f"Solve this. Note: {SLOTS} are literal text."
+    tree = model.new_tree(Problem(id="p", statement=statement, answer_schema=FreeText()))
+    for i in range(3):
+        model.append_node(tree, AtomicAction.PREMISE_RETRIEVAL, "g", f"step {i} quotes {SLOTS}")
+    body = "\n".join(m.content for m in BUILDERS[name](tree).messages)
+    assert body.count(statement) == 1
+    assert "step 2 quotes " + SLOTS in body
+
+
+def test_fill_leaves_a_slot_without_a_value_verbatim():
+    assert prompts.fill("a {{x}} b {{y}} {{ z }}", x="1", unused="2") == "a 1 b {{y}} {{ z }}"
+
+
+def _session_prompts(task, backend):
+    sent = []
+
+    class Recorder:
+        def complete(self, request):
+            sent.append(request)
+            return backend.complete(request)
+
+    router.run_session(task.to_problem(), backends=Recorder(), sop_registry=sop.builtin_registry())
+    return sent
+
+
+@pytest.mark.parametrize("source", ["case1", "case2", "grid-5x4"])
+def test_session_prompts_fill_every_template_slot(source):
+    if source == "grid-5x4":
+        task = bench.gen_puzzle(0, 5, 4)[0]
+        backend = bench.oracle_session_backend(task)
+    else:
+        fixture = cases.load_case(source)
+        task, backend = fixture.task, fixture.backend()
+    sent = _session_prompts(task, backend)
+    assert {request.tag for request in sent} >= {"routing", "solve", "summarize"}
+    for request in sent:
+        for message in request.messages:
+            assert "{{" not in message.content, (request.tag, message.role)
