@@ -8,13 +8,20 @@ contract, because ``limit`` cuts the search there.  Every permutation's
 house of each value is precomputed once, at import; clues naming a single
 attribute prefilter that attribute's permutations before the search, and
 every other clue becomes an integer comparison of two house indices.
+
+The generator shuffles the clues that hold for a planted solution and finds
+the shortest unique prefix of them by galloping (prefix lengths 1, 2, 4, ...)
+and then bisecting, which works because a longer prefix never has more
+solutions.  It then prunes that prefix greedily, skipping the trial without
+its last clue, which the search already found not unique.  Every uniqueness
+test goes through the module's ``brute_solve``.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
@@ -40,7 +47,7 @@ ATTRIBUTE_POOLS: list[tuple[str, tuple[str, ...]]] = [
 
 # --- clues ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedPosition:
     attribute: str
     value: str
@@ -56,7 +63,7 @@ class FixedPosition:
         return f"{index}. The {self.attribute} {self.value!r} is in house {self.house}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeftOf:
     attribute_a: str
     value_a: str
@@ -79,7 +86,7 @@ class LeftOf:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Adjacent:
     attribute_a: str
     value_a: str
@@ -105,7 +112,7 @@ class Adjacent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SameHouse:
     attribute_a: str
     value_a: str
@@ -138,7 +145,8 @@ Clue = Union[FixedPosition, LeftOf, Adjacent, SameHouse]
 
 def clue_to_json(clue: Clue) -> dict:
     data = {"kind": type(clue).__name__}
-    data.update(clue.__dict__)
+    for field in fields(clue):
+        data[field.name] = getattr(clue, field.name)
     return data
 
 
@@ -332,6 +340,35 @@ def _candidate_clues(schema: GridSchema, solution: Assignment, rng: random.Rando
     return candidates
 
 
+def _is_unique(schema: GridSchema, clues: list[Clue]) -> bool:
+    return len(brute_solve(schema, clues, limit=2)) == 1
+
+
+def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue]) -> Optional[int]:
+    """The smallest ``k`` for which ``candidates[:k]`` has a unique solution,
+    or None if the whole list has more than one.
+
+    Every candidate holds in the planted solution, so a longer prefix never
+    has more solutions and uniqueness is monotone in ``k``.  The search
+    gallops (k = 1, 2, 4, ..., capped at the list's length) to the first
+    unique prefix, then bisects between it and the last prefix found not
+    unique: about 2*log2(k) oracle calls where adding one clue at a time
+    takes k.  The empty prefix is never unique, since at least two houses
+    admit more than one assignment."""
+    low, high = 0, 1  # candidates[:low] is not unique; candidates[:high] is tried next
+    while not _is_unique(schema, candidates[:high]):
+        if high >= len(candidates):
+            return None
+        low, high = high, min(2 * high, len(candidates))
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _is_unique(schema, candidates[:middle]):
+            high = middle
+        else:
+            low = middle
+    return high
+
+
 def generate_puzzle(
     seed: int,
     houses: int,
@@ -340,9 +377,12 @@ def generate_puzzle(
 ) -> tuple[GridSchema, list[Clue], Assignment]:
     """Deterministic puzzle with a unique solution and a minimal clue set.
 
-    Clues are added (shuffled) until the oracle reports a unique solution,
-    then greedily pruned: every surviving clue is necessary, so dropping any
-    one of them re-admits a second solution."""
+    The chosen clues are the shortest prefix of the shuffled candidates that
+    the oracle finds unique (``_shortest_unique_prefix``, a galloping
+    search), then greedily pruned: every surviving clue is necessary, so
+    dropping any one of them re-admits a second solution.  The pruning pass
+    never tries dropping the prefix's last clue: what remains is a subset of
+    the one-shorter prefix, which the search found not unique."""
     if not 2 <= houses <= MAX_HOUSES:
         raise ValueError(f"houses must be in [2, {MAX_HOUSES}]")
     if not 1 <= attributes <= 4:
@@ -361,19 +401,14 @@ def generate_puzzle(
             for attr in schema.attribute_names
         }
         candidates = _candidate_clues(schema, solution, rng)
-
-        chosen: list[Clue] = []
-        for clue in candidates:
-            chosen.append(clue)
-            if len(brute_solve(schema, chosen, limit=2)) == 1:
-                break
-        else:
+        k = _shortest_unique_prefix(schema, candidates)
+        if k is None:
             continue  # this solution never became unique; resample
 
-        minimal = list(chosen)
-        for clue in list(chosen):
+        minimal = candidates[:k]
+        for clue in candidates[:k - 1]:
             trial = [c for c in minimal if c != clue]
-            if len(brute_solve(schema, trial, limit=2)) == 1:
+            if _is_unique(schema, trial):
                 minimal = trial
         return schema, minimal, solution
     raise GenerationExhausted(f"no unique puzzle after {max_attempts} attempts (seed={seed})")

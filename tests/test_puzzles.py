@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from atomic_reasoner import bench, puzzles
-from atomic_reasoner.errors import TooLarge
+from atomic_reasoner.errors import GenerationExhausted, TooLarge
 from atomic_reasoner.model import GridSchema
 from atomic_reasoner.puzzles import Adjacent, FixedPosition, LeftOf, SameHouse
 
@@ -52,6 +52,62 @@ def reference_solve(schema, clues, limit=None):
 
     recurse(0, {})
     return solutions
+
+
+def reference_generate(seed, houses, attributes, max_attempts=20):
+    """The add-one-clue-at-a-time generator ``puzzles.generate_puzzle``
+    replaced, kept as ground truth for its output and its oracle calls."""
+    if not 2 <= houses <= puzzles.MAX_HOUSES:
+        raise ValueError(f"houses must be in [2, {puzzles.MAX_HOUSES}]")
+    if not 1 <= attributes <= 4:
+        raise ValueError("attributes must be in [1, 4]")
+
+    rng = random.Random(seed)
+    schema = GridSchema(
+        houses=houses,
+        attributes=tuple(
+            (name, tuple(values[:houses])) for name, values in puzzles.ATTRIBUTE_POOLS[:attributes]
+        ),
+    )
+    for attempt in range(max_attempts):
+        solution = {
+            attr: tuple(rng.sample(schema.values_for(attr), houses))
+            for attr in schema.attribute_names
+        }
+        candidates = puzzles._candidate_clues(schema, solution, rng)
+
+        chosen = []
+        for clue in candidates:
+            chosen.append(clue)
+            if len(puzzles.brute_solve(schema, chosen, limit=2)) == 1:
+                break
+        else:
+            continue  # this solution never became unique; resample
+
+        minimal = list(chosen)
+        for clue in list(chosen):
+            trial = [c for c in minimal if c != clue]
+            if len(puzzles.brute_solve(schema, trial, limit=2)) == 1:
+                minimal = trial
+        return schema, minimal, solution
+    raise GenerationExhausted(f"no unique puzzle after {max_attempts} attempts (seed={seed})")
+
+
+def count_oracle_calls(generate, *args):
+    """``generate(*args)`` and how many times it called ``puzzles.brute_solve``,
+    counted by a wrapper patched onto the module as the benchmark does."""
+    calls = 0
+    original = puzzles.brute_solve
+
+    def brute_solve(*a, **kw):
+        nonlocal calls
+        calls += 1
+        return original(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(puzzles, "brute_solve", brute_solve)
+        result = generate(*args)
+    return result, calls
 
 
 def grid_schema(houses, attributes):
@@ -219,14 +275,44 @@ class TestGeneration:
         grid = puzzles.assignment_to_grid(schema, solution)
         assert puzzles.grid_to_assignment(schema, grid) == solution
 
+    @pytest.mark.parametrize("size, seeds", [("3x3", 50), ("3x4", 50), ("4x3", 50), ("5x3", 5)])
+    def test_matches_reference_generator(self, size, seeds):
+        houses, attributes = map(int, size.split("x"))
+        for seed in range(seeds):
+            assert puzzles.generate_puzzle(seed, houses, attributes) == reference_generate(seed, houses, attributes)
+
+    def test_oracle_calls_below_reference(self):
+        puzzle, calls = count_oracle_calls(puzzles.generate_puzzle, 1, 4, 3)
+        reference, reference_calls = count_oracle_calls(reference_generate, 1, 4, 3)
+        assert puzzle == reference
+        assert (calls, reference_calls) == (31, 44)
+
+    def test_uniqueness_is_monotone_in_the_candidate_prefix(self):
+        """Once a prefix of shuffled candidates is unique every longer one is,
+        and the search finds the first unique prefix, or None if there is none."""
+        rng = random.Random(31)
+        for _ in range(24):
+            houses, attributes = rng.randint(2, 4), rng.randint(1, 3)
+            schema = grid_schema(houses, attributes)
+            solution = {a: tuple(rng.sample(schema.values_for(a), houses)) for a in schema.attribute_names}
+            candidates = puzzles._candidate_clues(schema, solution, rng)
+            unique = [len(puzzles.brute_solve(schema, candidates[:k], limit=2)) == 1
+                      for k in range(len(candidates) + 1)]
+            first = unique.index(True)
+            assert not any(unique[:first]) and all(unique[first:])
+            assert puzzles._shortest_unique_prefix(schema, candidates) == first
+            cut = rng.randint(1, len(candidates))
+            expected = first if first <= cut else None
+            assert puzzles._shortest_unique_prefix(schema, candidates[:cut]) == expected
+
 
 @pytest.mark.parametrize("size", ["3x3", "3x4", "4x3", "4x4", "5x3", "5x4"])
 def test_generator_output_matches_golden_digests(size):
     """Generated task records are byte-identical to the recorded digests
     (sha256 of each record's JSON line, one per seed 0-199 and size).  Five
-    houses check seeds 0-9 only: all 200 take minutes."""
+    houses check seeds 0-19 only: all 200 take about a minute."""
     houses, attributes = map(int, size.split("x"))
-    seeds = range(10) if houses == 5 else range(200)
+    seeds = range(20) if houses == 5 else range(200)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[size]
     digests = []
     for seed in seeds:
