@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -130,6 +131,7 @@ class ScriptedBackend:
         default: Union[str, Callable[[CompletionRequest], str], None] = None,
     ):
         self._lock = threading.Lock()
+        self._script = script
         self._default = default
         if isinstance(script, dict):
             self._queues: Optional[dict[str, list]] = {
@@ -141,6 +143,10 @@ class ScriptedBackend:
             self._queues = None
             self._queue = list(script)
         self.calls: list[CompletionRequest] = []
+
+    def fresh(self) -> "ScriptedBackend":
+        """A new backend at the start of this one's script, with no calls."""
+        return ScriptedBackend(self._script, self._default)
 
     def _next(self, request: CompletionRequest) -> str:
         if self._queues is not None:
@@ -311,25 +317,43 @@ class CacheMode(enum.Enum):
 
 
 # Hashed first by every key, so a change of key or entry layout misses old stores.
-CACHE_FORMAT = b"atomic-reasoner cache 2"
+CACHE_FORMAT = b"atomic-reasoner cache 3"
+
+
+def _hash_fields(state, fields) -> None:
+    for field in fields:
+        data = field.encode("utf-8")
+        state.update(b"%d:%s" % (len(data), data))
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _head_state(model: str, temperature: float, max_tokens: int, seed, role: str, content: str):
+    """sha256 state over CACHE_FORMAT and a request's fixed head: the fields
+    ``cache_key`` hashes before the second message.  Shared; never updated."""
+    state = hashlib.sha256(CACHE_FORMAT)
+    _hash_fields(state, (model, repr(temperature), str(max_tokens), str(seed), role, content))
+    return state
 
 
 def cache_key(request: CompletionRequest, model: str) -> str:
     """sha256 over CACHE_FORMAT and the length-prefixed UTF-8 of the model,
     ``repr(temperature)``, ``max_tokens``, ``seed`` and each message's role
-    and content.  The tag is not part of the key."""
-    fields = [model, repr(request.temperature), str(request.max_tokens), str(request.seed)]
-    for message in request.messages:
-        fields += (message.role, message.content)
-    parts = [CACHE_FORMAT]
-    for field in fields:
-        data = field.encode("utf-8")
-        parts += (b"%d:" % len(data), data)
-    return hashlib.sha256(b"".join(parts)).hexdigest()
+    and content.  The tag is not part of the key.
+
+    The hash state after the head (CACHE_FORMAT through the first message's
+    content) is computed once per distinct head and copied; only the later
+    messages are hashed per call."""
+    first = request.messages[0]
+    state = _head_state(
+        model, request.temperature, request.max_tokens, request.seed, first.role, first.content
+    ).copy()
+    for message in request.messages[1:]:
+        _hash_fields(state, (message.role, message.content))
+    return state.hexdigest()
 
 
-# Bytes asked for per read of an entry: the result line of a 2048-token reply
-# (about 8 KB of text) arrives in the first read.
+# Bytes asked for by the first read of an entry: the header and a 2048-token
+# reply (about 8 KB of text) arrive in it.
 _READ_SIZE = 8192
 
 
@@ -337,11 +361,13 @@ class CacheBackend:
     """Record/replay layer over another backend; one file per key.
 
     The key (``cache_key``) covers the model, temperature, max_tokens, seed
-    and messages, not the tag.  An entry holds two compact JSON lines:
-    ``{"result": ...}``, then ``{"request": ...}`` with the model and tag, for
-    audit.  A hit is one read of the entry, and more only while the result
-    line has not ended; only that line is parsed.  Stores recorded before
-    format 2 miss and must be re-recorded.
+    and messages, not the tag.  An entry (format 3) is an ASCII header line
+    ``<text bytes> <prompt_tokens> <completion_tokens>``, the reply's raw
+    UTF-8 text and a newline, then one compact JSON line ``{"request": ...}``
+    with the model and tag, for audit.  A hit is one read of the entry, and
+    one more only when the text does not fit in it; it checks the header,
+    the text's length and the newline after it, decodes the text, and parses
+    no JSON.  Stores recorded before format 3 miss and must be re-recorded.
 
     Recording is single-flight per key: concurrent callers of one request
     wait for the first one's entry, so the inner backend sees each key once.
@@ -401,67 +427,62 @@ class CacheBackend:
         return result
 
     def _write(self, key: str, request: CompletionRequest, result: CompletionResult) -> None:
-        lines = (
-            {
-                "result": {
-                    "text": result.text,
-                    "prompt_tokens": result.prompt_tokens,
-                    "completion_tokens": result.completion_tokens,
-                },
+        text = result.text.encode("utf-8")
+        audit = {
+            "request": {
+                "model": self.model,
+                "messages": [[m.role, m.content] for m in request.messages],
+                "temperature": request.temperature,
+                "max_tokens": request.max_tokens,
+                "seed": request.seed,
+                "tag": request.tag,
             },
-            {
-                "request": {
-                    "model": self.model,
-                    "messages": [[m.role, m.content] for m in request.messages],
-                    "temperature": request.temperature,
-                    "max_tokens": request.max_tokens,
-                    "seed": request.seed,
-                    "tag": request.tag,
-                },
-            },
-        )
-        entry = "".join(
-            json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n" for line in lines
+        }
+        entry = b"%d %d %d\n%s\n%s\n" % (
+            len(text),
+            result.prompt_tokens,
+            result.completion_tokens,
+            text,
+            json.dumps(audit, ensure_ascii=False, separators=(",", ":")).encode("utf-8"),
         )
         # A reader sees either no entry or a whole one: write aside, then rename.
         fd, tmp = tempfile.mkstemp(dir=self.store, prefix=f".{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(entry.encode("utf-8"))
+                handle.write(entry)
             os.replace(tmp, f"{self._prefix}{key}.json")
         except BaseException:
             os.unlink(tmp)
             raise
 
     def _load(self, key: str) -> Optional[CompletionResult]:
-        """The stored result for ``key``, from the entry's first line; None
-        when there is no entry."""
+        """The stored result for ``key``, from the entry's header and text;
+        None when there is no entry."""
         try:
             fd = os.open(f"{self._prefix}{key}.json", os.O_RDONLY)
         except FileNotFoundError:
             return None
         try:
-            chunk = os.read(fd, _READ_SIZE)
-            chunks = [chunk]
-            while chunk and b"\n" not in chunk:
-                chunk = os.read(fd, _READ_SIZE)
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-        line = b"".join(chunks).partition(b"\n")[0]
-        try:
-            stored = json.loads(line.decode("utf-8"))["result"]
-            text = stored["text"]
-            if not isinstance(text, str):
-                raise TypeError(f"text is {type(text).__name__}, not str")
+            head = os.read(fd, _READ_SIZE)
+            header, newline, body = head.partition(b"\n")
+            fields = header.split(b" ")
+            if not newline or len(fields) != 3 or not all(map(bytes.isdigit, fields)):
+                raise ValueError(f"bad header {header[:64]!r}")
+            size, prompt_tokens, completion_tokens = map(int, fields)
+            if len(body) <= size and size < os.fstat(fd).st_size:
+                body += os.read(fd, size + 1 - len(body))
+            if len(body) <= size or body[size] != 0x0A:
+                raise ValueError(f"text is not {size} bytes and a newline")
             return CompletionResult(
-                text=text,
-                prompt_tokens=int(stored.get("prompt_tokens", 0)),
-                completion_tokens=int(stored.get("completion_tokens", 0)),
+                text=body[:size].decode("utf-8"),
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
                 source=ResultSource.CACHE,
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise MalformedResponse(f"corrupt cache entry {key}.json: {exc}")
+        finally:
+            os.close(fd)
 
 
 class TallyBackend:

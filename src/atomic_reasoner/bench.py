@@ -333,7 +333,8 @@ def run_benchmark(
     ``workers`` threads (default: one per job, at most 8; sessions wait on the
     backend, not the CPU).  Results stay task-major, trials ascending.  A
     callable ``backend`` is a factory, called with the task at the start of
-    each trial in that trial's thread."""
+    each trial in that trial's thread.  A ``ScriptedBackend`` is used up as
+    it answers, so each trial gets a ``fresh()`` copy of it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if strategy not in ("ar", "single-pass"):
@@ -342,6 +343,8 @@ def run_benchmark(
     factory: BackendFactory
     if callable(backend) and not hasattr(backend, "complete"):
         factory = backend  # type: ignore[assignment]
+    elif isinstance(backend, ScriptedBackend):
+        factory = lambda task: backend.fresh()  # noqa: E731
     else:
         factory = lambda task: backend  # noqa: E731
 

@@ -123,10 +123,6 @@ _DEFINITIONS = {
 }
 
 
-def kind_category(kind: ErrorKind) -> ActionCategory:
-    return _KIND_CATEGORY[kind]
-
-
 def applicable_errors(action: AtomicAction) -> list[ErrorKind]:
     """Error kinds applicable to a node, keyed by its action category."""
     cat = model.category(action)

@@ -135,11 +135,13 @@ def build_single_pass_prompt(statement: str, format_instruction: str) -> Complet
 
 
 def build_backtracking_prompt(tree: model.AtomicTree) -> CompletionRequest:
+    # TARGET indexes the chain, so it is rendered first; the tree gets the rest.
+    chain = model.render_steps(model.active_path(tree), _budget(tree))
     body = fill(
         load_template("backtracking"),
         problem=tree.problem.statement,
-        tree=model.render_tree(tree, _budget(tree)),
-        chain=model.render_steps(model.active_path(tree), _budget(tree)),
+        tree=model.render_tree(tree, _budget(tree) - len(chain)),
+        chain=chain,
     )
     return _request(
         "You are a routing agent reviewing a finished reasoning chain.",

@@ -307,13 +307,6 @@ def assignment_to_grid(schema: GridSchema, assignment: Assignment) -> dict[int, 
     }
 
 
-def grid_to_assignment(schema: GridSchema, grid: dict[int, dict[str, str]]) -> Assignment:
-    return {
-        attr: tuple(grid[house][attr] for house in range(1, schema.houses + 1))
-        for attr in schema.attribute_names
-    }
-
-
 # --- generation ---------------------------------------------------------------------
 
 def _candidate_clues(schema: GridSchema, solution: Assignment, rng: random.Random) -> list[Clue]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import sys
@@ -9,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from atomic_reasoner import bench, router, sop
+from atomic_reasoner import backends, bench, router, sop
 from atomic_reasoner.backends import (
     CacheBackend,
     CacheMode,
@@ -242,6 +243,18 @@ class TestHttpBackend:
         assert captured["Authorization"] == "Bearer sk-unit-test"
 
 
+def reference_key(request, model, tag=backends.CACHE_FORMAT):
+    """``cache_key`` as one pass over the documented byte stream under ``tag``."""
+    fields = [model, repr(request.temperature), str(request.max_tokens), str(request.seed)]
+    for message in request.messages:
+        fields += (message.role, message.content)
+    parts = [tag]
+    for field in fields:
+        data = field.encode("utf-8")
+        parts += (b"%d:" % len(data), data)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
 class BlockingBackend:
     """Inner backend that answers each prompt with ``answer to <prompt>``;
     a call for ``blocked`` waits until ``release`` is set (at most 5 s)."""
@@ -280,8 +293,46 @@ class TestCacheBackend:
             tag="routing",
         )
         assert cache_key(request, "gpt-4o-mini") == (
-            "e555ae2cdf770107ea2792abcabe99a1577f5005b1c74909574f87a53e6c2464"
+            "cdc5117ec998ea20fad5f3b66a846eb4087aff1a6493f5c21393ca04ddea242f"
         )
+
+    def test_key_equals_the_one_pass_reference(self):
+        """The cached head state leaves the key as the documented byte stream
+        hashes it, for any head shared or not, and from threads sharing one."""
+        rng = random.Random(11)
+        words = ["sys", "q", "é", "日本", "🦓", "", "a b", "{{tree}}", "1:2"]
+
+        def text():
+            return " ".join(rng.choice(words) for _ in range(rng.randrange(4)))
+
+        requests = [
+            CompletionRequest(
+                messages=[ChatMessage(rng.choice(["system", "user"]), text()) for _ in range(rng.randint(1, 3))],
+                temperature=rng.choice([0.0, 0.2, 0.5, 0.7, 1, 1.0]),
+                max_tokens=rng.choice([512, 2048]),
+                seed=rng.choice([None, 0, 1]),
+                tag=rng.choice(["routing", "solve"]),
+            )
+            for _ in range(300)
+        ]
+        for request in requests:
+            for model in ("m", "gpt-4o-mini", "é-model"):
+                assert cache_key(request, model) == reference_key(request, model)
+
+        head = [ChatMessage("system", "shared head é")]
+        shared = [
+            CompletionRequest(messages=head + [ChatMessage("user", f"q{i} 日本")] * (1 + i % 2))
+            for i in range(64)
+        ]
+        expected = [reference_key(request, "m") for request in shared]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(4):
+                    assert list(pool.map(lambda request: cache_key(request, "m"), shared)) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "first, second",
@@ -305,16 +356,19 @@ class TestCacheBackend:
         assert key(first) != key(second)
 
     def test_entry_is_result_line_then_request_line(self, tmp_path):
-        inner = ScriptedBackend({"check": ["Check Result: No error."]})
+        reply = "Check Result: No error é.\nLine two."
+        inner = ScriptedBackend({"check": [reply]})
         recorder = CacheBackend(inner, CacheMode.RECORD, tmp_path)
         request = dataclasses.replace(make_request("q", tag="check"), seed=1)
         recorder.complete(request)
 
         key = cache_key(request, "scripted")
-        lines = (tmp_path / f"{key}.json").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == [
-            {"result": {"text": "Check Result: No error.", "prompt_tokens": 2, "completion_tokens": 4}},
-            {
+        entry = (tmp_path / f"{key}.json").read_bytes()
+        text = reply.encode("utf-8")
+        assert entry.startswith(b"%d 2 7\n%s\n" % (len(text), text))
+        audit = entry[len(b"%d 2 7\n%s\n" % (len(text), text)):]
+        assert audit.endswith(b"\n") and audit.count(b"\n") == 1
+        assert json.loads(audit) == {
                 "request": {
                     "model": "scripted",
                     "messages": [["system", "sys"], ["user", "q"]],
@@ -323,30 +377,50 @@ class TestCacheBackend:
                     "seed": 1,
                     "tag": "check",
                 }
-            },
-        ]
+            }
         assert list(tmp_path.iterdir()) == [tmp_path / f"{key}.json"]
 
     def test_replay_reads_only_the_result_line(self, tmp_path):
+        """The request line is never parsed: the header and text are the entry."""
         request = make_request("q")
         path = tmp_path / f"{cache_key(request, 'scripted')}.json"
-        path.write_text('{"result": {"text": "stored", "prompt_tokens": 3}}\n', encoding="utf-8")
+        path.write_bytes(b'6 3 0\nstored\n{"request": not json at all\n')
         result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
         assert (result.text, result.prompt_tokens, result.completion_tokens) == ("stored", 3, 0)
 
     def test_result_line_longer_than_one_read_replays_whole(self, tmp_path):
-        text = "".join(chr(0x61 + i % 26) if i % 1000 else "é" for i in range(300_000))
+        request = make_request("q")
+        prompt_tokens = sum(len(m.content.split()) for m in request.messages)
+        size = 300_000
+        header = b"%d %d 1\n" % (size, prompt_tokens)
+        # "é" takes the last byte of the first read and the first of the next
+        at = backends._READ_SIZE - 1 - len(header)
+        text = "a" * at + "é" + "z" * (size - at - 2)
         recorder = CacheBackend(ScriptedBackend({"solve": [text]}), CacheMode.RECORD, tmp_path)
-        recorder.complete(make_request("q"))
-        result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(make_request("q"))
+        recorder.complete(request)
+        entry = (tmp_path / f"{cache_key(request, 'scripted')}.json").read_bytes()
+        assert entry.startswith(header)
+        assert entry[backends._READ_SIZE - 1:backends._READ_SIZE + 1] == "é".encode("utf-8")
+        result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
         assert result.text == text
 
     def test_entry_without_trailing_newline_replays(self, tmp_path):
         request = make_request("q")
         path = tmp_path / f"{cache_key(request, 'scripted')}.json"
-        path.write_text('{"result": {"text": "last line"}}', encoding="utf-8")
-        result = CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
-        assert (result.text, result.prompt_tokens) == ("last line", 0)
+        replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
+        for entry in (b'9 0 0\nlast line\n{"request": {"tag": "solve"}}', b"9 0 0\nlast line\n"):
+            path.write_bytes(entry)
+            result = replayer.complete(request)
+            assert (result.text, result.prompt_tokens) == ("last line", 0)
+
+    def test_format_2_store_misses(self, tmp_path):
+        request = make_request("q")
+        old_key = reference_key(request, "scripted", b"atomic-reasoner cache 2")
+        (tmp_path / f"{old_key}.json").write_text(
+            '{"result":{"text":"old","prompt_tokens":2,"completion_tokens":1}}\n', encoding="utf-8"
+        )
+        with pytest.raises(MalformedResponse, match="cache miss"):
+            CacheBackend(None, CacheMode.REPLAY, tmp_path).complete(request)
 
     def test_record_then_replay_identical(self, tmp_path):
         inner = ScriptedBackend({"solve": ["recorded answer"]})
@@ -487,11 +561,26 @@ class TestCacheBackend:
                 json.dumps({"request": {"tag": "solve"}, "result": {"text": "x"}}, sort_keys=True, indent=2),
                 id="format-1",
             ),
+            pytest.param(
+                '{"result":{"text":"x","prompt_tokens":1,"completion_tokens":1}}\n'
+                '{"request":{"model":"scripted","tag":"solve"}}\n',
+                id="format-2",
+            ),
+            pytest.param(b"one 2 3\nx\n", id="non-numeric-header"),
+            pytest.param(b"-1 2 3\nx\n", id="negative-header"),
+            pytest.param(b"1 2 -3\nx\n", id="negative-token-count"),
+            pytest.param(b"1 2\nx\n", id="header-missing-a-field"),
+            pytest.param(b"1 2 3", id="header-without-newline"),
+            pytest.param(b"5 2 3\nx\n", id="text-shorter-than-header"),
+            pytest.param(b"1000000000000 2 3\nx\n", id="text-far-shorter-than-header"),
+            pytest.param(b"1 2 3\nxy\n", id="text-longer-than-header"),
+            pytest.param(b"2 2 3\n\xc3\x28\n", id="text-not-utf-8"),
         ],
     )
     def test_corrupt_entry_is_malformed_response(self, tmp_path, entry):
         request = make_request("q")
-        (tmp_path / f"{cache_key(request, 'scripted')}.json").write_text(entry, encoding="utf-8")
+        path = tmp_path / f"{cache_key(request, 'scripted')}.json"
+        path.write_bytes(entry if isinstance(entry, bytes) else entry.encode("utf-8"))
         replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
         with pytest.raises(MalformedResponse, match="corrupt cache entry"):
             replayer.complete(request)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from atomic_reasoner import bench, puzzles, router, sop
+from atomic_reasoner import bench, cases, puzzles, router, sop
 from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.errors import EmptySuite
 from atomic_reasoner.model import GridSchema, MultipleChoice, Numeric
@@ -187,6 +187,14 @@ class TestRunBenchmark:
         backend = ScriptedBackend({"solve": "The correct answer is (A)"})
         report = bench.run_benchmark([task], "single-pass", backend, trials=2, workers=1)
         assert report.mean_success() == 1.0
+
+    def test_each_trial_replays_a_scripted_instance_from_the_start(self):
+        case1 = cases.load_case("case1")
+        backend = case1.backend()
+        report = bench.run_benchmark([case1.task], "ar", backend, trials=2, workers=1)
+        assert [r.verdict.failure for r in report.results] == [None, None]
+        assert report.mean_success() == 1.0
+        assert backend.calls == []  # each trial asked its own copy
 
     def test_backend_failure_becomes_verdict_not_crash(self):
         task = bench._task_from_record(mcq_record(), "mcq", "")

@@ -33,9 +33,10 @@ class TestTaxonomy:
     def test_thirteen_kinds_partitioned_3_6_4(self):
         kinds = list(ErrorKind)
         assert len(kinds) == 13
-        by_cat = {cat: [] for cat in ActionCategory}
-        for kind in kinds:
-            by_cat[checker.kind_category(kind)].append(kind)
+        by_cat = {model.category(action): checker.applicable_errors(action) for action in AtomicAction}
+        assert sorted(kind.name for cat_kinds in by_cat.values() for kind in cat_kinds) == sorted(
+            kind.name for kind in kinds
+        )
         assert len(by_cat[ActionCategory.PREMISE]) == 3
         assert len(by_cat[ActionCategory.REASONING]) == 6
         assert len(by_cat[ActionCategory.ENDING]) == 4

@@ -76,6 +76,20 @@ def test_backtracking_chain_numbers_steps_along_the_active_path():
     assert target == path[k - 1].id
 
 
+def test_backtracking_tree_and_chain_share_one_budget():
+    tree = session_tree(steps=20, content="first chain " + "q" * 400)
+    model.branch_at(tree, model.active_path(tree)[5].id)
+    for i in range(30):
+        model.append_node(tree, AtomicAction.PREMISE_SUMMARIZATION, "g", f"branch step {i} " + "w" * 400)
+    body = user_text(prompts.build_backtracking_prompt(tree))
+    shown_tree, rest = body.split("tree structure:\n\n", 1)[1].split("\n\nAmong them,", 1)
+    chain = rest.split("which is:\n\n", 1)[1].split("\n\n# Response format", 1)[0]
+    assert model.ELISION_MARKER in chain
+    assert len(STATEMENT) + len(shown_tree) + len(chain) <= prompts.RENDER_BUDGET
+    # the chain is rendered as if alone; the tree takes what it leaves
+    assert chain == model.render_steps(model.active_path(tree), prompts.RENDER_BUDGET - len(STATEMENT))
+
+
 def test_checker_reviews_a_node_off_the_active_path_as_its_next_step():
     tree = session_tree(steps=2)
     first, second = model.active_path(tree)
