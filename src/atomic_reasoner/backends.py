@@ -196,6 +196,8 @@ class HttpBackend:
     jitter), up to ``max_retries`` extra attempts.  At most
     ``max_concurrent`` requests are in flight; a caller sleeping through a
     backoff holds no slot.  API keys are read from the environment only.
+    ``close()`` closes the ``requests.Session`` the backend made itself; one
+    passed in stays open.
     """
 
     def __init__(
@@ -207,10 +209,15 @@ class HttpBackend:
     ):
         self.config = config
         self.model = config.model
+        self._owns_session = session is None
         self._session = session or requests.Session()
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._semaphore = threading.Semaphore(config.max_concurrent)
+
+    def close(self) -> None:
+        if self._owns_session:
+            self._session.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}

@@ -23,10 +23,7 @@ class CaseFixture:
 
     def backend(self) -> ScriptedBackend:
         """A fresh scripted backend positioned at the start of the recording."""
-        return ScriptedBackend(
-            {tag: list(queue) if isinstance(queue, list) else queue
-             for tag, queue in self.script.items()}
-        )
+        return ScriptedBackend(self.script)
 
 
 def load_case(name: str) -> CaseFixture:

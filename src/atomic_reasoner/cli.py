@@ -125,6 +125,13 @@ def _build_backend(args):
     return backend
 
 
+def _close_http(backend) -> None:
+    """Close the HTTP backend ``_build_backend`` made, bare or under a cache."""
+    inner = getattr(backend, "inner", backend)
+    if isinstance(inner, HttpBackend):
+        inner.close()
+
+
 def _session_config(args) -> router.SessionConfig:
     return router.SessionConfig(
         max_rounds=args.max_rounds, max_chains=args.max_chains, checker_mode=args.checker_mode
@@ -169,13 +176,16 @@ def _write_trace(out: Path, problem_id: str, tree, correct: Optional[bool], suit
 def cmd_solve(args) -> int:
     problem, task = _read_problem(args)
     backend = _build_backend(args)
-    out = _out_dir(args)
-    tree, final = router.run_session(
-        problem,
-        config=_session_config(args),
-        backends=backend,
-        sop_registry=_sop_registry(args),
-    )
+    try:
+        out = _out_dir(args)
+        tree, final = router.run_session(
+            problem,
+            config=_session_config(args),
+            backends=backend,
+            sop_registry=_sop_registry(args),
+        )
+    finally:
+        _close_http(backend)
     correct = None
     if task is not None:
         correct = bench_mod.score(task, final.text).correct
@@ -199,17 +209,20 @@ def cmd_bench(args) -> int:
         backend = lambda task: _build_backend(args)  # noqa: E731
     else:
         backend = _build_backend(args)
-    out = _out_dir(args)
-    report = bench_mod.run_benchmark(
-        tasks,
-        strategy=args.strategy,
-        backend=backend,
-        trials=args.trials,
-        workers=args.workers,
-        session_config=_session_config(args),
-        sop_registry=_sop_registry(args),
-        suite=Path(args.suite).stem,
-    )
+    try:
+        out = _out_dir(args)
+        report = bench_mod.run_benchmark(
+            tasks,
+            strategy=args.strategy,
+            backend=backend,
+            trials=args.trials,
+            workers=args.workers,
+            session_config=_session_config(args),
+            sop_registry=_sop_registry(args),
+            suite=Path(args.suite).stem,
+        )
+    finally:
+        _close_http(backend)
     payload = report.to_json(tasks)
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     for name, value in payload["aggregates"].items():

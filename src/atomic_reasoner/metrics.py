@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
 from . import model
 from .errors import DimensionMismatch, InvalidDistribution, ParseError
@@ -288,34 +288,22 @@ class ScoredTrace:
     suite: str = ""
 
 
-def linearize_final_path(tree: AtomicTree) -> str:
-    """The terminating chain's ancestry, root to tip, one line per step;
-    revised content already replaced the originals in place."""
-    return model.render_steps(model.active_path(tree))
-
-
-def to_sft_records(
-    traces: Iterable[Union[ScoredTrace, AtomicTree]],
-    filter: str = "correct_only",
-    max_chars: Optional[int] = None,
-) -> list[SftRecord]:
+def to_sft_records(traces: Iterable[ScoredTrace], filter: str = "correct_only") -> list[SftRecord]:
     """Export terminated, scored traces as instruction/reasoning/answer
-    records.  ``filter`` is 'all' or 'correct_only'; ``max_chars`` drops
-    records whose reasoning exceeds a character budget."""
+    records.  ``filter`` is 'all' or 'correct_only'.  The reasoning is the
+    terminating chain's ancestry, root to tip, one line per step; revised
+    content already replaced the originals in place."""
     if filter not in ("all", "correct_only"):
         raise ValueError("filter must be 'all' or 'correct_only'")
     records = []
-    for entry in traces:
-        scored = entry if isinstance(entry, ScoredTrace) else ScoredTrace(entry, correct=True)
+    for scored in traces:
         tree = scored.tree
         if tree.terminated is None:
             continue
         if filter == "correct_only" and not scored.correct:
             continue
-        reasoning = linearize_final_path(tree)
+        reasoning = model.render_steps(model.active_path(tree))
         if not reasoning.strip() or not tree.terminated.final_answer.strip():
-            continue
-        if max_chars is not None and len(reasoning) > max_chars:
             continue
         records.append(
             SftRecord(

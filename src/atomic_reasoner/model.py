@@ -319,6 +319,32 @@ def format_step(step: int, node: Node) -> str:
     return f"Step {step} ({node.action.value}): {node.content}"
 
 
+def _elide(
+    lines: list[str], runs: Iterable[Iterable[int]], budget: Optional[int]
+) -> tuple[str, bool]:
+    """Fit ``lines`` into ``budget`` characters by dropping the indices of
+    ``runs`` in order; one ELISION_MARKER stands where each run's first
+    dropped line was.  Returns the text and whether it fits."""
+    text = "\n".join(lines)
+    size = len(text)
+    if budget is None or size <= budget:
+        return text, True
+    kept: list[Optional[str]] = list(lines)
+    for run in runs:
+        first = None
+        for i in run:
+            if size <= budget:
+                break
+            if first is None:
+                first = i
+                size += len(ELISION_MARKER) + 1
+            size -= len(lines[i]) + 1
+            kept[i] = None
+        if first is not None:
+            kept[first] = ELISION_MARKER
+    return "\n".join([line for line in kept if line is not None]), size <= budget
+
+
 def render_steps(
     nodes: Iterable[Node], budget: Optional[int] = None, focus: Optional[Node] = None
 ) -> str:
@@ -328,35 +354,18 @@ def render_steps(
     Under a character budget, steps are dropped oldest-first, never
     ``focus``, and one elision marker stands where the first dropped step
     was; the other steps keep their numbers.  When every other step is gone
-    and the text still exceeds the budget, only ``focus`` is returned (the
-    empty string without one).
+    and the text still exceeds the budget, only ``focus`` is returned, since
+    the checker must see the step it reviews (the empty string without one).
     """
     nodes = list(nodes)
     lines = [format_step(step, node) for step, node in enumerate(nodes, start=1)]
     at = next((i for i, n in enumerate(nodes) if focus is not None and n.id == focus.id), None)
     if at is not None:
         lines[at] += REVIEW_MARK
-    text = "\n".join(lines)
-    if budget is None or len(text) <= budget:
+    text, fits = _elide(lines, [(i for i in range(len(lines)) if i != at)], budget)
+    if fits:
         return text
-
-    size = len(text) + len(ELISION_MARKER) + 1
-    dropped: list[int] = []
-    for i, line in enumerate(lines):
-        if i == at:
-            continue
-        dropped.append(i)
-        size -= len(line) + 1
-        if size <= budget:
-            break
-    else:
-        return lines[at] if at is not None else ""
-    gone = set(dropped)
-    return "\n".join(
-        ELISION_MARKER if i == dropped[0] else line
-        for i, line in enumerate(lines)
-        if i == dropped[0] or i not in gone
-    )
+    return lines[at] if at is not None else ""
 
 
 def _render_node(step: int, node: Node) -> str:
@@ -383,12 +392,13 @@ def render_tree(tree: AtomicTree, budget: Optional[int] = None) -> str:
     summary when present.  Under a character budget, nodes are dropped
     oldest-first (non-active chains first), each truncated chain showing one
     elision marker; the active chain never drops below its last
-    ACTIVE_CHAIN_KEEP nodes.  If that is still too long, the head is cut.
+    ACTIVE_CHAIN_KEEP nodes.  If that is still too long, the outline is the
+    empty string.
     """
     lines: list[str] = []
-    # Droppable node lines per chain: (is the active chain, first, end) over
-    # ``lines``; sorted, that is the drop order.
-    ranges: list[tuple[bool, int, int]] = []
+    # Droppable node lines per chain, non-active chains first: the drop order.
+    runs: list[range] = []
+    active_run = range(0)
     for ordinal, (cid, chain) in enumerate(tree.chains.items(), start=1):
         if lines:
             lines.append("")
@@ -398,28 +408,9 @@ def render_tree(tree: AtomicTree, budget: Optional[int] = None) -> str:
             continue
         first = len(lines)
         lines.extend(_render_node(i, tree.nodes[n]) for i, n in enumerate(chain.node_ids, start=1))
-        active = cid == tree.active_chain_id
-        end = len(lines) - (ACTIVE_CHAIN_KEEP if active else 0)
-        ranges.append((active, first, max(first, end)))
-    text = "\n".join(lines)
-    if budget is None or len(text) <= budget:
-        return text
-
-    # One pass over the line lengths; ``size`` tracks the truncated length.
-    size = len(text)
-    cuts: dict[int, int] = {}  # first line of a truncated chain -> lines elided
-    for _, first, end in sorted(ranges):
-        for i in range(first, end):
-            if size <= budget:
-                break
-            if i == first:
-                size += len(ELISION_MARKER) + 1
-            size -= len(lines[i]) + 1
-            cuts[first] = i + 1 - first
-    for first, count in sorted(cuts.items(), reverse=True):
-        lines[first:first + count] = [ELISION_MARKER]
-    text = "\n".join(lines)
-    if size <= budget:
-        return text
-    # Everything droppable is gone; hard-cut the head as a last resort.
-    return text[-budget:] if budget > 0 else ""
+        if cid == tree.active_chain_id:
+            active_run = range(first, len(lines) - ACTIVE_CHAIN_KEEP)
+        else:
+            runs.append(range(first, len(lines)))
+    text, fits = _elide(lines, runs + [active_run], budget)
+    return text if fits else ""

@@ -135,13 +135,8 @@ def load_sops(path: Union[str, Path]) -> SopRegistry:
 
 def builtin_registry() -> SopRegistry:
     """The two shipped SOPs (science, logic) plus the default."""
-    root = resources.files("atomic_reasoner").joinpath("data").joinpath("sops")
-    sops: dict[str, Sop] = {}
-    for file in sorted(root.iterdir()):
-        if file.name.endswith(".sop"):
-            sop = parse_sop(file.read_text(encoding="utf-8"), source=file.name)
-            sops[sop.domain] = sop
-    return SopRegistry(sops=sops, default=sops[DEFAULT_DOMAIN])
+    with resources.as_file(resources.files("atomic_reasoner") / "data" / "sops") as root:
+        return load_sops(root)
 
 
 # --- triage -------------------------------------------------------------------

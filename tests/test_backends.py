@@ -83,21 +83,26 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.script = []
     server.requests = []
+    server.backends = []  # every backend make_http_backend built against it
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
+    for backend in server.backends:
+        backend.close()
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
-def make_http_backend(server, **overrides):
+def make_http_backend(server, sleep=None, **overrides):
     sleeps = []
     config = HttpConfig(
         base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
         model="stub-model",
         **overrides,
     )
-    backend = HttpBackend(config, sleep=sleeps.append, rng=random.Random(0))
+    backend = HttpBackend(config, sleep=sleep or sleeps.append, rng=random.Random(0))
+    server.backends.append(backend)
     return backend, sleeps
 
 
@@ -216,15 +221,22 @@ class TestHttpBackend:
             caller.join(timeout=5)
             second["finished_during_backoff"] = not caller.is_alive()
 
-        config = HttpConfig(
-            base_url=f"http://127.0.0.1:{stub_server.server_address[1]}/v1",
-            model="stub-model",
-            max_concurrent=1,
-        )
-        backend = HttpBackend(config, sleep=sleep, rng=random.Random(0))
+        backend, _ = make_http_backend(stub_server, sleep=sleep, max_concurrent=1)
         assert backend.complete(make_request()).text == "first"
         assert second["finished_during_backoff"]
         assert second["result"].text == "second"
+
+    def test_close_closes_only_a_session_it_made(self, monkeypatch):
+        closed = []
+        config = HttpConfig(base_url="http://127.0.0.1:9/v1", model="stub-model")
+        given = backends.requests.Session()
+        monkeypatch.setattr(given, "close", lambda: closed.append("given"))
+        HttpBackend(config, session=given).close()
+        assert closed == []
+        own = HttpBackend(config)
+        monkeypatch.setattr(own._session, "close", lambda: closed.append("own"))
+        own.close()
+        assert closed == ["own"]
 
     def test_api_key_header_from_env(self, stub_server, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-unit-test")

@@ -85,6 +85,28 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cache", ["off", "record"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_http_backend_closed_when_the_command_ends(self, tmp_path, monkeypatch, command, cache):
+        from atomic_reasoner.errors import AuthError
+
+        closed = []
+        close = cli.HttpBackend.close
+
+        def refuse(self, request):
+            raise AuthError("auth failed with status 401")
+
+        monkeypatch.setattr(cli.HttpBackend, "complete", refuse)
+        monkeypatch.setattr(cli.HttpBackend, "close", lambda self: (closed.append(self), close(self)))
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({"id": "t", "statement": "what is 2+2?", "gold": "4"}) + "\n")
+        args = [str(suite), "--format", "numeric", "--trials", "1"] if command == "bench" else [str(suite)]
+        run_cli(
+            [command, *args, "--backend", "http", "--base-url", "http://127.0.0.1:9/v1",
+             "--cache", cache, "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "o")]
+        )
+        assert len(closed) == 1
+
 
 class TestSolve:
     def test_case1_solve_prints_final_answer_last(self, case_files, tmp_path, capsys):

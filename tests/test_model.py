@@ -195,7 +195,7 @@ def _reference_render_tree(tree, budget=None):
         text = build()
         if len(text) <= budget:
             return text
-    return text[-budget:] if budget > 0 else ""
+    return ""
 
 
 def _random_rendered_tree(rng):
@@ -237,7 +237,19 @@ def test_render_tree_budget_zero_is_empty():
     model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "first step")
     assert model.render_tree(tree, 0) == ""
     assert model.render_tree(tree, -1) == ""
-    assert len(model.render_tree(tree, 1)) == 1
+    assert model.render_tree(tree, 1) == ""
+
+
+def test_render_tree_cuts_only_at_line_boundaries():
+    rng = random.Random(11)
+    for _ in range(300):
+        tree = _random_rendered_tree(rng)
+        whole = set(model.render_tree(tree).splitlines()) | {model.ELISION_MARKER, ""}
+        full = len(model.render_tree(tree))
+        for budget in [0, 1, full - 1, full] + [rng.randrange(0, full + 2) for _ in range(8)]:
+            text = model.render_tree(tree, budget)
+            assert len(text) <= max(budget, 0), budget
+            assert set(text.splitlines()) <= whole, budget
 
 
 def test_render_tree_omits_the_statement():

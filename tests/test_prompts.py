@@ -85,6 +85,8 @@ def test_backtracking_tree_and_chain_share_one_budget():
     shown_tree, rest = body.split("tree structure:\n\n", 1)[1].split("\n\nAmong them,", 1)
     chain = rest.split("which is:\n\n", 1)[1].split("\n\n# Response format", 1)[0]
     assert model.ELISION_MARKER in chain
+    # a tree that cannot keep its last steps whole is left out, never cut mid-step
+    assert shown_tree == "" or shown_tree.startswith("Chain ")
     assert len(STATEMENT) + len(shown_tree) + len(chain) <= prompts.RENDER_BUDGET
     # the chain is rendered as if alone; the tree takes what it leaves
     assert chain == model.render_steps(model.active_path(tree), prompts.RENDER_BUDGET - len(STATEMENT))
