@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .model import GridSchema, MultipleChoice
@@ -18,13 +19,17 @@ _MCQ_PATTERN = re.compile(
     re.IGNORECASE,
 )
 _PAREN_LETTER = re.compile(r"\(([A-Za-z])\)")
+_OPTION_LABEL = re.compile(r"\s*\(?([A-Za-z])\)?")
+_SEPARATORS = re.compile(r"[\s\-]+")
+_HOUSE_LINE = re.compile(r"house\s*(\d+)\s*:\s*(.*)", re.IGNORECASE)
+_PARENTHESIZED = re.compile(r"\(([^)]*)\)")
 
 
 def option_letters(schema: MultipleChoice) -> list[str]:
     """Option labels: the leading letter of each option entry."""
     letters = []
     for opt in schema.options:
-        match = re.match(r"\s*\(?([A-Za-z])\)?", opt)
+        match = _OPTION_LABEL.match(opt)
         letters.append(match.group(1).upper() if match else opt[:1].upper())
     return letters
 
@@ -47,7 +52,13 @@ def extract_mcq(text: str, options: list[str]) -> Optional[str]:
 
 
 def _normalize_token(token: str) -> str:
-    return re.sub(r"[\s\-]+", " ", token.strip().lower())
+    return _SEPARATORS.sub(" ", token.strip().lower())
+
+
+@lru_cache(maxsize=64)
+def _vocabulary(schema: GridSchema) -> dict[str, dict[str, str]]:
+    """Each attribute's values keyed by their normalized token; shared, never updated."""
+    return {attr: {_normalize_token(v): v for v in values} for attr, values in schema.attributes}
 
 
 def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[str]]]:
@@ -67,22 +78,18 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
         return grid
     block = text[idx + len("solution:"):]
 
-    vocab = {
-        attr: {_normalize_token(v): v for v in values}
-        for attr, values in schema.attributes
-    }
+    vocab = _vocabulary(schema)
     attrs = schema.attribute_names
 
-    line_re = re.compile(r"house\s*(\d+)\s*:\s*(.*)", re.IGNORECASE)
     for raw in block.splitlines():
-        match = line_re.search(raw.strip().lstrip("-* ").strip())
+        match = _HOUSE_LINE.search(raw.strip().lstrip("-* ").strip())
         if not match:
             continue
         house = int(match.group(1))
         if house not in grid:
             continue
         rest = match.group(2).strip()
-        paren = re.search(r"\(([^)]*)\)", rest)
+        paren = _PARENTHESIZED.search(rest)
         leading = rest[: paren.start()].strip() if paren else rest
         tokens = [leading] if leading else []
         if paren:
@@ -111,6 +118,8 @@ def format_grid_answer(schema: GridSchema, grid: dict[int, dict[str, str]]) -> s
 
 
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
+_NUMBER = re.compile(r"-?\+?\d+(?:\.\d+)?(?:/\d+)?")
+_WHOLE_NUMBER = re.compile(r"[+\-]?\d+(?:\.\d+)?(?:/\d+)?")
 
 
 def normalize_numeric(text: str) -> Optional[str]:
@@ -121,8 +130,8 @@ def normalize_numeric(text: str) -> Optional[str]:
     if boxed:
         candidate = boxed[-1].strip()
     else:
-        numbers = re.findall(r"-?\+?\d+(?:\.\d+)?(?:/\d+)?", candidate)
-        if candidate and re.fullmatch(r"[+\-]?\d+(?:\.\d+)?(?:/\d+)?", candidate):
+        numbers = _NUMBER.findall(candidate)
+        if candidate and _WHOLE_NUMBER.fullmatch(candidate):
             numbers = [candidate]
         if not numbers:
             return None

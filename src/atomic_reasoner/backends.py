@@ -330,7 +330,8 @@ CACHE_FORMAT = b"atomic-reasoner cache 3"
 def _hash_fields(state, fields) -> None:
     for field in fields:
         data = field.encode("utf-8")
-        state.update(b"%d:%s" % (len(data), data))
+        state.update(b"%d:" % len(data))
+        state.update(data)
 
 
 @functools.lru_cache(maxsize=256, typed=True)

@@ -159,19 +159,39 @@ for _kind in ErrorKind:
 _KIND_LOOKUP[_normalize_kind_token("Expression Inconsistencies")] = ErrorKind.EXPRESSION_INCONSISTENCY
 _KIND_LOOKUP[_normalize_kind_token("Conclusion Errors")] = ErrorKind.CONCLUSION_ERROR
 
-_RESULT_LINE = re.compile(r"check\s+result\s*[:\-]\s*(.+)", re.IGNORECASE)
-_TYPE_LINE = re.compile(r"error\s+type\s*[:\-]\s*(.+)", re.IGNORECASE)
-_SUGGESTION_LINE = re.compile(r"suggestion\s*[:\-]\s*(.+)", re.IGNORECASE)
+# Each field's pattern compiled IGNORECASE for any reply, and as is for the
+# lowered copy of an ASCII reply: that scan is several times cheaper, and
+# lowering ASCII keeps every offset, so values are sliced from the original.
+def _field(source: str) -> tuple[re.Pattern, re.Pattern]:
+    return re.compile(source, re.IGNORECASE), re.compile(source)
+
+
+_RESULT_LINE = _field(r"check\s+result\s*[:\-]\s*(.+)")
+_TYPE_LINE = _field(r"error\s+type\s*[:\-]\s*(.+)")
+_SUGGESTION_LINE = _field(r"suggestion\s*[:\-]\s*(.+)")
+
+# The prose scan's token for each kind of a category.
+_PROSE_TOKENS = {
+    cat: [(k, _normalize_kind_token(_human_name(k))) for k in ErrorKind if _KIND_CATEGORY[k] is cat]
+    for cat in ActionCategory
+}
+
+
+def _values(field: tuple[re.Pattern, re.Pattern], text: str, lower: Optional[str]) -> list[str]:
+    """Group 1 of each ``field`` match in ``text``; ``lower`` is the lowered
+    copy of an ASCII ``text``, or None."""
+    if lower is None:
+        return [match.group(1) for match in field[0].finditer(text)]
+    return [text[match.start(1) : match.end(1)] for match in field[1].finditer(lower)]
 
 
 def parse_check_response(text: str, action: AtomicAction) -> Optional[CheckReport]:
     """Parse a checker response; None when no verdict line is present."""
-    verdict_match = None
-    for match in _RESULT_LINE.finditer(text):
-        verdict_match = match
-    if verdict_match is None:
+    lower = text.lower() if text.isascii() else None
+    verdicts = _values(_RESULT_LINE, text, lower)
+    if not verdicts:
         return None
-    verdict_text = verdict_match.group(1).strip().strip("*. ").lower()
+    verdict_text = verdicts[-1].strip().strip("*. ").lower()
     if verdict_text.startswith("no error"):
         return CheckReport(verdict="NoError", rationale=text.strip())
 
@@ -179,30 +199,25 @@ def parse_check_response(text: str, action: AtomicAction) -> Optional[CheckRepor
     # checker may legitimately flag, say, a sorting problem while reviewing a
     # verification step.  The looser prose scan below stays restricted to the
     # action's own category.
-    allowed = set(applicable_errors(action))
     kinds: list[ErrorKind] = []
-    for match in _TYPE_LINE.finditer(text):
-        token = _normalize_kind_token(match.group(1).strip().strip("*."))
-        kind = _KIND_LOOKUP.get(token)
+    for value in _values(_TYPE_LINE, text, lower):
+        kind = _KIND_LOOKUP.get(_normalize_kind_token(value.strip().strip("*.")))
         if kind is not None and kind not in kinds:
             kinds.append(kind)
+    cat = model.category(action)
     if not kinds:
         # Scan prose for any applicable kind name.
         body = _normalize_kind_token(text)
-        for kind in allowed:
-            if _normalize_kind_token(_human_name(kind)) in body:
-                kinds.append(kind)
+        kinds = [kind for kind, token in _PROSE_TOKENS[cat] if token in body]
     if not kinds:
-        kinds = [_CATEGORY_DEFAULT[model.category(action)]]
+        kinds = [_CATEGORY_DEFAULT[cat]]
 
-    suggestion = None
-    for match in _SUGGESTION_LINE.finditer(text):
-        suggestion = match.group(1).strip()
+    suggestions = _values(_SUGGESTION_LINE, text, lower)
     return CheckReport(
         verdict="Error",
         kinds=[k.value for k in sorted(kinds, key=lambda k: k.value)],
         rationale=text.strip(),
-        suggestion=suggestion,
+        suggestion=suggestions[-1].strip() if suggestions else None,
     )
 
 

@@ -104,15 +104,20 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _build_backend(args):
+def _read_script(args):
+    if not args.script:
+        raise UsageError("--backend scripted requires --script")
+    return json.loads(Path(args.script).read_text(encoding="utf-8"))
+
+
+def _build_backend(args, script=None):
+    """The backend chain the flags name; ``script`` is the parsed --script
+    file, read here when not given."""
     if args.backend == "replay":  # serve recorded responses only, no inner backend
         backend = CacheBackend(None, CacheMode.REPLAY, args.cache_dir)
     else:
         if args.backend == "scripted":
-            if not args.script:
-                raise UsageError("--backend scripted requires --script")
-            script = json.loads(Path(args.script).read_text(encoding="utf-8"))
-            inner = ScriptedBackend(script)
+            inner = ScriptedBackend(_read_script(args) if script is None else script)
         else:
             inner = HttpBackend(
                 HttpConfig(base_url=args.base_url, model=args.model, api_key_env=args.api_key_env)
@@ -176,6 +181,7 @@ def _write_trace(out: Path, problem_id: str, tree, correct: Optional[bool], suit
 def cmd_solve(args) -> int:
     problem, task = _read_problem(args)
     backend = _build_backend(args)
+    suite = task.suite if task is not None else ""
     try:
         out = _out_dir(args)
         tree, final = router.run_session(
@@ -184,12 +190,16 @@ def cmd_solve(args) -> int:
             backends=backend,
             sop_registry=_sop_registry(args),
         )
+    except BackendFailure as exc:
+        # Keep the partial trace; main() reports the failure and exits 2.
+        _write_trace(out, problem.id, exc.tree, False if task is not None else None, suite)
+        raise
     finally:
         _close_http(backend)
     correct = None
     if task is not None:
         correct = bench_mod.score(task, final.text).correct
-    _write_trace(out, problem.id, tree, correct, task.suite if task else "")
+    _write_trace(out, problem.id, tree, correct, suite)
     (out / "answer.txt").write_text(final.text + "\n", encoding="utf-8")
     print(f"rounds: {model.round_count(tree)}  chains: {len(tree.chains)}")
     print(final.text)
@@ -203,10 +213,12 @@ def cmd_bench(args) -> int:
     if not tasks:
         raise UsageError("suite contains no valid tasks")
     if args.backend == "scripted" and args.cache != "record":
-        # A script is used up as it answers: every (task, trial) gets its own.
-        # Recording keeps one chain, so concurrent trials share one
-        # single-flight layer and pop the script once per stored key.
-        backend = lambda task: _build_backend(args)  # noqa: E731
+        # A script is used up as it answers: every (task, trial) gets its own
+        # copy of the file, which is read once.  Recording keeps one chain, so
+        # concurrent trials share one single-flight layer and pop the script
+        # once per stored key.
+        script = _read_script(args)
+        backend = lambda task: _build_backend(args, script)  # noqa: E731
     else:
         backend = _build_backend(args)
     try:

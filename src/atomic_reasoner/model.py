@@ -59,16 +59,17 @@ def category(action: AtomicAction) -> ActionCategory:
     return _CATEGORY[action]
 
 
+# Action names by lower-cased value; no value holds "_", so dropping them
+# accepts the snake_case spellings used by SOP files too.
+_ACTION_BY_NAME = {action.value.lower(): action for action in AtomicAction}
+
+
 def parse_action(name: str) -> AtomicAction:
     """Parse an action name; the enumeration is closed."""
-    cleaned = name.strip()
-    for action in AtomicAction:
-        if cleaned.lower() == action.value.lower():
-            return action
-        # Accept snake_case spellings used by SOP files.
-        if cleaned.lower().replace("_", "") == action.value.lower():
-            return action
-    raise UnknownAction(f"unknown atomic action: {name!r}")
+    action = _ACTION_BY_NAME.get(name.strip().lower().replace("_", ""))
+    if action is None:
+        raise UnknownAction(f"unknown atomic action: {name!r}")
+    return action
 
 
 # --- answer schemas ---------------------------------------------------------
@@ -249,10 +250,8 @@ def _active_segments(tree: AtomicTree) -> Iterator[tuple[Chain, list[str]]]:
 
 def active_path(tree: AtomicTree) -> list[Node]:
     """Nodes from the root to the tip of the active chain, in order."""
-    path: list[Node] = []
-    for _, ids in reversed(list(_active_segments(tree))):
-        path.extend(tree.nodes[nid] for nid in ids)
-    return path
+    nodes = tree.nodes
+    return [nodes[nid] for _, ids in reversed(list(_active_segments(tree))) for nid in ids]
 
 
 def append_node(tree: AtomicTree, action: AtomicAction, guidance: str, content: str) -> str:
@@ -316,7 +315,9 @@ def set_termination(tree: AtomicTree, mode: TerminationMode, final_answer: str) 
 
 def format_step(step: int, node: Node) -> str:
     """The one-line form of a step that every prompt and export shares."""
-    return f"Step {step} ({node.action.value}): {node.content}"
+    # ``_value_`` is the member's stored value; ``.value`` costs a Python-level
+    # property call on every read.
+    return f"Step {step} ({node.action._value_}): {node.content}"
 
 
 def _elide(
@@ -357,11 +358,14 @@ def render_steps(
     and the text still exceeds the budget, only ``focus`` is returned, since
     the checker must see the step it reviews (the empty string without one).
     """
-    nodes = list(nodes)
-    lines = [format_step(step, node) for step, node in enumerate(nodes, start=1)]
-    at = next((i for i, n in enumerate(nodes) if focus is not None and n.id == focus.id), None)
-    if at is not None:
-        lines[at] += REVIEW_MARK
+    focus_id = focus.id if focus is not None else None
+    lines: list[str] = []
+    at = None
+    for step, node in enumerate(nodes, start=1):
+        lines.append(format_step(step, node))
+        if node.id == focus_id and at is None:
+            at = step - 1
+            lines[at] += REVIEW_MARK
     text, fits = _elide(lines, [(i for i in range(len(lines)) if i != at)], budget)
     if fits:
         return text
@@ -376,7 +380,7 @@ def _render_node(step: int, node: Node) -> str:
 
 
 def _chain_header(tree: AtomicTree, chain: Chain, ordinal: int) -> str:
-    header = f"Chain {ordinal} [{chain.status.value}]"
+    header = f"Chain {ordinal} [{chain.status._value_}]"
     if chain.parent is not None:
         parent_id, index = chain.parent
         parent_ord = list(tree.chains).index(parent_id) + 1

@@ -85,10 +85,30 @@ class SessionConfig:
 
 # --- routing-response parsing ---------------------------------------------------
 
-_ACTION_LINE = re.compile(r"^\s*\**ACTION\s*[:\-]\s*(.+?)\s*\**$", re.IGNORECASE | re.MULTILINE)
-_GUIDANCE_LINE = re.compile(r"^\s*\**GUIDANCE\s*[:\-]\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE)
-_TARGET_LINE = re.compile(r"^\s*\**TARGET\s*[:\-]\s*(?:Step\s*)?(\d+)\s*\**\s*$", re.IGNORECASE | re.MULTILINE)
-_REASON_LINE = re.compile(r"^\s*\**REASON\s*[:\-]\s*(.+?)\s*\**$", re.IGNORECASE | re.MULTILINE)
+# A field's value is the rest of its own line (``[^\S\n]`` is whitespace other
+# than a newline); an empty value is no value.
+def _field(name: str, value: str = "(.*)") -> re.Pattern:
+    return re.compile(rf"^[^\S\n]*\**{name}[^\S\n]*[:\-][^\S\n]*{value}$", re.IGNORECASE | re.MULTILINE)
+
+
+_ACTION_LINE = _field("ACTION")
+_GUIDANCE_LINE = _field("GUIDANCE")
+_TARGET_LINE = _field("TARGET", r"(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*")
+_REASON_LINE = _field("REASON")
+
+
+def _last_line(pattern: re.Pattern, text: str) -> Optional[re.Match]:
+    """``pattern``'s match on the last line of ``text`` it matches, walking
+    lines from the end: the footer is read without scanning the reasoning."""
+    stop = len(text)
+    while stop >= 0:
+        start = text.rfind("\n", 0, stop) + 1
+        match = pattern.match(text, start, stop)
+        if match:
+            return match
+        stop = start - 1
+    return None
+
 
 FALLBACK_GUIDANCE = (
     "Restate and organize all premises gathered so far, grouping related clues "
@@ -105,10 +125,11 @@ class RoutingProposal:
 
 def parse_routing_response(text: str) -> Optional[RoutingProposal]:
     """Parse the ACTION/GUIDANCE footer; None when no ACTION line parses."""
-    matches = list(_ACTION_LINE.finditer(text))
-    if not matches:
+    match = _last_line(_ACTION_LINE, text)
+    if match is None:
         return None
-    raw_action = matches[-1].group(1).strip().strip("*").strip()
+    # Trailing stars go before trailing spaces, as in ``**ACTION: X* **``.
+    raw_action = match.group(1).rstrip("*").strip().strip("*").strip()
     guidance = parse_guidance_only(text) or ""
 
     normalized = raw_action.upper().replace(" ", "")
@@ -128,10 +149,10 @@ def parse_routing_response(text: str) -> Optional[RoutingProposal]:
 
 
 def parse_guidance_only(text: str) -> Optional[str]:
-    matches = list(_GUIDANCE_LINE.finditer(text))
-    if matches:
-        return matches[-1].group(1).strip().strip("*").strip()
-    return None
+    match = _last_line(_GUIDANCE_LINE, text)
+    if match is None:
+        return None
+    return match.group(1).strip().strip("*").strip() or None
 
 
 # --- decision logic -------------------------------------------------------------
@@ -279,16 +300,16 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     path = model.active_path(tree)
 
     def parse_target(text: str) -> Optional[tuple[str, BacktrackReason]]:
-        target_match = list(_TARGET_LINE.finditer(text))
-        if not target_match:
+        target_match = _last_line(_TARGET_LINE, text)
+        if target_match is None:
             return None
-        step = int(target_match[-1].group(1))
+        step = int(target_match.group(1))
         if not 1 <= step <= len(path):
             return None
         reason = BacktrackReason.KEY_NODE
-        reason_match = list(_REASON_LINE.finditer(text))
-        if reason_match:
-            token = re.sub(r"[^a-z]", "", reason_match[-1].group(1).lower())
+        reason_match = _last_line(_REASON_LINE, text)
+        if reason_match is not None:
+            token = re.sub(r"[^a-z]", "", reason_match.group(1).lower())
             for candidate in BacktrackReason:
                 if re.sub(r"[^a-z]", "", candidate.value.lower()) == token:
                     reason = candidate

@@ -125,6 +125,27 @@ class TestSolve:
         answer = (out / "answer.txt").read_text(encoding="utf-8")
         assert answer.rstrip().endswith("second from the right.")
 
+    @pytest.mark.parametrize("as_task", [True, False])
+    def test_backend_failure_keeps_the_partial_trace(self, case_files, tmp_path, capsys, as_task):
+        from atomic_reasoner import metrics
+
+        task_path, _ = case_files("case1")
+        problem = task_path
+        if not as_task:
+            problem = tmp_path / "case1.txt"
+            problem.write_text("Which bird is second from the right?", encoding="utf-8")
+        script = tmp_path / "one-reply.json"
+        script.write_text(json.dumps({"routing": ["ACTION: PremiseDiscovery\nGUIDANCE: g"]}))
+        out = tmp_path / "run"
+        code = run_cli(["solve", str(problem), "--script", str(script), "--out", str(out)])
+        assert code == 2
+        assert "backend failure" in capsys.readouterr().err
+        tree = metrics.deserialize_trace((out / "case1.trace.json").read_text(encoding="utf-8"))
+        assert tree.terminated is None and len(tree.nodes) == 0
+        meta = json.loads((out / "case1.meta.json").read_text(encoding="utf-8"))
+        assert meta == ({"correct": False, "suite": "case-studies"} if as_task else {"correct": None, "suite": ""})
+        assert not (out / "answer.txt").exists()
+
     def test_trace_files_stay_inside_out(self, case_files, tmp_path):
         task_path, script_path = case_files("case1")
         record = json.loads(task_path.read_text(encoding="utf-8"))
@@ -289,6 +310,27 @@ class TestBench:
             ("t2", 1, True),
             ("t2", 2, True),
         ]
+
+    def test_scripted_bench_reads_the_script_once(self, case_files, tmp_path, monkeypatch):
+        _, script_path, suite = self._case1_suite(case_files, tmp_path, ["t1", "t2"])
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            if self == script_path:
+                reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        out = tmp_path / "bench-out"
+        code = run_cli(
+            ["bench", str(suite), "--format", "mcq", "--trials", "2", "--workers", "1",
+             "--script", str(script_path), "--out", str(out)]
+        )
+        assert code == 0
+        results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+        assert [r["correct"] for r in results] == [True] * 4
+        assert len(reads) == 1
 
     def test_scripted_trials_recording_side_by_side_store_each_answer_once(
         self, case_files, tmp_path

@@ -304,6 +304,52 @@ def test_render_steps_drops_oldest_first_with_one_marker():
     assert "content 0" not in no_focus and "content 9" in no_focus
 
 
+def _reference_render_steps(nodes, budget=None, focus=None):
+    """render_steps by brute force: drop one more step, oldest first and
+    never ``focus``, and rebuild the whole text until it fits."""
+    nodes = list(nodes)
+    at = next((i for i, n in enumerate(nodes) if focus is not None and n.id == focus.id), None)
+    lines = [
+        f"Step {i + 1} ({n.action.value}): {n.content}" + (model.REVIEW_MARK if i == at else "")
+        for i, n in enumerate(nodes)
+    ]
+    order = [i for i in range(len(lines)) if i != at]
+    for dropped in range(len(order) + 1):
+        gone = set(order[:dropped])
+        shown = [
+            model.ELISION_MARKER if i in gone else line
+            for i, line in enumerate(lines)
+            if i not in gone or i == order[0]
+        ]
+        text = "\n".join(shown)
+        if budget is None or len(text) <= budget:
+            return text
+    return lines[at] if at is not None else ""
+
+
+def test_render_steps_matches_reference():
+    rng = random.Random(17)
+    renders = 0
+    for _ in range(300):
+        tree = _random_rendered_tree(rng)
+        path = model.active_path(tree)
+        off_path = [n for n in tree.nodes.values() if n not in path]
+        stranger = model.Node(id="x1", action=AtomicAction.PREMISE_DISCOVERY, guidance="g",
+                              content="not in the tree", created_round=1)
+        focuses = [None, stranger] + path[-1:] + ([rng.choice(path)] if path else [])
+        focuses += [rng.choice(off_path)] if off_path else []
+        full = len(_reference_render_steps(path))
+        budgets = [None, -1, 0, 5, full, full - 1, 12000]
+        budgets += [rng.randrange(0, 12001) for _ in range(3)] + [rng.randrange(0, full + 2) for _ in range(5)]
+        for focus in focuses:
+            for budget in budgets:
+                expected = _reference_render_steps(path, budget, focus)
+                assert model.render_steps(path, budget, focus=focus) == expected, (budget, focus)
+                assert model.render_steps(iter(path), budget, focus=focus) == expected
+                renders += 1
+    assert renders > 300 * 12 * 2
+
+
 def _random_walk(seed: int) -> None:
     """One randomized op-sequence; asserts the structural invariants after
     every operation."""

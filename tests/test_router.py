@@ -60,6 +60,24 @@ class TestParsing:
         assert p.action is AtomicAction.HYPOTHESIS_GENERATION
 
 
+    def test_empty_field_never_takes_the_next_line(self):
+        p = router.parse_routing_response("Plan.\nGUIDANCE:\nACTION: PremiseDiscovery")
+        assert p.action is AtomicAction.PREMISE_DISCOVERY and p.guidance == ""
+        p = router.parse_routing_response("ACTION: HypothesisGeneration\nGUIDANCE:   \n\nThanks")
+        assert p.action is AtomicAction.HYPOTHESIS_GENERATION and p.guidance == ""
+        assert router.parse_guidance_only("GUIDANCE: first\nGUIDANCE: **\nmore text") is None
+        assert router.parse_routing_response("ACTION:\nPremiseDiscovery") is None
+
+    def test_empty_guidance_gets_the_default(self):
+        tree = make_tree()
+        decision = router.decide(
+            tree, SessionConfig(), routing("ACTION: PremiseDiscovery\nGUIDANCE:\nThanks")
+        )
+        assert decision == Extend(
+            AtomicAction.PREMISE_DISCOVERY, router._default_guidance(AtomicAction.PREMISE_DISCOVERY)
+        )
+
+
 class TestHardRules:
     def test_r1_round_cap_terminates_without_backend(self):
         tree = make_tree()
@@ -168,6 +186,12 @@ class TestBacktracking:
         decision = router.decide(tree, SessionConfig(), ScriptedBackend({"routing": "TARGET: Step 99"}))
         assert isinstance(decision, Backtrack)
         assert decision.target == model.active_path(tree)[1].id
+
+    def test_target_and_reason_are_read_on_their_own_lines(self):
+        tree = self.completed_tree()
+        backend = ScriptedBackend({"routing": "TARGET:\n3\nTARGET: Step 1\nREASON:\nIncorrectContent"})
+        decision = router.decide(tree, SessionConfig(), backend)
+        assert decision == Backtrack(model.active_path(tree)[0].id, BacktrackReason.KEY_NODE)
 
     def test_second_completed_chain_terminates(self):
         tree = self.completed_tree()
