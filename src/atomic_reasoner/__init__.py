@@ -33,7 +33,11 @@ from .model import (
     Chain,
     ChainStatus,
     CheckReport,
+    FreeText,
+    GridSchema,
+    MultipleChoice,
     Node,
+    Numeric,
     Problem,
     TerminationMode,
     render_tree,
@@ -68,9 +72,13 @@ __all__ = [
     "CompletionResult",
     "ErrorKind",
     "Extend",
+    "FreeText",
+    "GridSchema",
     "HttpBackend",
     "HttpConfig",
+    "MultipleChoice",
     "Node",
+    "Numeric",
     "Problem",
     "ScriptedBackend",
     "SessionConfig",

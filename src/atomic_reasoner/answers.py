@@ -69,9 +69,9 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
     the transcripts: ``House 1: Peter (mystery, spaghetti, watermelon)`` with
     the parenthesized values in schema attribute order after the first.
     """
+    attrs = schema.attribute_names
     grid: dict[int, dict[str, Optional[str]]] = {
-        house: {attr: None for attr in schema.attribute_names}
-        for house in range(1, schema.houses + 1)
+        house: dict.fromkeys(attrs) for house in range(1, schema.houses + 1)
     }
     idx = text.lower().rfind("solution:")
     if idx < 0:
@@ -79,7 +79,6 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
     block = text[idx + len("solution:"):]
 
     vocab = _vocabulary(schema)
-    attrs = schema.attribute_names
 
     for raw in block.splitlines():
         match = _HOUSE_LINE.search(raw.strip().lstrip("-* ").strip())

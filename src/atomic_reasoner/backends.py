@@ -185,7 +185,6 @@ class HttpConfig:
     timeout: float = 120.0
     max_retries: int = 5
     backoff_base: float = 1.0
-    backoff_factor: float = 2.0
     max_concurrent: int = 4
 
 
@@ -281,7 +280,7 @@ class HttpBackend:
     def _backoff(self, attempt: int, floor: Optional[float] = None) -> None:
         if attempt >= self.config.max_retries:
             return
-        delay = self.config.backoff_base * (self.config.backoff_factor ** attempt)
+        delay = self.config.backoff_base * 2 ** attempt
         delay *= 0.5 + self._rng.random()  # jitter in [0.5x, 1.5x)
         if floor is not None:
             delay = max(delay, floor)

@@ -37,7 +37,6 @@ class Task:
 class Verdict:
     correct: bool
     partial: float
-    extracted: Optional[object] = None
     failure: Optional[str] = None  # "NoAnswerFound" | "SchemaMismatch" | "BackendFailure"
 
     def __post_init__(self):
@@ -53,7 +52,7 @@ class Reject:
 
 # --- task files (JSON lines, one task per line) ----------------------------------
 
-def _task_from_record(record: dict, format: str, suite: str) -> Task:
+def _task_from_record(record: dict, format: str) -> Task:
     statement = record["statement"]
     if not str(statement).strip():
         raise ValueError("blank statement")
@@ -84,7 +83,7 @@ def _task_from_record(record: dict, format: str, suite: str) -> Task:
         schema=schema,
         gold=gold,
         split=record.get("split"),
-        suite=suite or record.get("suite", ""),
+        suite=record.get("suite", ""),
     )
     if format == "grid" and "clues" in record:
         task.clues = [puzzles.clue_from_json(c) for c in record["clues"]]
@@ -92,11 +91,7 @@ def _task_from_record(record: dict, format: str, suite: str) -> Task:
     return task
 
 
-def load_tasks(
-    path: Union[str, Path],
-    format: str,
-    suite: str = "",
-) -> tuple[list[Task], list[Reject]]:
+def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Reject]]:
     """Load a line-delimited task file; malformed lines become rejects, never
     silent drops."""
     if format not in TASK_FORMATS:
@@ -109,7 +104,7 @@ def load_tasks(
             continue
         try:
             record = json.loads(line)
-            tasks.append(_task_from_record(record, format, suite))
+            tasks.append(_task_from_record(record, format))
         except (ValueError, KeyError, TypeError) as exc:
             rejects.append(Reject(line=line_no, reason=f"SchemaMismatch: {exc}"))
     if not tasks and not rejects:
@@ -149,14 +144,15 @@ def score(task: Task, final_text: str) -> Verdict:
         if extracted is None:
             return Verdict(correct=False, partial=0.0, failure="NoAnswerFound")
         correct = extracted == task.gold
-        return Verdict(correct=correct, partial=1.0 if correct else 0.0, extracted=extracted)
+        return Verdict(correct=correct, partial=1.0 if correct else 0.0)
 
     if isinstance(schema, GridSchema):
         grid = answers.parse_grid(final_text, schema)
         total = schema.houses * len(schema.attributes)
+        attrs = schema.attribute_names
         hits = 0
         for house in range(1, schema.houses + 1):
-            for attr in schema.attribute_names:
+            for attr in attrs:
                 if grid[house][attr] is not None and grid[house][attr] == task.gold[house][attr]:
                     hits += 1
         partial = hits / total
@@ -164,7 +160,6 @@ def score(task: Task, final_text: str) -> Verdict:
         return Verdict(
             correct=(partial == 1.0),
             partial=partial,
-            extracted=grid,
             failure=None if any_cell else "NoAnswerFound",
         )
 
@@ -174,12 +169,11 @@ def score(task: Task, final_text: str) -> Verdict:
             return Verdict(correct=False, partial=0.0, failure="NoAnswerFound")
         gold = answers.normalize_numeric(str(task.gold)) or str(task.gold)
         correct = answers.numeric_equal(extracted, gold)
-        return Verdict(correct=correct, partial=1.0 if correct else 0.0, extracted=extracted)
+        return Verdict(correct=correct, partial=1.0 if correct else 0.0)
 
     # free text: exact match after whitespace normalization
-    extracted = final_text.strip()
-    correct = extracted == str(task.gold).strip()
-    return Verdict(correct=correct, partial=1.0 if correct else 0.0, extracted=extracted)
+    correct = final_text.strip() == str(task.gold).strip()
+    return Verdict(correct=correct, partial=1.0 if correct else 0.0)
 
 
 # --- puzzle task construction ---------------------------------------------------------

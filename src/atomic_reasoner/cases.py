@@ -35,5 +35,5 @@ def load_case(name: str) -> CaseFixture:
         .read_text(encoding="utf-8")
     )
     record = json.loads(raw)
-    task = bench_mod._task_from_record(record, record["format"], record.get("suite", ""))
+    task = bench_mod._task_from_record(record, record["format"])
     return CaseFixture(name=name, task=task, script=record["script"])

@@ -15,39 +15,20 @@ MAX_REVISIONS = 2  # revision cycles per node before accept-with-flag
 
 
 class ErrorKind(enum.Enum):
-    # premise category
     CONTENT_CONFLICT = "ContentConflict"
     LOGICAL_CONTRADICTION = "LogicalContradiction"
     EXPRESSION_INCONSISTENCY = "ExpressionInconsistency"
-    # reasoning category
     CALCULATION_ERROR = "CalculationError"
     COMMON_SENSE_ERROR = "CommonSenseError"
     RECAPITULATION_ERROR = "RecapitulationError"
     IGNORING_OF_PREMISES = "IgnoringOfPremises"
     MISUSING_OF_PREMISES = "MisusingOfPremises"
     CONCLUSION_ERROR = "ConclusionError"
-    # ending category
     RESULT_OMISSION = "ResultOmission"
     RESULTS_INCONSISTENCY = "ResultsInconsistency"
     JUDGMENT_ERROR = "JudgmentError"
     SORTING_ERROR = "SortingError"
 
-
-_KIND_CATEGORY = {
-    ErrorKind.CONTENT_CONFLICT: ActionCategory.PREMISE,
-    ErrorKind.LOGICAL_CONTRADICTION: ActionCategory.PREMISE,
-    ErrorKind.EXPRESSION_INCONSISTENCY: ActionCategory.PREMISE,
-    ErrorKind.CALCULATION_ERROR: ActionCategory.REASONING,
-    ErrorKind.COMMON_SENSE_ERROR: ActionCategory.REASONING,
-    ErrorKind.RECAPITULATION_ERROR: ActionCategory.REASONING,
-    ErrorKind.IGNORING_OF_PREMISES: ActionCategory.REASONING,
-    ErrorKind.MISUSING_OF_PREMISES: ActionCategory.REASONING,
-    ErrorKind.CONCLUSION_ERROR: ActionCategory.REASONING,
-    ErrorKind.RESULT_OMISSION: ActionCategory.ENDING,
-    ErrorKind.RESULTS_INCONSISTENCY: ActionCategory.ENDING,
-    ErrorKind.JUDGMENT_ERROR: ActionCategory.ENDING,
-    ErrorKind.SORTING_ERROR: ActionCategory.ENDING,
-}
 
 # Fallback kind when the checker reports an error without a recognizable tag.
 _CATEGORY_DEFAULT = {
@@ -56,77 +37,82 @@ _CATEGORY_DEFAULT = {
     ActionCategory.ENDING: ErrorKind.JUDGMENT_ERROR,
 }
 
-# Definitions and suggested checking methods, instantiated per category so
-# the checker prompt only carries the applicable subset.
-_DEFINITIONS = {
-    ErrorKind.CONTENT_CONFLICT: (
-        "Content Conflict: extracted premise information directly conflicts with "
-        "the original statement. Compare every stated premise against the original "
-        "question and flag any discrepancy."
+# Each category's error kinds, in prompt order, with the definition and
+# suggested checking method the checker prompt carries for that category.
+_TAXONOMY = {
+    ActionCategory.PREMISE: (
+        (ErrorKind.CONTENT_CONFLICT, (
+            "Content Conflict: extracted premise information directly conflicts with "
+            "the original statement. Compare every stated premise against the original "
+            "question and flag any discrepancy."
+        )),
+        (ErrorKind.LOGICAL_CONTRADICTION, (
+            "Logical Contradiction: information in one step is inconsistent with or "
+            "does not follow from earlier steps. Verify each step sequentially against "
+            "its premises, checking conditional branches individually."
+        )),
+        (ErrorKind.EXPRESSION_INCONSISTENCY, (
+            "Expression Inconsistency: expressions or equations are rewritten "
+            "inconsistently across steps. Compare adjacent steps, verify substitutions, "
+            "and keep symbols, units, and values consistent."
+        )),
     ),
-    ErrorKind.LOGICAL_CONTRADICTION: (
-        "Logical Contradiction: information in one step is inconsistent with or "
-        "does not follow from earlier steps. Verify each step sequentially against "
-        "its premises, checking conditional branches individually."
+    ActionCategory.REASONING: (
+        (ErrorKind.CALCULATION_ERROR, (
+            "Calculation Error: miscalculation or transcription mistakes between "
+            "consecutive equations. Recompute each step and confirm intermediate results "
+            "carry over correctly."
+        )),
+        (ErrorKind.COMMON_SENSE_ERROR, (
+            "Common Sense Error: claims that violate basic common knowledge, such as "
+            "wrong numerical comparisons or unrealistic assertions. Check conclusions "
+            "against fundamental facts."
+        )),
+        (ErrorKind.RECAPITULATION_ERROR, (
+            "Recapitulation Error: an idea is redundantly repeated or restated. Look "
+            "for repetitive statements within the reasoning."
+        )),
+        (ErrorKind.IGNORING_OF_PREMISES, (
+            "Ignoring of Premises: a constraint or scenario from the premises is "
+            "neglected. Confirm every premise constraint was actually applied."
+        )),
+        (ErrorKind.MISUSING_OF_PREMISES, (
+            "Misusing of Premises: a statement deviates from the premises by confusing "
+            "references or altering given information. Compare each statement directly "
+            "with the premises."
+        )),
+        (ErrorKind.CONCLUSION_ERROR, (
+            "Conclusion Error: a conclusion is not logically derived from the prior "
+            "steps or conflicts with a premise. Map each conclusion back to its "
+            "supporting evidence."
+        )),
     ),
-    ErrorKind.EXPRESSION_INCONSISTENCY: (
-        "Expression Inconsistency: expressions or equations are rewritten "
-        "inconsistently across steps. Compare adjacent steps, verify substitutions, "
-        "and keep symbols, units, and values consistent."
-    ),
-    ErrorKind.CALCULATION_ERROR: (
-        "Calculation Error: miscalculation or transcription mistakes between "
-        "consecutive equations. Recompute each step and confirm intermediate results "
-        "carry over correctly."
-    ),
-    ErrorKind.COMMON_SENSE_ERROR: (
-        "Common Sense Error: claims that violate basic common knowledge, such as "
-        "wrong numerical comparisons or unrealistic assertions. Check conclusions "
-        "against fundamental facts."
-    ),
-    ErrorKind.RECAPITULATION_ERROR: (
-        "Recapitulation Error: an idea is redundantly repeated or restated. Look "
-        "for repetitive statements within the reasoning."
-    ),
-    ErrorKind.IGNORING_OF_PREMISES: (
-        "Ignoring of Premises: a constraint or scenario from the premises is "
-        "neglected. Confirm every premise constraint was actually applied."
-    ),
-    ErrorKind.MISUSING_OF_PREMISES: (
-        "Misusing of Premises: a statement deviates from the premises by confusing "
-        "references or altering given information. Compare each statement directly "
-        "with the premises."
-    ),
-    ErrorKind.CONCLUSION_ERROR: (
-        "Conclusion Error: a conclusion is not logically derived from the prior "
-        "steps or conflicts with a premise. Map each conclusion back to its "
-        "supporting evidence."
-    ),
-    ErrorKind.RESULT_OMISSION: (
-        "Result Omission: a required outcome is missing from the final step. Check "
-        "that all necessary conclusions are explicitly stated."
-    ),
-    ErrorKind.RESULTS_INCONSISTENCY: (
-        "Results Inconsistency: the outcome is stated differently in different "
-        "places. Compare all statements of the result across the process."
-    ),
-    ErrorKind.JUDGMENT_ERROR: (
-        "Judgment Error: the final step reaches a conclusion conflicting with the "
-        "established logic. Ensure the final judgment follows from the preceding "
-        "reasoning without abrupt shifts."
-    ),
-    ErrorKind.SORTING_ERROR: (
-        "Sorting Error: the final output sequence deviates from the ordering "
-        "established during intermediate steps. Re-sort explicitly and cross-verify "
-        "positional claims against the re-sorted sequence."
+    ActionCategory.ENDING: (
+        (ErrorKind.RESULT_OMISSION, (
+            "Result Omission: a required outcome is missing from the final step. Check "
+            "that all necessary conclusions are explicitly stated."
+        )),
+        (ErrorKind.RESULTS_INCONSISTENCY, (
+            "Results Inconsistency: the outcome is stated differently in different "
+            "places. Compare all statements of the result across the process."
+        )),
+        (ErrorKind.JUDGMENT_ERROR, (
+            "Judgment Error: the final step reaches a conclusion conflicting with the "
+            "established logic. Ensure the final judgment follows from the preceding "
+            "reasoning without abrupt shifts."
+        )),
+        (ErrorKind.SORTING_ERROR, (
+            "Sorting Error: the final output sequence deviates from the ordering "
+            "established during intermediate steps. Re-sort explicitly and cross-verify "
+            "positional claims against the re-sorted sequence."
+        )),
     ),
 }
 
 
 def applicable_errors(action: AtomicAction) -> list[ErrorKind]:
     """Error kinds applicable to a node, keyed by its action category."""
-    cat = model.category(action)
-    return [k for k in ErrorKind if _KIND_CATEGORY[k] is cat]
+    return [kind for kind, _ in _TAXONOMY[model.category(action)]]
 
 
 def error_definitions(action: AtomicAction) -> str:
@@ -136,10 +122,9 @@ def error_definitions(action: AtomicAction) -> str:
 
 @functools.cache
 def _category_definitions(cat: ActionCategory) -> str:
-    kinds = [k for k in ErrorKind if _KIND_CATEGORY[k] is cat]
     return "\n\n".join(
-        f"{i}. **{_human_name(kind)}**:\n   {_DEFINITIONS[kind]}"
-        for i, kind in enumerate(kinds, start=1)
+        f"{i}. **{_human_name(kind)}**:\n   {definition}"
+        for i, (kind, definition) in enumerate(_TAXONOMY[cat], start=1)
     )
 
 
@@ -162,18 +147,21 @@ _KIND_LOOKUP[_normalize_kind_token("Conclusion Errors")] = ErrorKind.CONCLUSION_
 # Each field's pattern compiled IGNORECASE for any reply, and as is for the
 # lowered copy of an ASCII reply: that scan is several times cheaper, and
 # lowering ASCII keeps every offset, so values are sliced from the original.
-def _field(source: str) -> tuple[re.Pattern, re.Pattern]:
+# A value is the rest of the separator's own line (``[^\S\n]`` is whitespace
+# other than a newline); a blank value is no value.
+def _field(name: str) -> tuple[re.Pattern, re.Pattern]:
+    source = rf"{name}\s*[:\-][^\S\n]*(\S.*)"
     return re.compile(source, re.IGNORECASE), re.compile(source)
 
 
-_RESULT_LINE = _field(r"check\s+result\s*[:\-]\s*(.+)")
-_TYPE_LINE = _field(r"error\s+type\s*[:\-]\s*(.+)")
-_SUGGESTION_LINE = _field(r"suggestion\s*[:\-]\s*(.+)")
+_RESULT_LINE = _field(r"check\s+result")
+_TYPE_LINE = _field(r"error\s+type")
+_SUGGESTION_LINE = _field("suggestion")
 
 # The prose scan's token for each kind of a category.
 _PROSE_TOKENS = {
-    cat: [(k, _normalize_kind_token(_human_name(k))) for k in ErrorKind if _KIND_CATEGORY[k] is cat]
-    for cat in ActionCategory
+    cat: [(kind, _normalize_kind_token(_human_name(kind))) for kind, _ in entries]
+    for cat, entries in _TAXONOMY.items()
 }
 
 

@@ -48,11 +48,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("http", "scripted", "replay"), default="scripted")
     parser.add_argument("--script", help="JSON script file for the scripted backend")
     parser.add_argument("--base-url", default="http://localhost:8000/v1")
-    parser.add_argument("--model", default="gpt-4o-mini")
-    parser.add_argument("--api-key-env", default="OPENAI_API_KEY")
-    parser.add_argument("--max-rounds", type=int, default=12)
-    parser.add_argument("--max-chains", type=int, default=4)
-    parser.add_argument("--checker-mode", choices=router.CHECKER_MODES, default="every")
+    parser.add_argument("--model", default=HttpConfig.model)
+    parser.add_argument("--api-key-env", default=HttpConfig.api_key_env)
+    parser.add_argument("--max-rounds", type=int, default=router.SessionConfig.max_rounds)
+    parser.add_argument("--max-chains", type=int, default=router.SessionConfig.max_chains)
+    parser.add_argument(
+        "--checker-mode", choices=router.CHECKER_MODES, default=router.SessionConfig.checker_mode
+    )
     parser.add_argument("--sop-dir", help="directory of .sop files (default: built-in set)")
     parser.add_argument("--cache", choices=("record", "replay", "off"), default="off")
     parser.add_argument("--cache-dir", default="cache")
@@ -158,7 +160,7 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
     raw = Path(args.problem).read_text(encoding="utf-8")
     if args.problem.endswith(".json"):
         record = json.loads(raw)
-        task = bench_mod._task_from_record(record, record["format"], record.get("suite", ""))
+        task = bench_mod._task_from_record(record, record["format"])
         return task.to_problem(), task
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 

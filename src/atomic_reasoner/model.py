@@ -76,18 +76,17 @@ def parse_action(name: str) -> AtomicAction:
 
 @dataclass(frozen=True)
 class FreeText:
-    kind: str = "free_text"
+    """An answer scored by exact match after stripping whitespace."""
 
 
 @dataclass(frozen=True)
 class Numeric:
-    kind: str = "numeric"
+    """A numeric answer, compared as a rational number."""
 
 
 @dataclass(frozen=True)
 class MultipleChoice:
     options: tuple[str, ...]
-    kind: str = "mcq"
 
     def __post_init__(self):
         if len(self.options) < 2:
@@ -100,7 +99,6 @@ class GridSchema:
 
     houses: int
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
-    kind: str = "grid"
 
     def __post_init__(self):
         if self.houses < 1:

@@ -29,6 +29,7 @@ from .errors import GenerationExhausted, TooLarge
 from .model import GridSchema
 
 MAX_HOUSES = 5
+MAX_ATTEMPTS = 20  # sampled solutions per puzzle before GenerationExhausted
 
 # Assignment: attribute name -> tuple of values, index = house - 1.
 Assignment = dict[str, tuple[str, ...]]
@@ -301,8 +302,9 @@ def _fitting(candidates: list[_Placement], staged: list, chosen: list[_Placement
 
 
 def assignment_to_grid(schema: GridSchema, assignment: Assignment) -> dict[int, dict[str, str]]:
+    attrs = schema.attribute_names
     return {
-        house: {attr: assignment[attr][house - 1] for attr in schema.attribute_names}
+        house: {attr: assignment[attr][house - 1] for attr in attrs}
         for house in range(1, schema.houses + 1)
     }
 
@@ -362,12 +364,7 @@ def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue]) -> Optio
     return high
 
 
-def generate_puzzle(
-    seed: int,
-    houses: int,
-    attributes: int,
-    max_attempts: int = 20,
-) -> tuple[GridSchema, list[Clue], Assignment]:
+def generate_puzzle(seed: int, houses: int, attributes: int) -> tuple[GridSchema, list[Clue], Assignment]:
     """Deterministic puzzle with a unique solution and a minimal clue set.
 
     The chosen clues are the shortest prefix of the shuffled candidates that
@@ -388,7 +385,7 @@ def generate_puzzle(
             (name, tuple(values[:houses])) for name, values in ATTRIBUTE_POOLS[:attributes]
         ),
     )
-    for attempt in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         solution: Assignment = {
             attr: tuple(rng.sample(schema.values_for(attr), houses))
             for attr in schema.attribute_names
@@ -404,7 +401,7 @@ def generate_puzzle(
             if _is_unique(schema, trial):
                 minimal = trial
         return schema, minimal, solution
-    raise GenerationExhausted(f"no unique puzzle after {max_attempts} attempts (seed={seed})")
+    raise GenerationExhausted(f"no unique puzzle after {MAX_ATTEMPTS} attempts (seed={seed})")
 
 
 def render_statement(schema: GridSchema, clues: list[Clue]) -> str:

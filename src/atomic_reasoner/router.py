@@ -376,9 +376,7 @@ def run_session(
                     executor_mod.compress_chain(tree, old_chain, backends)
                 continue
 
-            guidance_extra = (
-                sop_mod.sop_guidance(active_sop, decision.action) if active_sop else ""
-            )
+            guidance_extra = active_sop.action_strategies.get(decision.action, "") if active_sop else ""
             node = executor_mod.execute(
                 tree, decision.action, decision.guidance, backends, guidance_extra
             )

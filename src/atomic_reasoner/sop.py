@@ -4,6 +4,7 @@ SOPs live in ``.sop`` files: UTF-8, INI-like sections.
 
     [meta]
     domain = logical-reasoning
+    keywords = clue, clues:, houses
 
     [schedule]
     <free text injected into routing prompts>
@@ -11,14 +12,14 @@ SOPs live in ``.sop`` files: UTF-8, INI-like sections.
     [action:premise_discovery]
     <strategy text for that action>
 
-Action section names use snake_case action names; unknown action or section
-names are a parse error.  The registry always carries a default SOP.
+``keywords`` is a comma-separated list that triage matches, case-insensitively,
+against the problem statement; an SOP without keywords is reached only as the
+default.  Action section names use snake_case action names; unknown action or
+section names are a parse error.  The registry always carries a default SOP.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
@@ -38,6 +39,7 @@ class Sop:
     domain: str
     action_strategies: dict[AtomicAction, str] = field(default_factory=dict)
     scheduling_hints: str = ""
+    keywords: tuple[str, ...] = ()  # lower-cased triage keywords
 
     def __post_init__(self):
         if not self.domain.strip():
@@ -47,25 +49,16 @@ class Sop:
 @dataclass
 class SopRegistry:
     sops: dict[str, Sop]
-    default: Sop
 
     def get(self, domain: str) -> Sop:
-        return self.sops.get(domain, self.default)
-
-    @property
-    def domains(self) -> list[str]:
-        return sorted(self.sops)
-
-
-def sop_guidance(sop: Sop, action: AtomicAction) -> str:
-    """The loaded strategy string for an action, verbatim; empty if none."""
-    return sop.action_strategies.get(action, "")
+        return self.sops.get(domain, self.sops[DEFAULT_DOMAIN])
 
 
 # --- .sop parsing -------------------------------------------------------------
 
 def parse_sop(text: str, source: str = "<string>") -> Sop:
     domain = ""
+    keywords: tuple[str, ...] = ()
     schedule_lines: list[str] = []
     strategies: dict[AtomicAction, str] = {}
 
@@ -74,7 +67,7 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
     buffer: list[str] = []
 
     def flush():
-        nonlocal domain
+        nonlocal domain, keywords
         if section is None:
             return
         body = "\n".join(buffer).strip()
@@ -84,6 +77,9 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
                     key, value = raw.split("=", 1)
                     if key.strip() == "domain":
                         domain = value.strip()
+                    elif key.strip() == "keywords":
+                        words = (w.strip().lower() for w in value.split(","))
+                        keywords = tuple(w for w in words if w)
         elif section == "schedule":
             schedule_lines.append(body)
         elif section == "action":
@@ -116,6 +112,7 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
         domain=domain,
         action_strategies=strategies,
         scheduling_hints="\n".join(s for s in schedule_lines if s),
+        keywords=keywords,
     )
 
 
@@ -130,7 +127,7 @@ def load_sops(path: Union[str, Path]) -> SopRegistry:
         sops[sop.domain] = sop
     if DEFAULT_DOMAIN not in sops:
         raise MissingDefault(f"no {DEFAULT_DOMAIN}.sop found under {root}")
-    return SopRegistry(sops=sops, default=sops[DEFAULT_DOMAIN])
+    return SopRegistry(sops=sops)
 
 
 def builtin_registry() -> SopRegistry:
@@ -141,32 +138,19 @@ def builtin_registry() -> SopRegistry:
 
 # --- triage -------------------------------------------------------------------
 
-@functools.cache
-def triage_keywords() -> dict[str, list[str]]:
-    data = (
-        resources.files("atomic_reasoner")
-        .joinpath("data")
-        .joinpath("triage_keywords.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(data)
-
-
 def triage(problem: Problem, registry: SopRegistry) -> str:
-    """Domain classification by keyword heuristics over the statement
-    (configured keyword lists).  Always returns a label present in the
-    registry."""
+    """Domain classification by keyword heuristics over the statement: an SOP
+    scores one point per ``[meta]`` keyword the lowered statement contains.
+    The highest score wins, ties alphabetically; with no hit, the default.
+    Always returns a label present in the registry."""
     if problem.domain_hint and problem.domain_hint in registry.sops:
         return problem.domain_hint
     statement = problem.statement.lower()
     scores: dict[str, int] = {}
-    for domain, words in triage_keywords().items():
-        if domain not in registry.sops:
-            continue
-        score = sum(1 for w in words if w.lower() in statement)
+    for domain, sop in registry.sops.items():
+        score = sum(1 for w in sop.keywords if w in statement)
         if score:
             scores[domain] = score
     if scores:
-        # deterministic: highest score, ties broken alphabetically
-        return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+        return min(scores, key=lambda domain: (-scores[domain], domain))
     return DEFAULT_DOMAIN

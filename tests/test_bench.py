@@ -92,7 +92,7 @@ class TestLoadTasks:
 
 class TestScore:
     def test_mcq(self):
-        task = bench._task_from_record(mcq_record(), "mcq", "")
+        task = bench._task_from_record(mcq_record(), "mcq")
         assert bench.score(task, "The correct answer is (A)").correct
         verdict = bench.score(task, "The correct answer is (B)")
         assert not verdict.correct and verdict.partial == 0.0
@@ -119,7 +119,7 @@ class TestScore:
 
     def test_numeric(self):
         task = bench._task_from_record(
-            {"id": "n", "statement": "Add.", "gold": "3.5"}, "numeric", ""
+            {"id": "n", "statement": "Add.", "gold": "3.5"}, "numeric"
         )
         assert bench.score(task, "the total is 7/2").correct
         assert not bench.score(task, "the total is 3.4").correct
@@ -183,7 +183,7 @@ class TestRunBenchmark:
         assert all(len(set(v)) == 1 for v in by_task.values())
 
     def test_single_pass_strategy_scores_its_completion(self):
-        task = bench._task_from_record(mcq_record(), "mcq", "")
+        task = bench._task_from_record(mcq_record(), "mcq")
         backend = ScriptedBackend({"solve": "The correct answer is (A)"})
         report = bench.run_benchmark([task], "single-pass", backend, trials=2, workers=1)
         assert report.mean_success() == 1.0
@@ -197,7 +197,7 @@ class TestRunBenchmark:
         assert backend.calls == []  # each trial asked its own copy
 
     def test_backend_failure_becomes_verdict_not_crash(self):
-        task = bench._task_from_record(mcq_record(), "mcq", "")
+        task = bench._task_from_record(mcq_record(), "mcq")
         report = bench.run_benchmark([task], "ar", ScriptedBackend([]), trials=1, workers=1)
         assert report.results[0].verdict.failure == "BackendFailure"
         assert report.mean_success() == 0.0
@@ -220,7 +220,7 @@ class TestRunBenchmark:
         assert payload["aggregates"]["hard"] == 1.0
 
     def test_trials_of_one_task_run_side_by_side(self):
-        task = bench._task_from_record(mcq_record(), "mcq", "")
+        task = bench._task_from_record(mcq_record(), "mcq")
         barrier = threading.Barrier(2, timeout=5)
 
         def factory(task):
@@ -232,7 +232,7 @@ class TestRunBenchmark:
         assert report.mean_success() == 1.0
 
     def test_results_task_major_when_trials_finish_out_of_order(self):
-        tasks = [bench._task_from_record(mcq_record(id=f"t{i}"), "mcq", "") for i in range(3)]
+        tasks = [bench._task_from_record(mcq_record(id=f"t{i}"), "mcq") for i in range(3)]
         lock = threading.Lock()
         starts = {task.id: 0 for task in tasks}
         finished = []

@@ -87,6 +87,23 @@ class TestParser:
         )
         assert report.kinds == ["SortingError"]
 
+    # A field's value never starts on the next line; the "é" variants take the
+    # non-ASCII path of the parser.
+    @pytest.mark.parametrize("tail", ["", " é"])
+    def test_empty_suggestion_does_not_take_the_next_line(self, tail):
+        report = checker.parse_check_response(
+            "Check Result: There is an error.\nError Type: Conclusion Error\n"
+            "Suggestion:\n\nThanks for reading" + tail,
+            AtomicAction.HYPOTHESIS_VERIFICATION,
+        )
+        assert report.verdict == "Error" and report.kinds == ["ConclusionError"]
+        assert report.suggestion is None
+
+    @pytest.mark.parametrize("tail", ["", " é"])
+    def test_empty_check_result_is_no_verdict(self, tail):
+        text = "Check Result:\n\nStep 3 looks right" + tail
+        assert checker.parse_check_response(text, AtomicAction.HYPOTHESIS_VERIFICATION) is None
+
 
 class TestCheckAndRevise:
     def test_check_appends_report(self):

@@ -41,9 +41,9 @@ def _reference_parse_action(name):
     raise UnknownAction(f"unknown atomic action: {name!r}")
 
 
-_REF_RESULT_LINE = re.compile(r"check\s+result\s*[:\-]\s*(.+)", re.IGNORECASE)
-_REF_TYPE_LINE = re.compile(r"error\s+type\s*[:\-]\s*(.+)", re.IGNORECASE)
-_REF_SUGGESTION_LINE = re.compile(r"suggestion\s*[:\-]\s*(.+)", re.IGNORECASE)
+_REF_RESULT_LINE = re.compile(r"check\s+result\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
+_REF_TYPE_LINE = re.compile(r"error\s+type\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
+_REF_SUGGESTION_LINE = re.compile(r"suggestion\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
 
 
 def _reference_parse_check_response(text, action):

@@ -42,6 +42,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             sop.parse_sop("[meta]\ndomain = x\n[wat]\n")
 
+    def test_keywords_are_split_stripped_and_lowered(self):
+        parsed = sop.parse_sop("[meta]\ndomain = x\nkeywords =  Reagent, titration ,, = ?,  pH\n")
+        assert parsed.keywords == ("reagent", "titration", "= ?", "ph")
+        assert sop.parse_sop(SAMPLE).keywords == ()
+
     def test_missing_domain_is_parse_error(self):
         with pytest.raises(ParseError):
             sop.parse_sop("[schedule]\nhello\n")
@@ -54,9 +59,9 @@ class TestParsing:
 class TestRegistry:
     def test_builtin_registry_has_default_and_domains(self):
         reg = sop.builtin_registry()
-        assert sop.DEFAULT_DOMAIN in reg.domains
-        assert "logical-reasoning" in reg.domains
-        assert "science-problem" in reg.domains
+        assert sop.DEFAULT_DOMAIN in reg.sops
+        assert "logical-reasoning" in reg.sops
+        assert "science-problem" in reg.sops
 
     def test_unknown_domain_falls_back_to_default(self):
         reg = sop.builtin_registry()
@@ -76,14 +81,12 @@ class TestRegistry:
         )
         with caplog.at_level("WARNING"):
             reg = sop.load_sops(tmp_path)
-        assert reg.default.scheduling_hints == "second"
+        assert reg.get(sop.DEFAULT_DOMAIN).scheduling_hints == "second"
         assert "duplicate" in caplog.text
 
     def test_logic_sop_verification_strategy_mentions_clue_by_clue(self):
         reg = sop.builtin_registry()
-        strategy = sop.sop_guidance(
-            reg.get("logical-reasoning"), AtomicAction.HYPOTHESIS_VERIFICATION
-        )
+        strategy = reg.get("logical-reasoning").action_strategies[AtomicAction.HYPOTHESIS_VERIFICATION]
         assert "clue-by-clue" in strategy
 
 
@@ -104,6 +107,27 @@ class TestTriage:
         reg = sop.builtin_registry()
         problem = make_problem("Calculate the value of the definite integral of x dx.")
         assert sop.triage(problem, reg) == "science-problem"
+
+    def test_sop_dir_domain_is_picked_by_its_keywords(self, tmp_path):
+        (tmp_path / "default.sop").write_text("[meta]\ndomain = default\n", encoding="utf-8")
+        (tmp_path / "chemistry.sop").write_text(
+            "[meta]\ndomain = chemistry\nkeywords = Reagent, titration\n", encoding="utf-8"
+        )
+        reg = sop.load_sops(tmp_path)
+        problem = make_problem("A titration of 25 mL of acid needs how much base?")
+        assert sop.triage(problem, reg) == "chemistry"
+        assert sop.triage(make_problem("Name the capital of France."), reg) == sop.DEFAULT_DOMAIN
+
+    def test_sop_without_keywords_is_never_scored(self, tmp_path):
+        # alpha would win any tie alphabetically, but it scores on no statement
+        (tmp_path / "default.sop").write_text("[meta]\ndomain = default\n", encoding="utf-8")
+        (tmp_path / "alpha.sop").write_text("[meta]\ndomain = alpha\nkeywords = ,\n", encoding="utf-8")
+        (tmp_path / "zoology.sop").write_text(
+            "[meta]\ndomain = zoology\nkeywords = otter\n", encoding="utf-8"
+        )
+        reg = sop.load_sops(tmp_path)
+        assert sop.triage(make_problem("How long does an otter sleep?"), reg) == "zoology"
+        assert sop.triage(make_problem("Nothing matches here."), reg) == sop.DEFAULT_DOMAIN
 
     def test_inconclusive_without_backend_uses_default(self):
         reg = sop.builtin_registry()
