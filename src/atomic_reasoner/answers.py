@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .model import GridSchema, MultipleChoice
+from .model import GridSchema, MultipleChoice, Numeric
 
 # "The correct answer is (A)", tolerating bold markers and missing parens.
 _MCQ_PATTERN = re.compile(
@@ -80,7 +80,13 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
 
     vocab = _vocabulary(schema)
 
-    for raw in block.splitlines():
+    # casefold() maps each character _HOUSE_LINE takes for a letter of
+    # "house" to that letter, so a line whose folded copy lacks "house"
+    # cannot match and is skipped unparsed (a verbose ending step is mostly
+    # such lines).
+    for raw, folded in zip(block.splitlines(), block.casefold().splitlines()):
+        if "house" not in folded:
+            continue
         match = _HOUSE_LINE.search(raw.strip().lstrip("-* ").strip())
         if not match:
             continue
@@ -157,3 +163,16 @@ def numeric_equal(left: str, right: str) -> bool:
     if lf is not None and rf is not None:
         return lf == rf
     return left.strip() == right.strip()
+
+
+def is_complete(schema, text: str) -> bool:
+    """Whether ``text`` states a whole answer under ``schema``: every grid
+    cell parses, an option letter extracts, or a number normalizes.  Free
+    text is never complete."""
+    if isinstance(schema, GridSchema):
+        return all(None not in cells.values() for cells in parse_grid(text, schema).values())
+    if isinstance(schema, MultipleChoice):
+        return extract_mcq(text, option_letters(schema)) is not None
+    if isinstance(schema, Numeric):
+        return normalize_numeric(text) is not None
+    return False

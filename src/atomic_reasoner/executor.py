@@ -1,5 +1,5 @@
 """Executes routed atomic actions against the reasoning backend and produces
-the final answer at termination."""
+the final answer at termination when the ending step does not hold it."""
 
 from __future__ import annotations
 
@@ -34,9 +34,13 @@ def execute(
     sop_guidance: str = "",
 ) -> Node:
     """Run one Extend decision: build the solver prompt, call the backend,
-    append the node.  Hypothesis steps missing the 'Hypothesis <k>:' marker
-    get flagged for checker attention."""
-    request = prompts.build_expansion_prompt(tree, guidance, sop_guidance)
+    append the node.  The ending step is asked for the schema's answer format,
+    so it can stand as the final answer.  Hypothesis steps missing the
+    'Hypothesis <k>:' marker get flagged for checker attention."""
+    answer_format = ""
+    if action is AtomicAction.SUMMARY_FINISHED:
+        answer_format = format_instruction_for(tree.problem.answer_schema)
+    request = prompts.build_expansion_prompt(tree, guidance, sop_guidance, answer_format)
     content = backends.ask_text(backend, request)
     node_id = model.append_node(tree, action, guidance, content)
     node = tree.nodes[node_id]
@@ -66,7 +70,8 @@ def format_instruction_for(schema) -> str:
 
 def finalize(tree: AtomicTree, backend, mode: TerminationMode) -> FinalAnswer:
     """One summarizing backend call shaped by the problem's answer schema;
-    the answer is extracted from its text by ``bench.score``."""
+    the answer is extracted from its text by ``bench.score``.  Sessions that
+    end on a complete, checked ending step skip it (``router.run_session``)."""
     request = prompts.build_summary_prompt(
         tree,
         format_instruction_for(tree.problem.answer_schema),

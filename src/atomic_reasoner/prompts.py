@@ -92,7 +92,10 @@ def build_expansion_prompt(
     tree: model.AtomicTree,
     guidance: str,
     sop_guidance: str = "",
+    answer_format: str = "",
 ) -> CompletionRequest:
+    """The solver's prompt for one step.  ``answer_format`` is for the ending
+    step: its own section, so the guidance stays the line after its header."""
     parts = [
         "# The problem that needs to be solved is:",
         tree.problem.statement,
@@ -105,6 +108,8 @@ def build_expansion_prompt(
     ]
     if sop_guidance:
         parts += ["", "# Domain procedure for this action:", sop_guidance]
+    if answer_format:
+        parts += ["", "# The format of the final answer:", answer_format]
     return _request(load_template("solver_system"), "\n".join(parts), "solve", SOLVE_TEMPERATURE)
 
 

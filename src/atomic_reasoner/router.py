@@ -22,7 +22,7 @@ from typing import Optional, Union
 from . import checker as checker_mod
 from . import executor as executor_mod
 from . import backends as backends_mod
-from . import model, prompts, sop as sop_mod
+from . import answers, model, prompts, sop as sop_mod
 from .errors import BackendFailure, Terminated, UnknownAction
 from .executor import FinalAnswer
 from .model import (
@@ -340,6 +340,19 @@ def _checker_applies(mode: str, action: AtomicAction) -> bool:
     return cat is ActionCategory.ENDING  # ending-only
 
 
+def _checked_ending(tree: AtomicTree, mode: TerminationMode) -> Optional[FinalAnswer]:
+    """The final answer a session already holds: the content of the ending
+    step its active chain closed on, when the session ended ActiveSolved, the
+    checker left that step unflagged and the content is a complete answer
+    under the schema.  None sends the session through ``finalize``."""
+    if mode is not TerminationMode.ACTIVE_SOLVED or not _chain_completed(tree):
+        return None
+    ending = tree.nodes[model.active_chain(tree).node_ids[-1]]
+    if ending.flagged or not answers.is_complete(tree.problem.answer_schema, ending.content):
+        return None
+    return FinalAnswer(ending.content)
+
+
 def run_session(
     problem: Problem,
     config: Optional[SessionConfig] = None,
@@ -347,6 +360,8 @@ def run_session(
     sop_registry: Optional[sop_mod.SopRegistry] = None,
 ) -> tuple[AtomicTree, FinalAnswer]:
     """Full solving loop: decide -> execute -> check -> (branch | terminate).
+    The final answer is the checked ending step when ``_checked_ending``
+    accepts it, and otherwise the reply to one ``finalize`` call.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
@@ -365,7 +380,9 @@ def run_session(
             decision = decide(tree, config, backends, sop_hints)
 
             if isinstance(decision, Terminate):
-                final = executor_mod.finalize(tree, backends, decision.mode)
+                final = _checked_ending(tree, decision.mode) or executor_mod.finalize(
+                    tree, backends, decision.mode
+                )
                 model.set_termination(tree, decision.mode, final.text)
                 return tree, final
 

@@ -14,8 +14,9 @@ SOPs live in ``.sop`` files: UTF-8, INI-like sections.
 
 ``keywords`` is a comma-separated list that triage matches, case-insensitively,
 against the problem statement; an SOP without keywords is reached only as the
-default.  Action section names use snake_case action names; unknown action or
-section names are a parse error.  The registry always carries a default SOP.
+default.  Action section names use snake_case action names; unknown action,
+section or ``[meta]`` key names are a parse error.  The registry always
+carries a default SOP.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
     strategies: dict[AtomicAction, str] = {}
 
     section: Optional[str] = None
+    section_line = 0
     section_action: Optional[AtomicAction] = None
     buffer: list[str] = []
 
@@ -72,14 +74,19 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
             return
         body = "\n".join(buffer).strip()
         if section == "meta":
-            for raw in body.splitlines():
-                if "=" in raw:
-                    key, value = raw.split("=", 1)
-                    if key.strip() == "domain":
-                        domain = value.strip()
-                    elif key.strip() == "keywords":
-                        words = (w.strip().lower() for w in value.split(","))
-                        keywords = tuple(w for w in words if w)
+            for line_no, raw in enumerate(buffer, start=section_line + 1):
+                if "=" not in raw:
+                    continue
+                key, value = (part.strip() for part in raw.split("=", 1))
+                if key == "domain":
+                    domain = value
+                elif key == "keywords":
+                    words = (w.strip().lower() for w in value.split(","))
+                    keywords = tuple(w for w in words if w)
+                else:
+                    raise ParseError(
+                        f"unknown [meta] key {key!r} (known: domain, keywords)", source, line_no
+                    )
         elif section == "schedule":
             schedule_lines.append(body)
         elif section == "action":
@@ -90,6 +97,7 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
         if stripped.startswith("[") and stripped.endswith("]"):
             flush()
             buffer = []
+            section_line = line_no
             header = stripped[1:-1].strip()
             if header == "meta" or header == "schedule":
                 section, section_action = header, None

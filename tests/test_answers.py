@@ -1,5 +1,5 @@
 from atomic_reasoner import answers
-from atomic_reasoner.model import GridSchema, MultipleChoice
+from atomic_reasoner.model import FreeText, GridSchema, MultipleChoice, Numeric
 
 SCHEMA = GridSchema(
     houses=3,
@@ -86,3 +86,32 @@ class TestNumeric:
 
     def test_nothing_numeric(self):
         assert answers.normalize_numeric("no numbers here") is None
+
+
+class TestIsComplete:
+    def test_grid_needs_every_cell(self):
+        full = answers.format_grid_answer(
+            SCHEMA,
+            {
+                1: {"name": "Peter", "lunch": "spaghetti"},
+                2: {"name": "Eric", "lunch": "grilled cheese"},
+                3: {"name": "Arnold", "lunch": "pizza"},
+            },
+        )
+        assert answers.is_complete(SCHEMA, "Reasoning first.\n" + full)
+        assert not answers.is_complete(SCHEMA, full.replace(" (pizza)", ""))
+        assert not answers.is_complete(SCHEMA, full.replace("Arnold", "Zed"))
+        assert not answers.is_complete(SCHEMA, "no solution block")
+
+    def test_mcq_needs_an_option_letter(self):
+        schema = MultipleChoice(options=("(A) one", "(B) two"))
+        assert answers.is_complete(schema, "The correct answer is (B)")
+        assert not answers.is_complete(schema, "The correct answer is (Q)")
+        assert not answers.is_complete(schema, "undecided")
+
+    def test_numeric_needs_a_number(self):
+        assert answers.is_complete(Numeric(), "so the total is \\boxed{29}")
+        assert not answers.is_complete(Numeric(), "no numbers here")
+
+    def test_free_text_is_never_complete(self):
+        assert not answers.is_complete(FreeText(), "The answer is the zebra.")

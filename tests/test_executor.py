@@ -66,6 +66,28 @@ class TestExecute:
         prompt = "\n".join(m.content for m in backend.calls[0].messages)
         assert "use clue tables" in prompt
 
+    def test_ending_step_prompt_carries_the_answer_format(self):
+        """The format instruction is its own section; the guidance stays the
+        first line after its header and the node keeps it as given."""
+        schema = GridSchema(houses=2, attributes=(("name", ("A", "B")),))
+        tree = make_tree(schema)
+        backend = ScriptedBackend({"solve": ["content"]})
+        node = executor.execute(
+            tree, AtomicAction.SUMMARY_FINISHED, "assemble the answer", backend, "procedure"
+        )
+        prompt = backend.calls[0].messages[-1].content
+        header = "# The expert's guidance for the current step:\n"
+        assert prompt.split(header, 1)[1].split("\n", 1)[0] == "assemble the answer"
+        section = "\n\n# The format of the final answer:\n" + executor.format_instruction_for(schema)
+        assert prompt.endswith(section)
+        assert node.guidance == "assemble the answer"
+
+    def test_other_steps_get_no_answer_format(self):
+        schema = GridSchema(houses=2, attributes=(("name", ("A", "B")),))
+        backend = ScriptedBackend({"solve": ["content"]})
+        executor.execute(make_tree(schema), AtomicAction.PREMISE_DISCOVERY, "g", backend)
+        assert executor.format_instruction_for(schema) not in backend.calls[0].messages[-1].content
+
 
 class TestFormatInstruction:
     def test_mcq_instruction_matches_transcript_convention(self):

@@ -12,6 +12,7 @@ from atomic_reasoner.model import (
     AtomicAction,
     ChainStatus,
     FreeText,
+    GridSchema,
     Problem,
     TerminationMode,
 )
@@ -341,9 +342,91 @@ def test_backend_failure_preserves_partial_tree():
     assert model.round_count(excinfo.value.tree) == 1
 
 
+GRID = GridSchema(houses=2, attributes=(("name", ("Ann", "Bob")), ("pet", ("cat", "dog"))))
+COMPLETE_GRID = "All clues hold.\nSolution:\n- House 1: Ann (cat)\n- House 2: Bob (dog)"
+SUMMARY_REPLY = "The summarizer's answer.\nSolution:\n- House 1: Ann (cat)\n- House 2: Bob (dog)"
+NO_ERROR = "Check Result: No error."
+SORTING_ERROR = "Check Result: There is an error\nError Type: Sorting Error\nSuggestion: order the houses."
+
+
+def ending_session(ending, ending_checks=(NO_ERROR,), revisions=(), schema=GRID, **config):
+    """A one-chain PD -> HG -> HV -> SF session whose ending step replies
+    ``ending``, is checked by ``ending_checks`` and revised by ``revisions``.
+    The script has one summarize reply, so a second finalize would raise."""
+    backend = ScriptedBackend(
+        {
+            "routing": [
+                "ACTION: PremiseDiscovery\nGUIDANCE: extract",
+                "ACTION: HypothesisGeneration\nGUIDANCE: propose",
+                "GUIDANCE: verify carefully",
+                "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude",
+            ],
+            "solve": ["premises", "Hypothesis 1: Ann has the cat", "verified", ending, *revisions],
+            "check": [NO_ERROR] * 3 + list(ending_checks),
+            "summarize": [SUMMARY_REPLY],
+        }
+    )
+    tree, final = router.run_session(
+        Problem(id="g", statement="A grid puzzle.", answer_schema=schema),
+        config=SessionConfig(max_chains=1, **config),
+        backends=backend,
+    )
+    ending_node = tree.nodes[model.active_chain(tree).node_ids[-1]]
+    assert ending_node.action is AtomicAction.SUMMARY_FINISHED
+    return tree, final, ending_node, [request.tag for request in backend.calls]
+
+
+class TestCheckedEnding:
+    def test_complete_ending_is_the_answer_without_a_summary_call(self):
+        tree, final, ending, tags = ending_session(COMPLETE_GRID)
+        assert "summarize" not in tags
+        assert final.text == ending.content == COMPLETE_GRID
+        assert tree.terminated.mode is TerminationMode.ACTIVE_SOLVED
+        assert tree.terminated.final_answer == COMPLETE_GRID
+
+    def test_revised_ending_answers_with_its_revision(self):
+        revised = COMPLETE_GRID + "\n(sorted by house)"
+        _tree, final, ending, tags = ending_session(
+            "Solution:\n- House 2: Bob (dog)\n- House 1: Ann",
+            ending_checks=(SORTING_ERROR, NO_ERROR),
+            revisions=(revised,),
+        )
+        assert ending.revised and not ending.flagged
+        assert "summarize" not in tags
+        assert final.text == revised
+
+    @pytest.mark.parametrize(
+        "case, ending, ending_checks, revisions, schema, config",
+        [
+            ("incomplete grid", COMPLETE_GRID.replace(" (dog)", ""), (NO_ERROR,), (), GRID, {}),
+            (
+                "flagged ending",
+                COMPLETE_GRID,
+                (SORTING_ERROR,) * 3,
+                (COMPLETE_GRID, COMPLETE_GRID),
+                GRID,
+                {},
+            ),
+            ("passive limit", COMPLETE_GRID, (NO_ERROR,), (), GRID, {"max_rounds": 4}),
+            ("free text", COMPLETE_GRID, (NO_ERROR,), (), FreeText(), {}),
+        ],
+    )
+    def test_other_endings_still_call_finalize_once(
+        self, case, ending, ending_checks, revisions, schema, config
+    ):
+        tree, final, ending_node, tags = ending_session(
+            ending, ending_checks, revisions, schema, **config
+        )
+        assert tags.count("summarize") == 1 and tags[-1] == "summarize"
+        assert final.text == SUMMARY_REPLY
+        assert ending_node.flagged is (case == "flagged ending")
+        expected = TerminationMode.PASSIVE_LIMIT if case == "passive limit" else TerminationMode.ACTIVE_SOLVED
+        assert tree.terminated.mode is expected
+
+
 GOLDEN_REQUEST_STREAMS = {
     "case1": (16, "4d76cf8450e8d38181cb47276cc9c66bb968fb0e818fc033a1ccd09e03954544"),
-    "case2": (21, "22e4248b622147b06d2c0e4f407421235a810a146766fcf68be8d8ada1fa3907"),
+    "case2": (20, "d41ddf128760375488a58a5af7034f1145d3b0f6324f462d1da24eb32af56095"),
 }
 
 

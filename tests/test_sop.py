@@ -47,6 +47,14 @@ class TestParsing:
         assert parsed.keywords == ("reagent", "titration", "= ?", "ph")
         assert sop.parse_sop(SAMPLE).keywords == ()
 
+    def test_unknown_meta_key_is_parse_error(self):
+        """A misspelt key fails loudly instead of leaving the SOP without keywords."""
+        with pytest.raises(ParseError) as excinfo:
+            sop.parse_sop("[meta]\ndomain = x\nkeyword = titration\n", source="bad.sop")
+        message = str(excinfo.value)
+        assert message.startswith("bad.sop:3:")
+        assert "'keyword'" in message and "domain, keywords" in message
+
     def test_missing_domain_is_parse_error(self):
         with pytest.raises(ParseError):
             sop.parse_sop("[schedule]\nhello\n")
