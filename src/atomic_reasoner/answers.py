@@ -73,7 +73,10 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
     grid: dict[int, dict[str, Optional[str]]] = {
         house: dict.fromkeys(attrs) for house in range(1, schema.houses + 1)
     }
-    idx = text.lower().rfind("solution:")
+    # The last "solution:" in any ASCII case.  The encoded copy has one byte
+    # per character, so its index is one into ``text``; ``text.lower()`` can
+    # be longer ("İ" lowers to two characters).
+    idx = text.encode("ascii", "replace").lower().rfind(b"solution:")
     if idx < 0:
         return grid
     block = text[idx + len("solution:"):]

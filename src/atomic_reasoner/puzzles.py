@@ -5,9 +5,11 @@ the oracle against which generated puzzles are checked for solution
 uniqueness.  Its enumeration order (attributes in schema order, each
 attribute's permutations in ``itertools.permutations`` order) is part of its
 contract, because ``limit`` cuts the search there.  Every permutation's
-house of each value is precomputed once, at import; clues naming a single
-attribute prefilter that attribute's permutations before the search, and
-every other clue becomes an integer comparison of two house indices.
+house of each value is precomputed once, at import, together with one
+bitmask per (value, house) of the permutations that put that value there.
+Clues naming a single attribute prefilter that attribute's permutations by
+ANDing such masks before the search, and every other clue becomes an
+integer comparison of two house indices.
 
 The generator shuffles the clues that hold for a planted solution and finds
 the shortest unique prefix of them by galloping (prefix lengths 1, 2, 4, ...)
@@ -185,6 +187,19 @@ _PLACEMENTS: dict[int, list[_Placement]] = {
 }
 
 
+def _placement_masks(placements: list[_Placement]) -> list[list[int]]:
+    """at[v][h]: a bitmask over ``placements`` with bit i set when placement
+    i puts value v in house h."""
+    at = [[0] * len(placements[0][0]) for _ in placements[0][0]]
+    for i, (_, houses) in enumerate(placements):
+        for v, h in enumerate(houses):
+            at[v][h] |= 1 << i
+    return at
+
+
+_AT: dict[int, list[list[int]]] = {n: _placement_masks(placements) for n, placements in _PLACEMENTS.items()}
+
+
 def validate_clues(schema: GridSchema, clues: list[Clue]) -> None:
     """Raise ``ValueError`` unless every attribute holds ``schema.houses``
     distinct values and every clue names a schema attribute, one of that
@@ -223,11 +238,15 @@ def brute_solve(
     enumeration order is the contract, since ``limit`` stops the search
     after that many solutions (uniqueness checks use limit=2).  Each
     permutation's house of every value is precomputed.  Clues naming one
-    attribute (``FixedPosition``, and two-sided clues whose sides share an
-    attribute) drop that attribute's failing permutations before the search;
-    every other clue compares the house indices of its two sides once the
-    later of its attributes is placed.  Raises ``ValueError`` for a clue
-    that does not fit the schema (see ``validate_clues``)."""
+    attribute decide that attribute's candidates before the search, as a
+    bitmask over its permutations: a ``FixedPosition`` clue ANDs in the mask
+    of its (value, house), and a two-sided clue whose sides share an
+    attribute ANDs in the OR of its two values' house masks over the house
+    pairs its test accepts; the set bits, lowest first, are the candidates
+    in ``itertools.permutations`` order.  Every other clue compares the
+    house indices of its two sides once the later of its attributes is
+    placed.  Raises ``ValueError`` for a clue that does not fit the schema
+    (see ``validate_clues``)."""
     if schema.houses > MAX_HOUSES:
         raise TooLarge(f"brute force capped at {MAX_HOUSES} houses")
     validate_clues(schema, clues)
@@ -254,16 +273,23 @@ def brute_solve(
         else:
             staged[depth].append((test, v, other, w))
 
-    # The permutations of each attribute that pass its one-attribute clues, in order.
-    candidates = [
-        [
-            (perm, houses)
-            for perm, houses in _PLACEMENTS[schema.houses]
-            if all(houses[v] == h for v, h in fixed[depth])
-            and all(test(houses[v], houses[w]) for test, v, w in pairs[depth])
-        ]
-        for depth in range(len(schema.attributes))
-    ]
+    # The permutations of each attribute that pass its one-attribute clues, in
+    # order: the AND of one mask per clue, whose bits bin(mask)[:1:-1] lists
+    # lowest first.
+    placements, at = _PLACEMENTS[schema.houses], _AT[schema.houses]
+    house_pairs = [(h, q) for h in range(schema.houses) for q in range(schema.houses)]
+    candidates = []
+    for depth in range(len(schema.attributes)):
+        mask = (1 << len(placements)) - 1
+        for v, h in fixed[depth]:
+            mask &= at[v][h]
+        for test, v, w in pairs[depth]:
+            accepted = 0
+            for h, q in house_pairs:
+                if test(h, q):
+                    accepted |= at[v][h] & at[w][q]
+            mask &= accepted
+        candidates.append([placed for placed, bit in zip(placements, bin(mask)[:1:-1]) if bit == "1"])
 
     # Depth-first search: pending[d] yields the permutations of attribute d
     # that fit the ones chosen for attributes 0..d-1.

@@ -15,7 +15,8 @@ SOPs live in ``.sop`` files: UTF-8, INI-like sections.
 ``keywords`` is a comma-separated list that triage matches, case-insensitively,
 against the problem statement; an SOP without keywords is reached only as the
 default.  Action section names use snake_case action names; unknown action,
-section or ``[meta]`` key names are a parse error.  The registry always
+section or ``[meta]`` key names, and non-blank ``[meta]`` lines without
+``=``, are a parse error.  The registry always
 carries a default SOP.
 """
 
@@ -75,8 +76,10 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
         body = "\n".join(buffer).strip()
         if section == "meta":
             for line_no, raw in enumerate(buffer, start=section_line + 1):
-                if "=" not in raw:
+                if not raw.strip():
                     continue
+                if "=" not in raw:
+                    raise ParseError(f"[meta] line {raw.strip()!r} is not 'key = value'", source, line_no)
                 key, value = (part.strip() for part in raw.split("=", 1))
                 if key == "domain":
                     domain = value

@@ -63,6 +63,13 @@ class TestGrid:
         grid = answers.parse_grid(text, SCHEMA)
         assert grid[3] == {"name": "Arnold", "lunch": "grilled cheese"}
 
+    def test_text_that_lowers_longer_keeps_its_offset(self):
+        # "İ".lower() is two characters, so a cut taken from a lowered copy
+        # would land past the house line.
+        schema = GridSchema(houses=1, attributes=(("name", ("Ann",)),))
+        grid = answers.parse_grid("İİİİİİİİİİİİ Solution:\n- House 1: Ann", schema)
+        assert grid == {1: {"name": "Ann"}}
+
     def test_no_solution_block_all_missing(self):
         grid = answers.parse_grid("no structured answer here", SCHEMA)
         assert all(v is None for cells in grid.values() for v in cells.values())

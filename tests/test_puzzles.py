@@ -232,6 +232,30 @@ class TestBruteSolve:
         for schema, clues in cross_check_cases(seed=20250, count=300):
             assert puzzles.brute_solve(schema, clues, limit=limit) == reference_solve(schema, clues, limit=limit)
 
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    def test_one_attribute_clues_match_reference(self, limit):
+        """Sets of clues that each name one attribute, which the placement
+        masks alone decide before the search: ``FixedPosition``, and
+        two-sided clues between two values (equal ones too) of one attribute."""
+        rng = random.Random(2017)
+        for _ in range(200):
+            schema = grid_schema(rng.randint(2, 5), rng.randint(1, 2))
+            solution = {a: tuple(rng.sample(schema.values_for(a), schema.houses)) for a in schema.attribute_names}
+            true = rng.random() < 0.7  # else drawn blind, often contradictory
+            count = rng.randint(0, 2 * schema.houses)
+            clues = []
+            while len(clues) < count:
+                attr = rng.choice(schema.attribute_names)
+                value_a, value_b = rng.choice(schema.values_for(attr)), rng.choice(schema.values_for(attr))
+                kind = rng.choice((FixedPosition, LeftOf, Adjacent, SameHouse))
+                if kind is FixedPosition:
+                    clue = FixedPosition(attr, value_a, rng.randint(1, schema.houses))
+                else:
+                    clue = kind(attr, value_a, attr, value_b)
+                if not true or clue.holds(solution):
+                    clues.append(clue)
+            assert puzzles.brute_solve(schema, clues, limit=limit) == reference_solve(schema, clues, limit=limit), clues
+
     def test_matches_reference_without_clues(self):
         for houses in range(2, 5):
             schema = grid_schema(houses, 2)

@@ -55,6 +55,14 @@ class TestParsing:
         assert message.startswith("bad.sop:3:")
         assert "'keyword'" in message and "domain, keywords" in message
 
+    def test_meta_line_without_equals_is_parse_error(self):
+        """A colon for the '=' fails loudly instead of leaving the SOP without keywords."""
+        with pytest.raises(ParseError) as excinfo:
+            sop.parse_sop("[meta]\ndomain = x\nkeywords: titration\n", source="bad.sop")
+        message = str(excinfo.value)
+        assert message.startswith("bad.sop:3:")
+        assert "'keywords: titration'" in message
+
     def test_missing_domain_is_parse_error(self):
         with pytest.raises(ParseError):
             sop.parse_sop("[schedule]\nhello\n")
