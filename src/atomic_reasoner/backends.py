@@ -1,7 +1,9 @@
 """Pluggable completion backends and the one way the engine asks them.
 
 Every backend satisfies one contract: ``complete(CompletionRequest) ->
-CompletionResult`` and is safe to call concurrently.  Three implementations
+CompletionResult`` and is safe to call concurrently, also by one session,
+which sends the backtracking-target request and the compression of the chain
+it leaves at the same time (``router._leave_chain``).  Three implementations
 ship here: a deterministic scripted backend for tests and replays, an HTTP
 client for OpenAI-compatible chat endpoints, and a record/replay cache that
 wraps either.  ``ask`` sends a request, re-asking once when the reply does
@@ -118,30 +120,28 @@ ScriptValue = Union[list, str]
 class ScriptedBackend:
     """Deterministic, network-free backend.
 
-    The script is either a single FIFO queue of responses, or a mapping from
-    request tag to a queue.  A mapping value may be a plain string, meaning
-    "always answer this" for that tag.  An optional ``default`` (string or
+    The script maps a request tag to a queue of responses; a plain string
+    value means "always answer this" for that tag.  Queues are per tag, so
+    the answers do not depend on the order in which concurrent calls of
+    different tags arrive.  An optional ``default`` (string or
     ``callable(request) -> str``) serves any exhausted queue instead of
     raising ScriptExhausted.
     """
 
     def __init__(
         self,
-        script: Union[list, dict[str, ScriptValue]],
+        script: dict[str, ScriptValue],
         default: Union[str, Callable[[CompletionRequest], str], None] = None,
     ):
+        if not isinstance(script, dict):
+            raise TypeError("a script maps request tags to responses")
         self._lock = threading.Lock()
         self._script = script
         self._default = default
-        if isinstance(script, dict):
-            self._queues: Optional[dict[str, list]] = {
-                tag: list(value) if isinstance(value, list) else value
-                for tag, value in script.items()
-            }
-            self._queue: Optional[list] = None
-        else:
-            self._queues = None
-            self._queue = list(script)
+        self._queues = {
+            tag: list(value) if isinstance(value, list) else value
+            for tag, value in script.items()
+        }
         self.calls: list[CompletionRequest] = []
 
     def fresh(self) -> "ScriptedBackend":
@@ -149,14 +149,11 @@ class ScriptedBackend:
         return ScriptedBackend(self._script, self._default)
 
     def _next(self, request: CompletionRequest) -> str:
-        if self._queues is not None:
-            entry = self._queues.get(request.tag)
-            if isinstance(entry, str):
-                return entry
-            if entry:
-                return entry.pop(0)
-        elif self._queue:
-            return self._queue.pop(0)
+        entry = self._queues.get(request.tag)
+        if isinstance(entry, str):
+            return entry
+        if entry:
+            return entry.pop(0)
         if self._default is not None:
             if callable(self._default):
                 return self._default(request)

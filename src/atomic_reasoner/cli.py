@@ -109,7 +109,10 @@ def _out_dir(args) -> Path:
 def _read_script(args):
     if not args.script:
         raise UsageError("--backend scripted requires --script")
-    return json.loads(Path(args.script).read_text(encoding="utf-8"))
+    script = json.loads(Path(args.script).read_text(encoding="utf-8"))
+    if not isinstance(script, dict):
+        raise UsageError("--script must hold a JSON object keyed by request tag")
+    return script
 
 
 def _build_backend(args, script=None):

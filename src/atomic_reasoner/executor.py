@@ -81,8 +81,9 @@ def finalize(tree: AtomicTree, backend, mode: TerminationMode) -> FinalAnswer:
 
 
 def compress_chain(tree: AtomicTree, chain: Chain, backend) -> str:
-    """Summarize a chain that just left Active status; stores and returns the
-    summary."""
+    """Summarize ``chain``, the chain a Backtrack leaves; stores and returns
+    the summary.  The call may run while that chain is still Active, at the
+    same time as the target request (``router._leave_chain``)."""
     summary = backends.ask_text(backend, prompts.build_compression_prompt(tree, chain))
     chain.summary = summary
     return summary

@@ -10,12 +10,21 @@ Hard engine rules take priority over anything the routing backend says:
       forced hypothesis verification.
   R4. Unparseable routing output, after one re-ask, falls back to a safe
       premise-summarization step.
+
+Leaving a chain takes two calls that do not read each other's reply: the
+backtracking-target request (tag ``routing``) and the compression of the
+chain being left (tag ``summarize``).  In a session they go out at the same
+time (``_leave_chain``).  The compression renders only the statement and
+that chain's own steps, which neither the target call nor ``branch_at``
+changes, and ``render_tree`` never shows the Active chain's summary, so both
+requests are byte-identical to the ones sent one after the other.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -190,8 +199,15 @@ def decide(
     config: SessionConfig,
     backend,
     sop_hints: str = "",
+    *,
+    branch: bool = False,
 ) -> RoutingDecision:
-    """One routing decision honoring R1-R4; see module docstring."""
+    """One routing decision honoring R1-R4; see module docstring.
+
+    With ``branch`` (``run_session`` passes it) a Backtrack is applied before
+    it is returned: the tree branches at its target, and the chain left
+    behind holds its summary, asked for alongside the target."""
+    select_target = _leave_chain if branch else select_backtrack_target
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -213,7 +229,7 @@ def decide(
             or model.round_count(tree) + 2 > config.max_rounds
         ):
             return Terminate(TerminationMode.ACTIVE_SOLVED)
-        target, reason = select_backtrack_target(tree, backend)
+        target, reason = select_target(tree, backend)
         return Backtrack(target=target, reason=reason)
 
     # R2: a fresh hypothesis is verified promptly; backend gives guidance only.
@@ -255,7 +271,7 @@ def decide(
             return Terminate(TerminationMode.PASSIVE_LIMIT)
         if not path:
             return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE)
-        target, reason = select_backtrack_target(tree, backend)
+        target, reason = select_target(tree, backend)
         return Backtrack(target=target, reason=reason)
 
     action = proposal.action
@@ -327,6 +343,40 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     return path[-1].id, BacktrackReason.KEY_NODE
 
 
+# Threads that send the compression of a chain being left while the session's
+# own thread sends the target request.  Every session shares them; they start
+# on demand, and a compression beyond this many in flight waits for a thread.
+_LEAVE_THREADS = 32
+_leave_pool = futures.ThreadPoolExecutor(_LEAVE_THREADS, thread_name_prefix="leave-chain")
+
+
+def _leave_chain(tree: AtomicTree, backend) -> tuple[str, BacktrackReason]:
+    """``select_backtrack_target``, then branch there; the compression of the
+    chain being left, when it has steps, is sent at the same time as the
+    target request and joined before this returns or raises.
+
+    Failures leave the tree as the serial order would: a failed target call
+    raises with no branch and no summary, and a failed compression raises
+    after the branch, with no summary.  When both fail, the target's failure
+    is raised."""
+    leaving = model.active_chain(tree)
+    if not leaving.node_ids:
+        target, reason = select_backtrack_target(tree, backend)
+        model.branch_at(tree, target)
+        return target, reason
+    compression = _leave_pool.submit(executor_mod.compress_chain, tree, leaving, backend)
+    try:
+        target, reason = select_backtrack_target(tree, backend)
+    except BaseException:
+        futures.wait([compression])
+        leaving.summary = None
+        raise
+    futures.wait([compression])
+    model.branch_at(tree, target)
+    compression.result()  # re-raises a failed compression
+    return target, reason
+
+
 # --- session loop ----------------------------------------------------------------
 
 def _checker_applies(mode: str, action: AtomicAction) -> bool:
@@ -361,7 +411,11 @@ def run_session(
 ) -> tuple[AtomicTree, FinalAnswer]:
     """Full solving loop: decide -> execute -> check -> (branch | terminate).
     The final answer is the checked ending step when ``_checked_ending``
-    accepts it, and otherwise the reply to one ``finalize`` call.
+    accepts it, and otherwise the reply to one ``finalize`` call.  A
+    Backtrack sends the target request and the compression of the chain it
+    leaves at the same time (see the module docstring), so the backend may
+    see two calls of one session in flight at once; both are answered before
+    the next round, and before this returns or raises.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
@@ -377,7 +431,7 @@ def run_session(
 
     try:
         while True:
-            decision = decide(tree, config, backends, sop_hints)
+            decision = decide(tree, config, backends, sop_hints, branch=True)
 
             if isinstance(decision, Terminate):
                 final = _checked_ending(tree, decision.mode) or executor_mod.finalize(
@@ -387,11 +441,7 @@ def run_session(
                 return tree, final
 
             if isinstance(decision, Backtrack):
-                old_chain = model.active_chain(tree)
-                model.branch_at(tree, decision.target)
-                if old_chain.node_ids:
-                    executor_mod.compress_chain(tree, old_chain, backends)
-                continue
+                continue  # already branched and summarized by ``decide``
 
             guidance_extra = active_sop.action_strategies.get(decision.action, "") if active_sop else ""
             node = executor_mod.execute(

@@ -198,7 +198,7 @@ class TestRunBenchmark:
 
     def test_backend_failure_becomes_verdict_not_crash(self):
         task = bench._task_from_record(mcq_record(), "mcq")
-        report = bench.run_benchmark([task], "ar", ScriptedBackend([]), trials=1, workers=1)
+        report = bench.run_benchmark([task], "ar", ScriptedBackend({}), trials=1, workers=1)
         assert report.results[0].verdict.failure == "BackendFailure"
         assert report.mean_success() == 0.0
 
@@ -261,6 +261,6 @@ class TestRunBenchmark:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            bench.run_benchmark([], "ar", ScriptedBackend([]), trials=0)
+            bench.run_benchmark([], "ar", ScriptedBackend({}), trials=0)
         with pytest.raises(ValueError):
-            bench.run_benchmark([], "mcts", ScriptedBackend([]))
+            bench.run_benchmark([], "mcts", ScriptedBackend({}))

@@ -52,11 +52,22 @@ class TestExitCodes:
         problem = tmp_path / "p.txt"
         problem.write_text("what is 2+2?", encoding="utf-8")
         script = tmp_path / "s.json"
-        script.write_text("[]", encoding="utf-8")
+        script.write_text("{}", encoding="utf-8")
         code = run_cli(
             ["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["[]", '["ACTION: TERMINATE"]', '"ACTION: TERMINATE"'])
+    def test_script_that_is_not_an_object_is_usage_error(self, tmp_path, text):
+        problem = tmp_path / "p.txt"
+        problem.write_text("what is 2+2?", encoding="utf-8")
+        script = tmp_path / "s.json"
+        script.write_text(text, encoding="utf-8")
+        code = run_cli(
+            ["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
 
     def test_broken_task_json_is_io_error(self, tmp_path):
         problem = tmp_path / "p.json"

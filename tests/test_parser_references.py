@@ -149,15 +149,20 @@ def _reference_normalize_token(token):
     return re.sub(r"[\s\-]+", " ", token.strip().lower())
 
 
+_SOLUTION_MARKER = re.compile("[sS][oO][lL][uU][tT][iI][oO][nN]:")
+
+
 def _reference_parse_grid(text, schema):
     grid = {
         house: {attr: None for attr in schema.attribute_names}
         for house in range(1, schema.houses + 1)
     }
-    idx = text.lower().rfind("solution:")
-    if idx < 0:
+    # The last "solution:" spelt in ASCII letters of either case, found in
+    # ``text`` itself: no index from a transformed copy.
+    ends = [marker.end() for marker in _SOLUTION_MARKER.finditer(text)]
+    if not ends:
         return grid
-    block = text[idx + len("solution:"):]
+    block = text[ends[-1]:]
 
     vocab = {
         attr: {_reference_normalize_token(v): v for v in values}
@@ -212,7 +217,7 @@ _PROSE = (
     "Let me think about the clues.", "The action here is subtle.", "guidance follows below",
     "no error in step 2", "check result pending", "a sorting error in the ordering",
     "clue 4 links Alice", "ſ ı İ K", "é à ü", "Expression inconsistencies abound.",
-    "Conclusion errors: none", "", " ", "***",
+    "Conclusion errors: none", "", " ", "***", "İİİİİİ İstanbul İzmir",
 )
 
 

@@ -2,12 +2,17 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from atomic_reasoner import cases, model, router, sop
-from atomic_reasoner.backends import ScriptedBackend
-from atomic_reasoner.errors import Terminated
+from atomic_reasoner import cases, metrics, model, router, sop
+from atomic_reasoner.backends import ScriptedBackend, TallyBackend
+from atomic_reasoner.errors import BackendFailure, Terminated
 from atomic_reasoner.model import (
     AtomicAction,
     ChainStatus,
@@ -84,7 +89,7 @@ class TestHardRules:
         tree = make_tree()
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
         model.append_node(tree, AtomicAction.PREMISE_RETRIEVAL, "g", "c")
-        backend = ScriptedBackend([])  # any call would raise ScriptExhausted
+        backend = ScriptedBackend({})  # any call would raise ScriptExhausted
         decision = router.decide(tree, SessionConfig(max_rounds=2), backend)
         assert decision == Terminate(TerminationMode.PASSIVE_LIMIT)
 
@@ -199,13 +204,13 @@ class TestBacktracking:
         model.branch_at(tree, model.active_path(tree)[1].id)
         model.append_node(tree, AtomicAction.HYPOTHESIS_VERIFICATION, "g", "ok")
         model.append_node(tree, AtomicAction.SUMMARY_FINISHED, "g", "done again")
-        decision = router.decide(tree, SessionConfig(), ScriptedBackend([]))
+        decision = router.decide(tree, SessionConfig(), ScriptedBackend({}))
         assert decision == Terminate(TerminationMode.ACTIVE_SOLVED)
 
     def test_completed_chain_at_chain_cap_terminates(self):
         tree = self.completed_tree()
         cfg = SessionConfig(max_chains=1)
-        decision = router.decide(tree, cfg, ScriptedBackend([]))
+        decision = router.decide(tree, cfg, ScriptedBackend({}))
         assert decision == Terminate(TerminationMode.ACTIVE_SOLVED)
 
     def test_max_chains_converts_backtrack_proposal_to_passive_terminate(self):
@@ -424,24 +429,158 @@ class TestCheckedEnding:
         assert tree.terminated.mode is expected
 
 
+def backtracking_script(target=True, routing_after=(), summarize=("chain summary",)):
+    """PD -> HG -> HV -> SF on the first chain; the fifth routing reply, if
+    ``target``, is the backtracking target (Step 2), and ``routing_after``
+    drives the second chain."""
+    return {
+        "routing": [
+            "ACTION: PremiseDiscovery\nGUIDANCE: extract",
+            "ACTION: HypothesisGeneration\nGUIDANCE: propose",
+            "GUIDANCE: verify carefully",
+            "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude",
+            *(["TARGET: Step 2\nREASON: UnexploredBranch"] if target else []),
+            *routing_after,
+        ],
+        "solve": ["premises", "Hypothesis 1: 42", "verified", "42", "verified again", "42 again"],
+        "check": NO_ERROR,
+        "summarize": list(summarize),
+    }
+
+
+class Answered:
+    """Passes calls to ``inner``; a summarize call first sleeps ``delay`` s,
+    and ``tags`` lists each call's tag when its reply or failure is back.
+    The fifth routing call and the first summarize call wait for each other
+    on ``barrier`` when one is given."""
+
+    def __init__(self, inner, delay=0.0, barrier=None):
+        self.inner = inner
+        self.delay = delay
+        self.barrier = barrier
+        self.tags = []
+        self._sent = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self._sent[request.tag] += 1
+            nth = self._sent[request.tag]
+        if self.barrier is not None and (request.tag, nth) in (("routing", 5), ("summarize", 1)):
+            self.barrier.wait()
+        if request.tag == "summarize":
+            time.sleep(self.delay)
+        try:
+            return self.inner.complete(request)
+        finally:
+            with self._lock:
+                self.tags.append(request.tag)
+
+
+def run_backtracking_session(backend):
+    return router.run_session(
+        Problem(id="b", statement="A puzzle.", answer_schema=FreeText()), backends=backend
+    )
+
+
+class TestLeavingAChain:
+    def test_target_and_compression_are_in_flight_together(self):
+        """Each of the two calls waits until the other has been sent; sent
+        one after the other, the first would time out on the barrier."""
+        script = backtracking_script(
+            routing_after=("GUIDANCE: verify again", "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude"),
+            summarize=("chain summary", "final answer"),
+        )
+        backend = Answered(ScriptedBackend(script), barrier=threading.Barrier(2, timeout=5))
+        tree, final = run_backtracking_session(backend)
+        first, second = tree.chains.values()
+        assert first.summary == "chain summary" and second.summary is None
+        assert final.text == "final answer"
+        assert Counter(backend.tags) == Counter(routing=7, solve=6, check=6, summarize=2)
+
+    def test_failed_target_call_raises_after_the_compression_with_no_branch(self):
+        backend = Answered(ScriptedBackend(backtracking_script(target=False)), delay=0.2)
+        with pytest.raises(BackendFailure, match="tag=routing") as excinfo:
+            run_backtracking_session(backend)
+        answered = list(backend.tags)
+        assert answered[-2:] == ["routing", "summarize"]
+        (chain,) = excinfo.value.tree.chains.values()
+        assert chain.summary is None
+        time.sleep(0.3)
+        assert backend.tags == answered
+
+    def test_failed_compression_raises_after_the_branch_with_no_summary(self):
+        backend = ScriptedBackend(backtracking_script(summarize=()))
+        with pytest.raises(BackendFailure, match="tag=summarize") as excinfo:
+            run_backtracking_session(backend)
+        tree = excinfo.value.tree
+        assert len(tree.chains) == 2
+        assert all(chain.summary is None for chain in tree.chains.values())
+
+    def test_target_failure_wins_when_both_calls_fail(self):
+        backend = ScriptedBackend(backtracking_script(target=False, summarize=()))
+        with pytest.raises(BackendFailure, match="tag=routing") as excinfo:
+            run_backtracking_session(backend)
+        assert len(excinfo.value.tree.chains) == 1
+
+    def test_concurrent_sessions_match_the_serial_one(self):
+        """Sixteen case2 sessions (one backtrack each) on eight threads with a
+        short switch interval: every trace and token tally equals a lone
+        session's, so no update of the tree or the tally is lost."""
+        fx = cases.load_case("case2")
+        registry = sop.builtin_registry()
+
+        def session(_):
+            tally = TallyBackend(fx.backend())
+            tree, final = router.run_session(fx.task.to_problem(), backends=tally, sop_registry=registry)
+            return metrics.serialize_trace(tree), final.text, tally.prompt_tokens, tally.completion_tokens
+
+        expected = session(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(session, range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 16
+
+
+# Per tag: the target request and the compression of the chain being left go
+# out at the same time, so only each tag's own order is fixed.
 GOLDEN_REQUEST_STREAMS = {
-    "case1": (16, "4d76cf8450e8d38181cb47276cc9c66bb968fb0e818fc033a1ccd09e03954544"),
-    "case2": (20, "d41ddf128760375488a58a5af7034f1145d3b0f6324f462d1da24eb32af56095"),
+    "case1": {
+        "check": (5, "bcb3fcd883752874e057ffe0c5ca246fb63c03a696c1b82c5535ca0e3c110bd0"),
+        "routing": (5, "d1f3b7653bf6fd66f5fdc7972aeac31a4fea5b6041e51184565b899448d56978"),
+        "solve": (5, "4c906e069ef824a5941323e4987baa4bff88fe0d6e3e5dfe628eca5ff0432bef"),
+        "summarize": (1, "9553fbaae21d366585ecc522b0b4eecd332494886ca935a41bb4e5b4afe77958"),
+    },
+    "case2": {
+        "check": (6, "c625719fc4dbf998a64cb2774eb59cb2e9acbe7373185e76236027b4ec951ef7"),
+        "routing": (7, "7e8966dde48330044daaf401532a201a3fd51cb4a2a6981c6950065ddcd00447"),
+        "solve": (6, "f5b86510a86d9353ac95b7c09881dbd229ab68b64335852883234aeede9b5b13"),
+        "summarize": (1, "7725e9c8062d7c0e7c7045458e1b8decfd4717e1c3769c1fdc69fe01641db12d"),
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REQUEST_STREAMS))
 def test_case_request_stream_is_byte_identical(name):
-    """Every request a shipped case sends (tag, sampling, seed, messages) is
-    pinned by digest, so refactors of the prompt path cannot drift silently."""
+    """Every request a shipped case sends (sampling, seed, messages) is
+    pinned by digest in its tag's order, so refactors of the prompt path
+    cannot drift silently."""
     fx = cases.load_case(name)
     recorder = fx.backend()
     router.run_session(
         fx.task.to_problem(), backends=recorder, sop_registry=sop.builtin_registry()
     )
-    stream = [
-        [r.tag, r.temperature, r.max_tokens, r.seed, [[m.role, m.content] for m in r.messages]]
-        for r in recorder.calls
-    ]
-    digest = hashlib.sha256(json.dumps(stream, sort_keys=True).encode("utf-8")).hexdigest()
-    assert (len(stream), digest) == GOLDEN_REQUEST_STREAMS[name]
+    streams = {}
+    for r in recorder.calls:
+        streams.setdefault(r.tag, []).append(
+            [r.temperature, r.max_tokens, r.seed, [[m.role, m.content] for m in r.messages]]
+        )
+    digests = {
+        tag: (len(stream), hashlib.sha256(json.dumps(stream, sort_keys=True).encode("utf-8")).hexdigest())
+        for tag, stream in streams.items()
+    }
+    assert digests == GOLDEN_REQUEST_STREAMS[name]
