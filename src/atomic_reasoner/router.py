@@ -13,11 +13,12 @@ Hard engine rules take priority over anything the routing backend says:
 
 Leaving a chain takes two calls that do not read each other's reply: the
 backtracking-target request (tag ``routing``) and the compression of the
-chain being left (tag ``summarize``).  In a session they go out at the same
-time (``_leave_chain``).  The compression renders only the statement and
-that chain's own steps, which neither the target call nor ``branch_at``
-changes, and ``render_tree`` never shows the Active chain's summary, so both
-requests are byte-identical to the ones sent one after the other.
+chain being left (tag ``summarize``).  ``decide`` sends them at the same
+time and applies the Backtrack before returning it (``_leave_chain``).  The
+compression renders only the statement and that chain's own steps, which
+neither the target call nor ``branch_at`` changes, and ``render_tree`` never
+shows the Active chain's summary, so both requests are byte-identical to the
+ones sent one after the other.
 """
 
 from __future__ import annotations
@@ -199,15 +200,12 @@ def decide(
     config: SessionConfig,
     backend,
     sop_hints: str = "",
-    *,
-    branch: bool = False,
 ) -> RoutingDecision:
     """One routing decision honoring R1-R4; see module docstring.
 
-    With ``branch`` (``run_session`` passes it) a Backtrack is applied before
-    it is returned: the tree branches at its target, and the chain left
-    behind holds its summary, asked for alongside the target."""
-    select_target = _leave_chain if branch else select_backtrack_target
+    A Backtrack is applied before it is returned: the tree branches at its
+    target, and the chain left behind holds its summary, asked for alongside
+    the target (``_leave_chain``)."""
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -229,7 +227,7 @@ def decide(
             or model.round_count(tree) + 2 > config.max_rounds
         ):
             return Terminate(TerminationMode.ACTIVE_SOLVED)
-        target, reason = select_target(tree, backend)
+        target, reason = _leave_chain(tree, backend)
         return Backtrack(target=target, reason=reason)
 
     # R2: a fresh hypothesis is verified promptly; backend gives guidance only.
@@ -271,7 +269,7 @@ def decide(
             return Terminate(TerminationMode.PASSIVE_LIMIT)
         if not path:
             return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE)
-        target, reason = select_target(tree, backend)
+        target, reason = _leave_chain(tree, backend)
         return Backtrack(target=target, reason=reason)
 
     action = proposal.action
@@ -344,8 +342,10 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
 
 
 # Threads that send the compression of a chain being left while the session's
-# own thread sends the target request.  Every session shares them; they start
-# on demand, and a compression beyond this many in flight waits for a thread.
+# own thread sends the target request.  Every session shares them and has at
+# most one compression in flight; they start on demand.  32 covers bench's
+# default of at most 8 workers four times over; past 32 concurrent sessions a
+# compression waits for a thread and that session's leave runs serially.
 _LEAVE_THREADS = 32
 _leave_pool = futures.ThreadPoolExecutor(_LEAVE_THREADS, thread_name_prefix="leave-chain")
 
@@ -360,20 +360,21 @@ def _leave_chain(tree: AtomicTree, backend) -> tuple[str, BacktrackReason]:
     after the branch, with no summary.  When both fail, the target's failure
     is raised."""
     leaving = model.active_chain(tree)
-    if not leaving.node_ids:
-        target, reason = select_backtrack_target(tree, backend)
-        model.branch_at(tree, target)
-        return target, reason
-    compression = _leave_pool.submit(executor_mod.compress_chain, tree, leaving, backend)
+    pending = (
+        [_leave_pool.submit(executor_mod.compress_chain, tree, leaving, backend)]
+        if leaving.node_ids
+        else []
+    )
     try:
         target, reason = select_backtrack_target(tree, backend)
     except BaseException:
-        futures.wait([compression])
+        futures.wait(pending)
         leaving.summary = None
         raise
-    futures.wait([compression])
+    futures.wait(pending)
     model.branch_at(tree, target)
-    compression.result()  # re-raises a failed compression
+    for compression in pending:
+        compression.result()  # re-raises a failed compression
     return target, reason
 
 
@@ -431,7 +432,7 @@ def run_session(
 
     try:
         while True:
-            decision = decide(tree, config, backends, sop_hints, branch=True)
+            decision = decide(tree, config, backends, sop_hints)
 
             if isinstance(decision, Terminate):
                 final = _checked_ending(tree, decision.mode) or executor_mod.finalize(
@@ -441,7 +442,7 @@ def run_session(
                 return tree, final
 
             if isinstance(decision, Backtrack):
-                continue  # already branched and summarized by ``decide``
+                continue  # ``decide`` has branched and stored the summary
 
             guidance_extra = active_sop.action_strategies.get(decision.action, "") if active_sop else ""
             node = executor_mod.execute(

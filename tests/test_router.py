@@ -162,6 +162,9 @@ class TestHardRules:
 
 
 class TestBacktracking:
+    """``decide`` applies a Backtrack: the tree branches at the target and the
+    chain left behind holds its summary."""
+
     def completed_tree(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
@@ -170,34 +173,51 @@ class TestBacktracking:
         model.append_node(tree, AtomicAction.SUMMARY_FINISHED, "g", "done")
         return tree
 
+    def leave(self, tree, routing_reply, config=SessionConfig()):
+        """Decide on ``tree`` with ``routing_reply`` for every routing call;
+        returns the decision, the path before it and the chain it left."""
+        path, left = model.active_path(tree), model.active_chain(tree)
+        backend = ScriptedBackend({"routing": routing_reply, "summarize": ["chain summary"]})
+        decision = router.decide(tree, config, backend)
+        assert isinstance(decision, Backtrack)
+        assert left.summary == "chain summary"
+        assert model.active_chain(tree) is not left and not model.active_chain(tree).node_ids
+        assert model.active_path(tree) == path[: path.index(tree.nodes[decision.target]) + 1]
+        return decision, path, left, backend
+
     def test_completed_chain_backtracks_to_named_step(self):
         tree = self.completed_tree()
-        decision = router.decide(
-            tree, SessionConfig(), routing("TARGET: Step 2\nREASON: UnexploredBranch")
-        )
-        assert isinstance(decision, Backtrack)
-        assert decision.target == model.active_path(tree)[1].id
-        assert decision.reason is BacktrackReason.UNEXPLORED_BRANCH
+        decision, path, left, _ = self.leave(tree, "TARGET: Step 2\nREASON: UnexploredBranch")
+        assert decision == Backtrack(path[1].id, BacktrackReason.UNEXPLORED_BRANCH)
+        assert left.status is ChainStatus.SUSPENDED
+
+    def test_mid_chain_backtrack_proposal_branches(self):
+        tree = make_tree()
+        model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
+        model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "Hypothesis 1: x")
+        model.append_node(tree, AtomicAction.HYPOTHESIS_VERIFICATION, "g", "wrong")
+        decision, path, left, _ = self.leave(tree, ["ACTION: BACKTRACK", "TARGET: Step 1"])
+        assert decision == Backtrack(path[0].id, BacktrackReason.KEY_NODE)
+        assert left.status is ChainStatus.DORMANT
 
     def test_unparseable_target_falls_back_to_deepest_hypothesis(self):
         tree = self.completed_tree()
-        backend = ScriptedBackend({"routing": "gibberish"})
-        decision = router.decide(tree, SessionConfig(), backend)
-        assert isinstance(decision, Backtrack)
-        assert decision.target == model.active_path(tree)[1].id  # the hypothesis node
-        assert backend.calls[1] == dataclasses.replace(backend.calls[0], seed=1)
+        decision, path, _, backend = self.leave(tree, "gibberish")
+        assert decision.target == path[1].id  # the hypothesis node
+        asked = [call for call in backend.calls if call.tag == "routing"]
+        assert asked[1] == dataclasses.replace(asked[0], seed=1)
 
     def test_out_of_range_target_falls_back(self):
         tree = self.completed_tree()
-        decision = router.decide(tree, SessionConfig(), ScriptedBackend({"routing": "TARGET: Step 99"}))
-        assert isinstance(decision, Backtrack)
-        assert decision.target == model.active_path(tree)[1].id
+        decision, path, _, _ = self.leave(tree, "TARGET: Step 99")
+        assert decision.target == path[1].id
 
     def test_target_and_reason_are_read_on_their_own_lines(self):
         tree = self.completed_tree()
-        backend = ScriptedBackend({"routing": "TARGET:\n3\nTARGET: Step 1\nREASON:\nIncorrectContent"})
-        decision = router.decide(tree, SessionConfig(), backend)
-        assert decision == Backtrack(model.active_path(tree)[0].id, BacktrackReason.KEY_NODE)
+        decision, path, _, _ = self.leave(
+            tree, "TARGET:\n3\nTARGET: Step 1\nREASON:\nIncorrectContent"
+        )
+        assert decision == Backtrack(path[0].id, BacktrackReason.KEY_NODE)
 
     def test_second_completed_chain_terminates(self):
         tree = self.completed_tree()
