@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import email.utils
 import enum
 import functools
 import hashlib
@@ -303,11 +304,17 @@ class HttpBackend:
 
 
 def _parse_retry_after(response: requests.Response) -> Optional[float]:
+    """Retry-After in seconds: delay-seconds, or an HTTP-date (always GMT) as
+    the delay from now, never below 0; None when absent or unreadable."""
     value = response.headers.get("Retry-After")
     if value is None:
         return None
     try:
         return float(value)
+    except ValueError:
+        pass
+    try:
+        return max(0.0, email.utils.parsedate_to_datetime(value).timestamp() - time.time())
     except ValueError:
         return None
 

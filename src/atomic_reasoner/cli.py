@@ -143,9 +143,12 @@ def _close_http(backend) -> None:
 
 
 def _session_config(args) -> router.SessionConfig:
-    return router.SessionConfig(
-        max_rounds=args.max_rounds, max_chains=args.max_chains, checker_mode=args.checker_mode
-    )
+    try:
+        return router.SessionConfig(
+            max_rounds=args.max_rounds, max_chains=args.max_chains, checker_mode=args.checker_mode
+        )
+    except ValueError as exc:  # --max-rounds or --max-chains out of range
+        raise UsageError(str(exc)) from exc
 
 
 def _sop_registry(args) -> sop_mod.SopRegistry:
@@ -163,7 +166,10 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
     raw = Path(args.problem).read_text(encoding="utf-8")
     if args.problem.endswith(".json"):
         record = json.loads(raw)
-        task = bench_mod._task_from_record(record, record["format"])
+        try:
+            task = bench_mod._task_from_record(record, record["format"])
+        except (ValueError, KeyError, TypeError) as exc:  # as bench.load_tasks rejects a line
+            raise ParseError(f"not a task record: {exc!r}", source=args.problem) from exc
         return task.to_problem(), task
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 
@@ -184,6 +190,7 @@ def _write_trace(out: Path, problem_id: str, tree, correct: Optional[bool], suit
 
 
 def cmd_solve(args) -> int:
+    config = _session_config(args)
     problem, task = _read_problem(args)
     backend = _build_backend(args)
     suite = task.suite if task is not None else ""
@@ -191,7 +198,7 @@ def cmd_solve(args) -> int:
         out = _out_dir(args)
         tree, final = router.run_session(
             problem,
-            config=_session_config(args),
+            config=config,
             backends=backend,
             sop_registry=_sop_registry(args),
         )
@@ -212,6 +219,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    config = _session_config(args)
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     tasks, rejects = bench_mod.load_tasks(args.suite, args.format)
     for reject in rejects:
         print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
@@ -234,7 +244,7 @@ def cmd_bench(args) -> int:
             backend=backend,
             trials=args.trials,
             workers=args.workers,
-            session_config=_session_config(args),
+            session_config=config,
             sop_registry=_sop_registry(args),
             suite=Path(args.suite).stem,
         )
@@ -286,11 +296,14 @@ def cmd_inspect(args) -> int:
 def cmd_genpuzzles(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    out = _out_dir(args)
     lines = []
     for seed in range(args.seed, args.seed + args.count):
-        task, _grid = bench_mod.gen_puzzle(seed, args.houses, args.attributes)
+        try:
+            task, _grid = bench_mod.gen_puzzle(seed, args.houses, args.attributes)
+        except ValueError as exc:  # --houses or --attributes out of range
+            raise UsageError(str(exc)) from exc
         lines.append(json.dumps(bench_mod.task_to_record(task, "grid"), ensure_ascii=False))
+    out = _out_dir(args)
     suite_path = out / "generated_suite.jsonl"
     suite_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{args.count} tasks -> {suite_path}")

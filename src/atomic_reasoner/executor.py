@@ -10,7 +10,6 @@ from . import backends, model, prompts
 from .model import (
     AtomicAction,
     AtomicTree,
-    Chain,
     GridSchema,
     MultipleChoice,
     Node,
@@ -79,11 +78,3 @@ def finalize(tree: AtomicTree, backend, mode: TerminationMode) -> FinalAnswer:
     )
     return FinalAnswer(backends.ask_text(backend, request))
 
-
-def compress_chain(tree: AtomicTree, chain: Chain, backend) -> str:
-    """Summarize ``chain``, the chain a Backtrack leaves; stores and returns
-    the summary.  The call may run while that chain is still Active, at the
-    same time as the target request (``router._leave_chain``)."""
-    summary = backends.ask_text(backend, prompts.build_compression_prompt(tree, chain))
-    chain.summary = summary
-    return summary

@@ -15,10 +15,9 @@ Leaving a chain takes two calls that do not read each other's reply: the
 backtracking-target request (tag ``routing``) and the compression of the
 chain being left (tag ``summarize``).  ``decide`` sends them at the same
 time and applies the Backtrack before returning it (``_leave_chain``).  The
-compression renders only the statement and that chain's own steps, which
-neither the target call nor ``branch_at`` changes, and ``render_tree`` never
-shows the Active chain's summary, so both requests are byte-identical to the
-ones sent one after the other.
+session's thread builds both requests and applies both replies; the pool
+thread only sends.  No write comes before both replies, so both requests
+are byte-identical to the ones sent one after the other.
 """
 
 from __future__ import annotations
@@ -227,8 +226,7 @@ def decide(
             or model.round_count(tree) + 2 > config.max_rounds
         ):
             return Terminate(TerminationMode.ACTIVE_SOLVED)
-        target, reason = _leave_chain(tree, backend)
-        return Backtrack(target=target, reason=reason)
+        return _leave_chain(tree, backend)
 
     # R2: a fresh hypothesis is verified promptly; backend gives guidance only.
     if path and path[-1].action is AtomicAction.HYPOTHESIS_GENERATION:
@@ -269,8 +267,7 @@ def decide(
             return Terminate(TerminationMode.PASSIVE_LIMIT)
         if not path:
             return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE)
-        target, reason = _leave_chain(tree, backend)
-        return Backtrack(target=target, reason=reason)
+        return _leave_chain(tree, backend)
 
     action = proposal.action
     # A verification with no hypothesis to verify cannot be appended; route
@@ -350,32 +347,29 @@ _LEAVE_THREADS = 32
 _leave_pool = futures.ThreadPoolExecutor(_LEAVE_THREADS, thread_name_prefix="leave-chain")
 
 
-def _leave_chain(tree: AtomicTree, backend) -> tuple[str, BacktrackReason]:
-    """``select_backtrack_target``, then branch there; the compression of the
-    chain being left, when it has steps, is sent at the same time as the
-    target request and joined before this returns or raises.
+def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
+    """``select_backtrack_target``, then branch there.  The compression of the
+    chain being left, when it has steps, is built here and sent on the pool
+    while the target request goes out; the tree changes after both replies.
 
     Failures leave the tree as the serial order would: a failed target call
     raises with no branch and no summary, and a failed compression raises
     after the branch, with no summary.  When both fail, the target's failure
     is raised."""
     leaving = model.active_chain(tree)
-    pending = (
-        [_leave_pool.submit(executor_mod.compress_chain, tree, leaving, backend)]
-        if leaving.node_ids
-        else []
-    )
+    compression = None
+    if leaving.node_ids:
+        request = prompts.build_compression_prompt(tree, leaving)
+        compression = _leave_pool.submit(backends_mod.ask_text, backend, request)
     try:
         target, reason = select_backtrack_target(tree, backend)
-    except BaseException:
-        futures.wait(pending)
-        leaving.summary = None
-        raise
-    futures.wait(pending)
+    finally:
+        if compression is not None:
+            futures.wait((compression,))
     model.branch_at(tree, target)
-    for compression in pending:
-        compression.result()  # re-raises a failed compression
-    return target, reason
+    if compression is not None:
+        leaving.summary = compression.result()  # re-raises a failed compression
+    return Backtrack(target=target, reason=reason)
 
 
 # --- session loop ----------------------------------------------------------------
@@ -415,8 +409,8 @@ def run_session(
     accepts it, and otherwise the reply to one ``finalize`` call.  A
     Backtrack sends the target request and the compression of the chain it
     leaves at the same time (see the module docstring), so the backend may
-    see two calls of one session in flight at once; both are answered before
-    the next round, and before this returns or raises.
+    see two calls of one session in flight at once; both are built on this
+    thread, and answered before the tree changes or this returns or raises.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag

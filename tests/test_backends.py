@@ -1,4 +1,6 @@
 import dataclasses
+import datetime
+import email.utils
 import hashlib
 import json
 import random
@@ -48,7 +50,8 @@ def ok_payload(content="pong", prompt_tokens=3, completion_tokens=2):
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Serves a scripted sequence of behaviors shared via the server object."""
+    """Serves a scripted sequence of behaviors shared via the server object.
+    A ``("status", code)`` entry may give ``(code, headers)`` instead."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -59,8 +62,11 @@ class StubHandler(BaseHTTPRequestHandler):
         )
         kind, payload = behavior
         if kind == "status":
-            self.send_response(payload)
+            status, headers = payload if isinstance(payload, tuple) else (payload, {})
+            self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(b'{"error": "scripted"}')
         elif kind == "malformed":
@@ -187,6 +193,31 @@ class TestHttpBackend:
         with pytest.raises(RateLimited):
             backend.complete(make_request())
         assert len(stub_server.requests) == 3  # initial + 2 retries
+
+    def test_retry_after_seconds_is_the_backoff(self, stub_server):
+        stub_server.script = [("status", (429, {"Retry-After": "7"})), ("ok", ok_payload())]
+        backend, sleeps = make_http_backend(stub_server)
+        assert backend.complete(make_request()).text == "pong"
+        assert sleeps == [7.0]
+
+    def test_retry_after_http_date_waits_until_that_date(self, stub_server):
+        when = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(seconds=30)
+        retry_after = email.utils.format_datetime(when, usegmt=True)
+        stub_server.script = [("status", (429, {"Retry-After": retry_after})), ("ok", ok_payload())]
+        backend, sleeps = make_http_backend(stub_server)
+        assert backend.complete(make_request()).text == "pong"
+        (delay,) = sleeps
+        assert 25 < delay <= 30  # the date has whole seconds
+
+    @pytest.mark.parametrize(
+        "retry_after", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon"], ids=["past-date", "unreadable"]
+    )
+    def test_retry_after_past_or_unreadable_leaves_the_backoff(self, stub_server, retry_after):
+        stub_server.script = [("status", (429, {"Retry-After": retry_after})), ("ok", ok_payload())]
+        backend, sleeps = make_http_backend(stub_server)
+        assert backend.complete(make_request()).text == "pong"
+        (delay,) = sleeps
+        assert 0.5 <= delay < 1.5  # base 1 s with jitter, the first attempt's backoff
 
     def test_auth_error_is_immediate(self, stub_server):
         stub_server.script = [("status", 401)]

@@ -79,6 +79,62 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["genpuzzles", "--houses", "9"], "houses"),
+            (["genpuzzles", "--attributes", "5"], "attributes"),
+            (["solve", "{problem}", "--max-rounds", "1"], "max_rounds"),
+            (["bench", "{suite}", "--trials", "0"], "--trials"),
+            (["bench", "{suite}", "--max-chains", "0"], "max_chains"),
+        ],
+        ids=[
+            "genpuzzles-houses",
+            "genpuzzles-attributes",
+            "solve-max-rounds",
+            "bench-trials",
+            "bench-max-chains",
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags, named):
+        problem = tmp_path / "p.txt"
+        problem.write_text("what is 2+2?", encoding="utf-8")
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(
+            json.dumps({"statement": "Pick.", "options": ["(A) y", "(B) n"], "gold": "A"}) + "\n",
+            encoding="utf-8",
+        )
+        script = tmp_path / "s.json"
+        script.write_text(json.dumps({"solve": "The correct answer is (A)"}), encoding="utf-8")
+        argv = [flag.format(problem=problem, suite=suite) for flag in flags]
+        if argv[0] != "genpuzzles":
+            argv += ["--script", str(script)]
+        if argv[0] == "bench":
+            argv += ["--format", "mcq", "--strategy", "single-pass"]
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"statement": "Pick.", "options": ["(A) y", "(B) n"], "gold": "A"},
+            {"format": "mcq", "statement": "Pick.", "options": ["(A) y", "(B) n"], "gold": "C"},
+            {"format": "mcq", "statement": "Pick.", "gold": "A"},
+            ["not", "a", "record"],
+        ],
+        ids=["no-format", "gold-not-an-option", "no-options", "not-an-object"],
+    )
+    def test_malformed_task_file_is_io_error(self, tmp_path, capsys, record):
+        problem = tmp_path / "task.json"
+        problem.write_text(json.dumps(record), encoding="utf-8")
+        script = tmp_path / "s.json"
+        script.write_text("{}", encoding="utf-8")
+        code = run_cli(["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: {problem}: not a task record")
+
     def test_replay_without_recordings_is_backend_failure(self, tmp_path):
         problem = tmp_path / "p.txt"
         problem.write_text("what is 2+2?", encoding="utf-8")

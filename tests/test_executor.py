@@ -113,12 +113,3 @@ class TestFinalize:
         prompt = "\n".join(m.content for m in backend.calls[0].messages).lower()
         assert "best" in prompt  # best-effort wording reaches the prompt
 
-
-def test_compress_chain_sets_summary():
-    tree = make_tree()
-    model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "clue list")
-    chain = model.active_chain(tree)
-    backend = ScriptedBackend({"summarize": ["compressed summary"]})
-    summary = executor.compress_chain(tree, chain, backend)
-    assert summary == "compressed summary"
-    assert chain.summary == "compressed summary"

@@ -10,9 +10,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from atomic_reasoner import cases, metrics, model, router, sop
-from atomic_reasoner.backends import ScriptedBackend, TallyBackend
-from atomic_reasoner.errors import BackendFailure, Terminated
+from atomic_reasoner import bench, cases, metrics, model, prompts, router, sop
+from atomic_reasoner.backends import CompletionResult, ScriptedBackend, TallyBackend
+from atomic_reasoner.errors import (
+    BackendFailure,
+    BackendTimeout,
+    MalformedResponse,
+    RateLimited,
+    Terminated,
+)
 from atomic_reasoner.model import (
     AtomicAction,
     ChainStatus,
@@ -294,6 +300,104 @@ def test_adversarial_sessions_respect_engine_rules():
                     assert nxt is AtomicAction.HYPOTHESIS_VERIFICATION
 
 
+FAULTS = ("blank", "garbage", RateLimited, BackendTimeout, MalformedResponse)
+
+
+class Faulty:
+    """Passes calls to ``inner``, but answers a seeded share ``rate`` of them,
+    in every tag, with one fault from FAULTS instead.  Whether and how the
+    k-th call of a tag fails depends only on (seed, tag, k), so the two
+    threads of an overlapped leave share no random state.  A leave's two
+    calls are told apart by their system messages, ``leave_systems`` (target,
+    compression); ``leave_faults`` counts faults in them.  A compression takes
+    2 ms, so one left running past its session's end shows in ``late``, which
+    counts calls sent, or still in flight, once ``close`` has been called."""
+
+    def __init__(self, inner, seed, rate, leave_systems):
+        self.inner = inner
+        self.seed = seed
+        self.rate = rate
+        self.leave_systems = leave_systems
+        self.leave_faults = 0
+        self.late = 0
+        self._closed = False
+        self._in_flight = 0
+        self._sent = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            nth = self._sent[request.tag]
+            self._sent[request.tag] += 1
+            self.late += self._closed
+            self._in_flight += 1
+        try:
+            if request.messages[0] == self.leave_systems[1]:
+                time.sleep(0.002)
+            rng = random.Random(f"{self.seed}/{request.tag}/{nth}")
+            if rng.random() >= self.rate:
+                return self.inner.complete(request)
+            with self._lock:
+                self.leave_faults += request.messages[0] in self.leave_systems
+            fault = rng.choice(FAULTS)
+            if fault == "blank":
+                return CompletionResult(text=" \n")
+            if fault == "garbage":
+                return CompletionResult(text="}{ ACTION: TARGET: Step -1 \x00")
+            raise fault(f"injected (tag={request.tag})")
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+    def close(self):
+        with self._lock:
+            self._closed = True
+            self.late += self._in_flight
+
+
+def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
+    """About 300 seeded sessions, half adversarial and half oracle sessions
+    that backtrack, with 8 % of calls in every tag faulted: only
+    BackendFailure escapes, every tree (finished or ``exc.tree``) keeps R1
+    and the chain cap and round-trips through the trace format, and no call
+    reaches the backend after ``run_session`` returns or raises."""
+    config = SessionConfig()
+    tasks = [bench.gen_puzzle(seed, 3, 2)[0] for seed in range(3)]
+    oracles = [bench.oracle_session_backend(task) for task in tasks]
+    one_step = model.new_tree(tasks[0].to_problem())
+    model.append_node(one_step, AtomicAction.PREMISE_DISCOVERY, "g", "c")
+    leave_systems = (
+        prompts.build_backtracking_prompt(one_step).messages[0],
+        prompts.build_compression_prompt(one_step, model.active_chain(one_step)).messages[0],
+    )
+    outcomes = Counter()
+    sessions = []
+    for seed in range(300):
+        if seed % 2:
+            inner = adversarial_backend(random.Random(seed))
+            problem = Problem(id=f"adv-{seed}", statement="A puzzle.", answer_schema=FreeText())
+        else:
+            inner = oracles[seed // 2 % len(tasks)].fresh()
+            problem = tasks[seed // 2 % len(tasks)].to_problem()
+        backend = Faulty(inner, seed, 0.08, leave_systems)
+        sessions.append(backend)
+        try:
+            tree, _final = router.run_session(problem, config=config, backends=backend)
+            outcomes["finished"] += 1
+        except BackendFailure as exc:
+            tree = exc.tree
+            outcomes["failed"] += 1
+        backend.close()
+        assert model.round_count(tree) <= config.max_rounds
+        assert len(tree.chains) <= config.max_chains
+        trace = metrics.serialize_trace(tree)
+        assert metrics.serialize_trace(metrics.deserialize_trace(trace)) == trace
+    # Read after every session has ended, so a call sent late is counted too.
+    assert [backend.seed for backend in sessions if backend.late] == []
+    assert outcomes["finished"] and outcomes["failed"]
+    assert sum(backend.leave_faults for backend in sessions)
+
+
 def four_step_backend():
     return ScriptedBackend(
         {
@@ -542,6 +646,32 @@ class TestLeavingAChain:
         with pytest.raises(BackendFailure, match="tag=routing") as excinfo:
             run_backtracking_session(backend)
         assert len(excinfo.value.tree.chains) == 1
+
+    def test_trees_are_rendered_and_prompts_built_on_the_session_thread(self, monkeypatch):
+        """The leave's pool thread only sends: every render and prompt build
+        of a backtracking session runs on the thread that runs the session."""
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in [(model, "render_steps"), (model, "render_tree")] + [
+            (prompts, name) for name in dir(prompts) if name.startswith("build_")
+        ]:
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+        task = bench.gen_puzzle(0, 3, 2)[0]
+        tree, _final = router.run_session(
+            task.to_problem(), backends=bench.oracle_session_backend(task)
+        )
+        assert len(tree.chains) == 2 and next(iter(tree.chains.values())).summary
+        assert {"render_steps", "build_compression_prompt", "build_backtracking_prompt"} <= {
+            name for name, _thread in calls
+        }
+        assert {thread for _name, thread in calls} == {threading.current_thread()}
 
     def test_concurrent_sessions_match_the_serial_one(self):
         """Sixteen case2 sessions (one backtrack each) on eight threads with a
