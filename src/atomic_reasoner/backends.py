@@ -3,7 +3,8 @@
 Every backend satisfies one contract: ``complete(CompletionRequest) ->
 CompletionResult`` and is safe to call concurrently, also by one session,
 which sends the backtracking-target request and the compression of the chain
-it leaves at the same time (``router._leave_chain``).  Three implementations
+it leaves at the same time (``router._leave_chain``), and R2's routing request
+while a hypothesis is checked (``router._SentAhead``).  Three implementations
 ship here: a deterministic scripted backend for tests and replays, an HTTP
 client for OpenAI-compatible chat endpoints, and a record/replay cache that
 wraps either.  ``ask`` sends a request, re-asking once when the reply does
@@ -19,6 +20,7 @@ import enum
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import tempfile
@@ -190,7 +192,9 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
 
     Retries Timeout/429/5xx with exponential backoff (base 1 s, factor 2,
-    jitter), up to ``max_retries`` extra attempts.  At most
+    jitter), up to ``max_retries`` extra attempts.  A ``Retry-After`` is the
+    backoff's floor; one longer than ``timeout`` is not waited for, and that
+    attempt's error is raised at once.  At most
     ``max_concurrent`` requests are in flight; a caller sleeping through a
     backoff holds no slot.  API keys are read from the environment only.
     ``close()`` closes the ``requests.Session`` the backend made itself; one
@@ -265,6 +269,8 @@ class HttpBackend:
                 ) if response.status_code == 429 else BackendTimeout(
                     f"server error {response.status_code}"
                 )
+                if retry_after is not None and retry_after > self.config.timeout:
+                    raise last_error
                 self._backoff(attempt, floor=retry_after)
                 continue
             if response.status_code != 200:
@@ -305,14 +311,17 @@ class HttpBackend:
 
 def _parse_retry_after(response: requests.Response) -> Optional[float]:
     """Retry-After in seconds: delay-seconds, or an HTTP-date (always GMT) as
-    the delay from now, never below 0; None when absent or unreadable."""
+    the delay from now, never below 0; None when absent or unreadable (NaN
+    included).  Delay-seconds too large for a float read as infinity."""
     value = response.headers.get("Retry-After")
     if value is None:
         return None
     try:
-        return float(value)
+        seconds = float(value)
     except ValueError:
         pass
+    else:
+        return None if math.isnan(seconds) else seconds
     try:
         return max(0.0, email.utils.parsedate_to_datetime(value).timestamp() - time.time())
     except ValueError:

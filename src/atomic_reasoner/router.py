@@ -11,13 +11,23 @@ Hard engine rules take priority over anything the routing backend says:
   R4. Unparseable routing output, after one re-ask, falls back to a safe
       premise-summarization step.
 
-Leaving a chain takes two calls that do not read each other's reply: the
-backtracking-target request (tag ``routing``) and the compression of the
-chain being left (tag ``summarize``).  ``decide`` sends them at the same
-time and applies the Backtrack before returning it (``_leave_chain``).  The
-session's thread builds both requests and applies both replies; the pool
-thread only sends.  No write comes before both replies, so both requests
-are byte-identical to the ones sent one after the other.
+Two pairs of calls overlap, each on the shared pool ``_send_pool``:
+
+* Leaving a chain takes two calls that do not read each other's reply: the
+  backtracking-target request (tag ``routing``) and the compression of the
+  chain being left (tag ``summarize``).  ``decide`` sends them at the same
+  time and applies the Backtrack before returning it (``_leave_chain``).
+* While a hypothesis is checked, ``run_session`` sends R2's guidance
+  request, built before the check starts (``_SentAhead``).  The next
+  ``decide`` takes the pooled reply only for a request equal to the one sent
+  ahead, which it is whenever the check left the hypothesis as it was; after
+  a revision the two differ, the pooled reply is dropped and R2 is asked
+  afresh.
+
+One rule holds for both: the session's thread builds every request and
+applies every reply, and the pool thread only sends.  So every reply the
+session uses answers a request byte-identical to a serial session's; a
+revised hypothesis adds one routing request, whose reply is dropped.
 """
 
 from __future__ import annotations
@@ -204,7 +214,9 @@ def decide(
 
     A Backtrack is applied before it is returned: the tree branches at its
     target, and the chain left behind holds its summary, asked for alongside
-    the target (``_leave_chain``)."""
+    the target (``_leave_chain``).  R2's guidance request is sent with
+    ``backend.complete``, so a ``_SentAhead`` passed as ``backend`` answers
+    it with the reply to the identical request sent during the check."""
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -338,13 +350,16 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     return path[-1].id, BacktrackReason.KEY_NODE
 
 
-# Threads that send the compression of a chain being left while the session's
-# own thread sends the target request.  Every session shares them and has at
-# most one compression in flight; they start on demand.  32 covers bench's
-# default of at most 8 workers four times over; past 32 concurrent sessions a
-# compression waits for a thread and that session's leave runs serially.
-_LEAVE_THREADS = 32
-_leave_pool = futures.ThreadPoolExecutor(_LEAVE_THREADS, thread_name_prefix="leave-chain")
+# Threads that send a request the session's thread has built while that
+# thread sends, or waits on, another: the compression of a chain being left
+# (``_leave_chain``) and R2's request sent ahead (``_SentAhead``).  Every
+# session shares them and has at most one pooled send in flight, because a
+# hypothesis check and a leave never overlap; they start on demand.  32
+# covers bench's default of at most 8 workers four times over; past 32
+# concurrent sessions a send waits for a thread and that session's overlap
+# runs serially.
+_SEND_THREADS = 32
+_send_pool = futures.ThreadPoolExecutor(_SEND_THREADS, thread_name_prefix="send-ahead")
 
 
 def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
@@ -360,7 +375,7 @@ def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
     compression = None
     if leaving.node_ids:
         request = prompts.build_compression_prompt(tree, leaving)
-        compression = _leave_pool.submit(backends_mod.ask_text, backend, request)
+        compression = _send_pool.submit(backends_mod.ask_text, backend, request)
     try:
         target, reason = select_backtrack_target(tree, backend)
     finally:
@@ -373,6 +388,25 @@ def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
 
 
 # --- session loop ----------------------------------------------------------------
+
+class _SentAhead:
+    """The session's backend for the decision after a checked hypothesis.
+    ``request`` is R2's request, built before the check and sent on the pool
+    while it ran; ``reply`` is that send's future.  A request equal to it is
+    answered with the pooled reply, or its failure is raised; any other
+    request, such as R2's after a revision, goes to ``backend``, and the
+    pooled reply or failure is dropped."""
+
+    def __init__(self, backend, request: backends_mod.CompletionRequest):
+        self.backend = backend
+        self.request = request
+        self.reply = _send_pool.submit(backend.complete, request)
+
+    def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
+        if request == self.request:
+            return self.reply.result()  # re-raises a failed send
+        return self.backend.complete(request)
+
 
 def _checker_applies(mode: str, action: AtomicAction) -> bool:
     if mode == "off":
@@ -406,11 +440,17 @@ def run_session(
 ) -> tuple[AtomicTree, FinalAnswer]:
     """Full solving loop: decide -> execute -> check -> (branch | terminate).
     The final answer is the checked ending step when ``_checked_ending``
-    accepts it, and otherwise the reply to one ``finalize`` call.  A
-    Backtrack sends the target request and the compression of the chain it
-    leaves at the same time (see the module docstring), so the backend may
-    see two calls of one session in flight at once; both are built on this
-    thread, and answered before the tree changes or this returns or raises.
+    accepts it, and otherwise the reply to one ``finalize`` call.
+
+    Two calls of one session may be in flight at once (see the module
+    docstring): a Backtrack sends the target request and the compression of
+    the chain it leaves together, and while a hypothesis is checked, R2's
+    guidance request for the decision after it goes out, unless R1 ends the
+    session first.  Every request is built, and every reply applied, on
+    this thread; the pool only sends, and a pooled call is answered before
+    this returns or raises.  R2's pooled reply is used only if R2's request
+    after the check equals the one sent ahead, so a check that revises the
+    hypothesis costs one extra routing call.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
@@ -425,8 +465,10 @@ def run_session(
     sop_hints = active_sop.scheduling_hints if active_sop else ""
 
     try:
+        ahead = None
         while True:
-            decision = decide(tree, config, backends, sop_hints)
+            decision = decide(tree, config, ahead or backends, sop_hints)
+            ahead = None
 
             if isinstance(decision, Terminate):
                 final = _checked_ending(tree, decision.mode) or executor_mod.finalize(
@@ -442,8 +484,19 @@ def run_session(
             node = executor_mod.execute(
                 tree, decision.action, decision.guidance, backends, guidance_extra
             )
-            if _checker_applies(config.checker_mode, node.action):
+            if not _checker_applies(config.checker_mode, node.action):
+                continue
+            # R2 decides next unless R1 ends the session: send its request now.
+            if (
+                node.action is AtomicAction.HYPOTHESIS_GENERATION
+                and model.round_count(tree) < config.max_rounds
+            ):
+                ahead = _SentAhead(backends, prompts.build_routing_prompt(tree, sop_hints))
+            try:
                 checker_mod.run_check_cycle(tree, node, backends)
+            finally:
+                if ahead is not None:
+                    futures.wait((ahead.reply,))
     except BackendFailure as exc:
         exc.tree = tree  # preserve the partial trace for callers
         raise

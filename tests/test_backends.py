@@ -210,7 +210,9 @@ class TestHttpBackend:
         assert 25 < delay <= 30  # the date has whole seconds
 
     @pytest.mark.parametrize(
-        "retry_after", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon"], ids=["past-date", "unreadable"]
+        "retry_after",
+        ["Wed, 21 Oct 2015 07:28:00 GMT", "soon", "nan"],
+        ids=["past-date", "unreadable", "nan"],
     )
     def test_retry_after_past_or_unreadable_leaves_the_backoff(self, stub_server, retry_after):
         stub_server.script = [("status", (429, {"Retry-After": retry_after})), ("ok", ok_payload())]
@@ -218,6 +220,46 @@ class TestHttpBackend:
         assert backend.complete(make_request()).text == "pong"
         (delay,) = sleeps
         assert 0.5 <= delay < 1.5  # base 1 s with jitter, the first attempt's backoff
+
+    @pytest.mark.parametrize(
+        "retry_after, seconds",
+        [
+            ("inf", float("inf")),
+            ("1e400", float("inf")),
+            ("9" * 400, float("inf")),
+            ("Fri, 31 Dec 9999 23:59:59 GMT", None),
+            ("121", 121.0),
+        ],
+        ids=["inf", "1e400", "400-digits", "year-9999", "past-the-timeout"],
+    )
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_past_the_timeout_raises_at_once(
+        self, stub_server, status, retry_after, seconds
+    ):
+        """A wait longer than ``HttpConfig.timeout`` (120 s) is not slept
+        through: ``time.sleep`` itself raises OverflowError for most of these."""
+        stub_server.script = [("status", (status, {"Retry-After": retry_after})), ("ok", ok_payload())]
+        sleeps = []
+
+        def sleep(delay):
+            sleeps.append(delay)
+            time.sleep(delay)
+
+        backend, _ = make_http_backend(stub_server, sleep=sleep)
+        with pytest.raises(RateLimited if status == 429 else BackendTimeout) as excinfo:
+            backend.complete(make_request())
+        assert sleeps == [] and len(stub_server.requests) == 1
+        if status == 429:
+            retry = excinfo.value.retry_after
+            assert retry == seconds if seconds is not None else retry > 2.5e11
+
+    def test_run_benchmark_records_an_unhonoured_retry_after_as_a_failed_trial(self, stub_server):
+        stub_server.script = [("status", (429, {"Retry-After": "inf"}))]
+        backend, _ = make_http_backend(stub_server, sleep=time.sleep)
+        task = bench.gen_puzzle(0, 3, 2)[0]
+        report = bench.run_benchmark([task], "ar", backend, trials=1, workers=1)
+        (result,) = report.results
+        assert result.verdict.failure == "BackendFailure"
 
     def test_auth_error_is_immediate(self, stub_server):
         stub_server.script = [("status", 401)]

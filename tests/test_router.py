@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from atomic_reasoner import bench, cases, metrics, model, prompts, router, sop
-from atomic_reasoner.backends import CompletionResult, ScriptedBackend, TallyBackend
+from atomic_reasoner.backends import TAGS, CompletionResult, ScriptedBackend, TallyBackend
 from atomic_reasoner.errors import (
     BackendFailure,
     BackendTimeout,
@@ -306,12 +307,15 @@ FAULTS = ("blank", "garbage", RateLimited, BackendTimeout, MalformedResponse)
 class Faulty:
     """Passes calls to ``inner``, but answers a seeded share ``rate`` of them,
     in every tag, with one fault from FAULTS instead.  Whether and how the
-    k-th call of a tag fails depends only on (seed, tag, k), so the two
-    threads of an overlapped leave share no random state.  A leave's two
-    calls are told apart by their system messages, ``leave_systems`` (target,
-    compression); ``leave_faults`` counts faults in them.  A compression takes
-    2 ms, so one left running past its session's end shows in ``late``, which
-    counts calls sent, or still in flight, once ``close`` has been called."""
+    k-th call of a tag fails depends only on (seed, tag, k), so a session's
+    thread and the pool thread share no random state.  A leave's two calls
+    are told apart by their system messages, ``leave_systems`` (target,
+    compression); ``leave_faults`` counts faults in them.  A routing call
+    sent off the thread that made this backend is R2's request sent ahead
+    during a hypothesis check; ``ahead_faults`` counts faults in those.  A
+    call sent off that thread takes 2 ms, so one left running past its
+    session's end shows in ``late``, which counts calls sent, or still in
+    flight, once ``close`` has been called."""
 
     def __init__(self, inner, seed, rate, leave_systems):
         self.inner = inner
@@ -319,26 +323,30 @@ class Faulty:
         self.rate = rate
         self.leave_systems = leave_systems
         self.leave_faults = 0
+        self.ahead_faults = 0
         self.late = 0
         self._closed = False
         self._in_flight = 0
         self._sent = Counter()
+        self._session_thread = threading.current_thread()
         self._lock = threading.Lock()
 
     def complete(self, request):
+        pooled = threading.current_thread() is not self._session_thread
         with self._lock:
             nth = self._sent[request.tag]
             self._sent[request.tag] += 1
             self.late += self._closed
             self._in_flight += 1
         try:
-            if request.messages[0] == self.leave_systems[1]:
+            if pooled:
                 time.sleep(0.002)
             rng = random.Random(f"{self.seed}/{request.tag}/{nth}")
             if rng.random() >= self.rate:
                 return self.inner.complete(request)
             with self._lock:
                 self.leave_faults += request.messages[0] in self.leave_systems
+                self.ahead_faults += pooled and request.tag == "routing"
             fault = rng.choice(FAULTS)
             if fault == "blank":
                 return CompletionResult(text=" \n")
@@ -357,10 +365,11 @@ class Faulty:
 
 def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
     """About 300 seeded sessions, half adversarial and half oracle sessions
-    that backtrack, with 8 % of calls in every tag faulted: only
-    BackendFailure escapes, every tree (finished or ``exc.tree``) keeps R1
-    and the chain cap and round-trips through the trace format, and no call
-    reaches the backend after ``run_session`` returns or raises."""
+    that backtrack, with 8 % of calls in every tag faulted, some in a leave
+    and some in R2's request sent ahead: only BackendFailure escapes, every
+    tree (finished or ``exc.tree``) keeps R1 and the chain cap and
+    round-trips through the trace format, and no call reaches the backend
+    after ``run_session`` returns or raises."""
     config = SessionConfig()
     tasks = [bench.gen_puzzle(seed, 3, 2)[0] for seed in range(3)]
     oracles = [bench.oracle_session_backend(task) for task in tasks]
@@ -396,6 +405,7 @@ def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
     assert [backend.seed for backend in sessions if backend.late] == []
     assert outcomes["finished"] and outcomes["failed"]
     assert sum(backend.leave_faults for backend in sessions)
+    assert sum(backend.ahead_faults for backend in sessions)
 
 
 def four_step_backend():
@@ -573,28 +583,39 @@ def backtracking_script(target=True, routing_after=(), summarize=("chain summary
 
 
 class Answered:
-    """Passes calls to ``inner``; a summarize call first sleeps ``delay`` s,
-    and ``tags`` lists each call's tag when its reply or failure is back.
-    The fifth routing call and the first summarize call wait for each other
-    on ``barrier`` when one is given."""
+    """Passes calls to ``inner``.  A call whose tag is in ``delays`` first
+    sleeps that many seconds, and ``tags`` lists each call's tag when its
+    reply or failure is back.  The two calls named in ``meet``, each as
+    (tag, n) for the n-th call of that tag, wait for each other on a barrier,
+    so sent one after the other the first would time out.  A routing call
+    sent off the thread that made this backend, which is R2's request sent
+    ahead, raises ``ahead_failure`` when one is given; ``ahead`` counts those
+    calls."""
 
-    def __init__(self, inner, delay=0.0, barrier=None):
+    def __init__(self, inner, delays=(), meet=(), ahead_failure=None):
         self.inner = inner
-        self.delay = delay
-        self.barrier = barrier
+        self.delays = dict(delays)
+        self.meet = meet
+        self.barrier = threading.Barrier(2, timeout=5) if meet else None
+        self.ahead_failure = ahead_failure
+        self.ahead = 0
         self.tags = []
+        self._session_thread = threading.current_thread()
         self._sent = Counter()
         self._lock = threading.Lock()
 
     def complete(self, request):
+        sent_ahead = request.tag == "routing" and threading.current_thread() is not self._session_thread
         with self._lock:
             self._sent[request.tag] += 1
             nth = self._sent[request.tag]
-        if self.barrier is not None and (request.tag, nth) in (("routing", 5), ("summarize", 1)):
+            self.ahead += sent_ahead
+        if (request.tag, nth) in self.meet:
             self.barrier.wait()
-        if request.tag == "summarize":
-            time.sleep(self.delay)
+        time.sleep(self.delays.get(request.tag, 0.0))
         try:
+            if sent_ahead and self.ahead_failure is not None:
+                raise self.ahead_failure
             return self.inner.complete(request)
         finally:
             with self._lock:
@@ -615,7 +636,7 @@ class TestLeavingAChain:
             routing_after=("GUIDANCE: verify again", "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude"),
             summarize=("chain summary", "final answer"),
         )
-        backend = Answered(ScriptedBackend(script), barrier=threading.Barrier(2, timeout=5))
+        backend = Answered(ScriptedBackend(script), meet=(("routing", 5), ("summarize", 1)))
         tree, final = run_backtracking_session(backend)
         first, second = tree.chains.values()
         assert first.summary == "chain summary" and second.summary is None
@@ -623,7 +644,7 @@ class TestLeavingAChain:
         assert Counter(backend.tags) == Counter(routing=7, solve=6, check=6, summarize=2)
 
     def test_failed_target_call_raises_after_the_compression_with_no_branch(self):
-        backend = Answered(ScriptedBackend(backtracking_script(target=False)), delay=0.2)
+        backend = Answered(ScriptedBackend(backtracking_script(target=False)), {"summarize": 0.2})
         with pytest.raises(BackendFailure, match="tag=routing") as excinfo:
             run_backtracking_session(backend)
         answered = list(backend.tags)
@@ -696,6 +717,180 @@ class TestLeavingAChain:
         assert results == [expected] * 16
 
 
+CONCLUSION_ERROR = "Check Result: There is an error\nError Type: Conclusion Error\nSuggestion: redo it."
+
+
+def hypothesis_script(hypothesis_checks=(NO_ERROR,)):
+    """A one-chain PD -> HG -> HV -> SF session (``max_chains=1``) whose
+    hypothesis is checked by ``hypothesis_checks``, revised after each error."""
+    revisions = ["Hypothesis 1: revised"] * (len(hypothesis_checks) - 1)
+    return {
+        "routing": [
+            "ACTION: PremiseDiscovery\nGUIDANCE: extract",
+            "ACTION: HypothesisGeneration\nGUIDANCE: propose",
+            "GUIDANCE: verify carefully",
+            "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude",
+        ],
+        "solve": ["premises", "Hypothesis 1: draft", *revisions, "verified", "final content"],
+        "check": [NO_ERROR, *hypothesis_checks, NO_ERROR, NO_ERROR],
+        "summarize": ["final answer"],
+    }
+
+
+def run_hypothesis_session(backend, **config):
+    return router.run_session(
+        Problem(id="h", statement="A puzzle.", answer_schema=FreeText()),
+        config=SessionConfig(**{"max_chains": 1, **config}),
+        backends=backend,
+    )
+
+
+class TestSendingR2Ahead:
+    def test_hypothesis_check_and_r2_are_in_flight_together(self):
+        """The hypothesis's check (the second check) and R2's request (the
+        third routing call) wait for each other on a barrier."""
+        backend = Answered(
+            ScriptedBackend(hypothesis_script()), meet=(("check", 2), ("routing", 3))
+        )
+        tree, final = run_hypothesis_session(backend)
+        assert backend.ahead == 1
+        verification = model.active_path(tree)[2]
+        assert verification.guidance == "verify carefully"
+        assert final.text == "final answer"
+        assert Counter(backend.tags) == Counter(routing=4, solve=4, check=4, summarize=1)
+
+    def test_failed_r2_sent_ahead_raises_once_the_check_passes(self):
+        backend = Answered(
+            ScriptedBackend(hypothesis_script()), ahead_failure=RateLimited("ahead")
+        )
+        with pytest.raises(RateLimited, match="ahead") as excinfo:
+            run_hypothesis_session(backend)
+        path = model.active_path(excinfo.value.tree)
+        assert [node.action for node in path] == [
+            AtomicAction.PREMISE_DISCOVERY,
+            AtomicAction.HYPOTHESIS_GENERATION,
+        ]
+        assert [report.verdict for report in path[-1].check_reports] == ["NoError"]
+
+    def test_failed_r2_sent_ahead_is_dropped_when_the_check_revises(self):
+        backend = Answered(
+            ScriptedBackend(hypothesis_script((CONCLUSION_ERROR, NO_ERROR))),
+            ahead_failure=RateLimited("ahead"),
+        )
+        tree, final = run_hypothesis_session(backend)
+        hypothesis, verification = model.active_path(tree)[1:3]
+        assert hypothesis.revised and hypothesis.content == "Hypothesis 1: revised"
+        assert verification.guidance == "verify carefully"
+        assert final.text == "final answer"
+        # the failed request sent ahead, then four from the session's thread
+        assert backend.ahead == 1 and backend.tags.count("routing") == 5
+
+    def test_failed_check_raises_after_r2_sent_ahead_is_answered(self):
+        script = hypothesis_script()
+        script["check"] = [NO_ERROR]  # the hypothesis's check finds no reply
+        backend = Answered(ScriptedBackend(script), {"routing": 0.2})
+        with pytest.raises(BackendFailure, match="tag=check"):
+            run_hypothesis_session(backend)
+        answered = list(backend.tags)
+        assert backend.ahead == 1 and answered[-2:] == ["check", "routing"]
+        time.sleep(0.3)
+        assert backend.tags == answered
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"max_rounds": 2}, {"checker_mode": "ending-only"}, {"checker_mode": "off"}],
+        ids=["round-cap", "ending-only", "off"],
+    )
+    def test_nothing_is_sent_ahead_when_r2_is_not_checked_or_not_next(self, config):
+        backend = Answered(ScriptedBackend(hypothesis_script()))
+        run_hypothesis_session(backend, **config)
+        assert backend.ahead == 0
+
+
+_STEP_LINE = re.compile(r"^Step \d+ \((\w+)\): (.*)$", re.MULTILINE)
+_GUIDANCE_HEADER = "# The expert's guidance for the current step:\n"
+
+
+def pure_reply(request):
+    """A reply that is a function of the request alone: routing follows the
+    last rendered step (R2's guidance names its request's digest), a step's
+    content follows its guidance, a revision rewrites the draft, and the
+    check fails the step under review while it is the draft."""
+    user = request.messages[-1].content
+    digest = hashlib.sha256(user.encode("utf-8")).hexdigest()[:12]
+    if request.tag == "routing":
+        steps = _STEP_LINE.findall(user)
+        return {
+            None: "ACTION: PremiseDiscovery\nGUIDANCE: extract",
+            "PremiseDiscovery": "ACTION: HypothesisGeneration\nGUIDANCE: propose",
+            "HypothesisGeneration": f"GUIDANCE: verify against routing {digest}",
+            "HypothesisVerification": "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude",
+        }[steps[-1][0] if steps else None]
+    if request.tag == "check":
+        (under_review,) = [line for line in user.splitlines() if line.endswith(model.REVIEW_MARK)]
+        return CONCLUSION_ERROR if "draft" in under_review else NO_ERROR
+    if request.tag == "solve":
+        if "# Checker findings:" in user:
+            return "Hypothesis 1: revised"
+        guidance = user.split(_GUIDANCE_HEADER, 1)[1].split("\n", 1)[0]
+        if guidance == "propose":
+            return "Hypothesis 1: draft"
+        return f"step after '{guidance}'"
+    return f"final answer from {digest}"  # summarize
+
+
+def request_digests(calls):
+    """Per tag, the number of requests and the sha256 of their ordered
+    (sampling, seed, messages) stream."""
+    streams = {}
+    for r in calls:
+        streams.setdefault(r.tag, []).append(
+            [r.temperature, r.max_tokens, r.seed, [[m.role, m.content] for m in r.messages]]
+        )
+    return {
+        tag: (len(stream), hashlib.sha256(json.dumps(stream, sort_keys=True).encode("utf-8")).hexdigest())
+        for tag, stream in streams.items()
+    }
+
+
+# A serial session's requests, tree and answer under ``pure_reply``: the
+# hypothesis's first check fails, so R2 is built once, after the revision.
+PURE_REPLY_GOLDENS = {
+    "check": (5, "2910ff64da420d1ff6c429456568f7078e7f61028da2da7018504ee7ba8fd5b3"),
+    "routing": (4, "5be33f93df3cec91b78617390dba17bd8b107dc8746003136186387960eeb521"),
+    "solve": (5, "f247f691bd0c928b5558ec181c9e252a2b3ff1b23995d6a26790ef98b9b3fd58"),
+    "summarize": (1, "16140cb718993eaf5c8f9ebcdcacbd3a6da75e378da4bc844a1eda5a15daebca"),
+    "trace": "fa5281b9b787e483db16cfe53e0da15f8b1ac8155b2849eec21baddb6e010d2f",
+    "final": "final answer from 94ae0d33d22b",
+}
+
+
+def test_revised_hypothesis_costs_one_routing_request_and_changes_nothing_else():
+    """Against a serial session: every tag but routing sends the same
+    requests, routing sends one more, R2's request as built before the
+    revision, and the tree and the answer are the same."""
+    backend = ScriptedBackend({}, default=pure_reply)
+    tree, final = router.run_session(
+        Problem(id="pure", statement="A puzzle.", answer_schema=FreeText()),
+        config=SessionConfig(max_chains=1),
+        backends=backend,
+    )
+    routing = [request for request in backend.calls if request.tag == "routing"]
+    others = [request for request in backend.calls if request.tag != "routing"]
+    digests = request_digests(others + routing[:2] + routing[3:])
+    assert digests == {tag: PURE_REPLY_GOLDENS[tag] for tag in TAGS}
+
+    premises, hypothesis = model.active_path(tree)[:2]
+    assert hypothesis.revised
+    before_revision = model.new_tree(tree.problem)
+    model.append_node(before_revision, premises.action, premises.guidance, premises.content)
+    model.append_node(before_revision, hypothesis.action, hypothesis.guidance, "Hypothesis 1: draft")
+    assert routing[2] == prompts.build_routing_prompt(before_revision) != routing[3]
+
+    trace = hashlib.sha256(metrics.serialize_trace(tree).encode("utf-8")).hexdigest()
+    assert (trace, final.text) == (PURE_REPLY_GOLDENS["trace"], PURE_REPLY_GOLDENS["final"])
+
+
 # Per tag: the target request and the compression of the chain being left go
 # out at the same time, so only each tag's own order is fixed.
 GOLDEN_REQUEST_STREAMS = {
@@ -724,13 +919,4 @@ def test_case_request_stream_is_byte_identical(name):
     router.run_session(
         fx.task.to_problem(), backends=recorder, sop_registry=sop.builtin_registry()
     )
-    streams = {}
-    for r in recorder.calls:
-        streams.setdefault(r.tag, []).append(
-            [r.temperature, r.max_tokens, r.seed, [[m.role, m.content] for m in r.messages]]
-        )
-    digests = {
-        tag: (len(stream), hashlib.sha256(json.dumps(stream, sort_keys=True).encode("utf-8")).hexdigest())
-        for tag, stream in streams.items()
-    }
-    assert digests == GOLDEN_REQUEST_STREAMS[name]
+    assert request_digests(recorder.calls) == GOLDEN_REQUEST_STREAMS[name]
