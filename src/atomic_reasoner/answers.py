@@ -126,13 +126,16 @@ def format_grid_answer(schema: GridSchema, grid: dict[int, dict[str, str]]) -> s
 
 
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
-_NUMBER = re.compile(r"-?\+?\d+(?:\.\d+)?(?:/\d+)?")
-_WHOLE_NUMBER = re.compile(r"[+\-]?\d+(?:\.\d+)?(?:/\d+)?")
+# Digits, read as one number when grouped by thousands ("1,000").
+_DIGITS = r"(?:\d{1,3}(?:,\d{3})+|\d+)"
+_NUMBER = re.compile(rf"-?\+?{_DIGITS}(?:\.\d+)?(?:/\d+)?")
+_WHOLE_NUMBER = re.compile(rf"[+\-]?{_DIGITS}(?:\.\d+)?(?:/\d+)?")
 
 
 def normalize_numeric(text: str) -> Optional[str]:
-    """Normalize a numeric answer: strip whitespace/boxed markers/leading '+',
-    drop trailing zeros.  Returns None when nothing numeric is present."""
+    """Normalize a numeric answer: strip whitespace/boxed markers/leading '+'
+    and thousands separators, drop trailing zeros.  Returns None when nothing
+    numeric is present."""
     candidate = text.strip()
     boxed = _BOXED.findall(candidate)
     if boxed:
@@ -145,6 +148,8 @@ def normalize_numeric(text: str) -> Optional[str]:
             return None
         candidate = numbers[-1]
     candidate = candidate.lstrip("+").strip()
+    if _WHOLE_NUMBER.fullmatch(candidate):
+        candidate = candidate.replace(",", "")
     value = parse_rational(candidate)
     if value is None:
         return candidate or None

@@ -2,13 +2,12 @@
 
 Every backend satisfies one contract: ``complete(CompletionRequest) ->
 CompletionResult`` and is safe to call concurrently, also by one session,
-which sends the backtracking-target request and the compression of the chain
-it leaves at the same time (``router._leave_chain``), and R2's routing request
-while a hypothesis is checked (``router._SentAhead``).  Three implementations
-ship here: a deterministic scripted backend for tests and replays, an HTTP
-client for OpenAI-compatible chat endpoints, and a record/replay cache that
-wraps either.  ``ask`` sends a request, re-asking once when the reply does
-not parse; every engine call that expects a usable reply goes through it.
+which sends a request ahead on a pool thread while it sends another
+(``router._SentAhead``).  Three implementations ship here: a deterministic
+scripted backend for tests and replays, an HTTP client for OpenAI-compatible
+chat endpoints, and a record/replay cache that wraps either.  ``ask`` sends
+a request, re-asking once when the reply does not parse; every engine call
+that expects a usable reply goes through it.
 """
 
 from __future__ import annotations

@@ -268,6 +268,8 @@ def cmd_synth(args) -> int:
         correct, suite = False, ""
         if meta_path.exists():
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            if not isinstance(meta, dict):
+                raise ParseError("not a meta object", source=str(meta_path))
             correct = bool(meta.get("correct"))
             suite = meta.get("suite") or ""
         scored.append(metrics.ScoredTrace(tree=tree, correct=correct, suite=suite))

@@ -11,27 +11,29 @@ Hard engine rules take priority over anything the routing backend says:
   R4. Unparseable routing output, after one re-ask, falls back to a safe
       premise-summarization step.
 
-Two pairs of calls overlap, each on the shared pool ``_send_pool``:
+A request the session's thread has built before it needs the reply is
+sent ahead (``_SentAhead``): the pool ``_send_pool`` sends it with
+``backend.complete`` while the thread sends, or waits on, another call, and
+the thread joins the send when that call is done.  Two requests go ahead:
 
-* Leaving a chain takes two calls that do not read each other's reply: the
-  backtracking-target request (tag ``routing``) and the compression of the
-  chain being left (tag ``summarize``).  ``decide`` sends them at the same
-  time and applies the Backtrack before returning it (``_leave_chain``).
-* While a hypothesis is checked, ``run_session`` sends R2's guidance
-  request, built before the check starts (``_SentAhead``).  The next
-  ``decide`` takes the pooled reply only for a request equal to the one sent
-  ahead, which it is whenever the check left the hypothesis as it was; after
-  a revision the two differ, the pooled reply is dropped and R2 is asked
-  afresh.
+* the compression of a chain being left (tag ``summarize``), while the
+  backtracking-target request (tag ``routing``) is sent (``_leave_chain``);
+* R2's guidance request, while the hypothesis before it is checked
+  (``run_session``).
 
-One rule holds for both: the session's thread builds every request and
-applies every reply, and the pool thread only sends.  So every reply the
-session uses answers a request byte-identical to a serial session's; a
-revised hypothesis adds one routing request, whose reply is dropped.
+One rule holds for both: a pooled reply answers only a request
+byte-identical to the one sent ahead, and any other request goes to the
+backend on the session's thread.  Two do: R2's request after a check that
+revised the hypothesis, whose pooled reply is dropped, and the re-ask of a
+blank compression, sent after the branch.  So the session's thread builds
+every request and applies every reply, the pool only sends, every reply the
+session uses answers a request a serial session sends, and a revised
+hypothesis adds one routing request.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import re
 from concurrent import futures
@@ -213,10 +215,10 @@ def decide(
     """One routing decision honoring R1-R4; see module docstring.
 
     A Backtrack is applied before it is returned: the tree branches at its
-    target, and the chain left behind holds its summary, asked for alongside
-    the target (``_leave_chain``).  R2's guidance request is sent with
-    ``backend.complete``, so a ``_SentAhead`` passed as ``backend`` answers
-    it with the reply to the identical request sent during the check."""
+    target, and the chain left behind holds its summary (``_leave_chain``).
+    R2's guidance request is sent with ``backend.complete``, so a
+    ``_SentAhead`` passed as ``backend`` answers it when it equals the
+    request sent ahead during the check."""
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -350,63 +352,65 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     return path[-1].id, BacktrackReason.KEY_NODE
 
 
-# Threads that send a request the session's thread has built while that
-# thread sends, or waits on, another: the compression of a chain being left
-# (``_leave_chain``) and R2's request sent ahead (``_SentAhead``).  Every
-# session shares them and has at most one pooled send in flight, because a
-# hypothesis check and a leave never overlap; they start on demand.  32
-# covers bench's default of at most 8 workers four times over; past 32
-# concurrent sessions a send waits for a thread and that session's overlap
-# runs serially.
+# Threads that send the requests sent ahead (``_SentAhead``) and do nothing
+# else.  Every session shares them and has at most one pooled send in
+# flight, because a hypothesis check and a leave never overlap; they start
+# on demand.  32 covers bench's default of at most 8 workers four times
+# over; past 32 concurrent sessions a send waits for a thread and that
+# session's overlap runs serially.
 _SEND_THREADS = 32
 _send_pool = futures.ThreadPoolExecutor(_SEND_THREADS, thread_name_prefix="send-ahead")
 
 
-def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
-    """``select_backtrack_target``, then branch there.  The compression of the
-    chain being left, when it has steps, is built here and sent on the pool
-    while the target request goes out; the tree changes after both replies.
-
-    Failures leave the tree as the serial order would: a failed target call
-    raises with no branch and no summary, and a failed compression raises
-    after the branch, with no summary.  When both fail, the target's failure
-    is raised."""
-    leaving = model.active_chain(tree)
-    compression = None
-    if leaving.node_ids:
-        request = prompts.build_compression_prompt(tree, leaving)
-        compression = _send_pool.submit(backends_mod.ask_text, backend, request)
-    try:
-        target, reason = select_backtrack_target(tree, backend)
-    finally:
-        if compression is not None:
-            futures.wait((compression,))
-    model.branch_at(tree, target)
-    if compression is not None:
-        leaving.summary = compression.result()  # re-raises a failed compression
-    return Backtrack(target=target, reason=reason)
-
-
-# --- session loop ----------------------------------------------------------------
-
 class _SentAhead:
-    """The session's backend for the decision after a checked hypothesis.
-    ``request`` is R2's request, built before the check and sent on the pool
-    while it ran; ``reply`` is that send's future.  A request equal to it is
-    answered with the pooled reply, or its failure is raised; any other
-    request, such as R2's after a revision, goes to ``backend``, and the
-    pooled reply or failure is dropped."""
+    """``request``, built on the session's thread, sent on the pool with
+    ``backend.complete``; ``reply`` is that send's future, and leaving a
+    ``with`` block on this object waits for it.  As a backend it answers a
+    request equal to ``request`` with the pooled reply, or raises its
+    failure; any other request goes to ``backend`` on the caller's thread,
+    and the pooled reply or failure is dropped."""
 
     def __init__(self, backend, request: backends_mod.CompletionRequest):
         self.backend = backend
         self.request = request
         self.reply = _send_pool.submit(backend.complete, request)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        futures.wait((self.reply,))
+
     def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
         if request == self.request:
             return self.reply.result()  # re-raises a failed send
         return self.backend.complete(request)
 
+
+def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
+    """``select_backtrack_target``, then branch there.  The compression of the
+    chain being left, when it has steps, is sent ahead while the target
+    request goes out; the tree branches once both are answered, and then the
+    chain's summary is read from the pooled reply.  A blank one is re-asked,
+    on this thread.
+
+    Failures leave the tree as the serial order would: a failed target call
+    raises with no branch and no summary, and a failed compression raises
+    after the branch, with no summary.  When both fail, the target's failure
+    is raised."""
+    leaving = model.active_chain(tree)
+    ahead = None
+    if leaving.node_ids:
+        ahead = _SentAhead(backend, prompts.build_compression_prompt(tree, leaving))
+    with ahead or contextlib.nullcontext():
+        target, reason = select_backtrack_target(tree, backend)
+    model.branch_at(tree, target)
+    if ahead is not None:
+        leaving.summary = backends_mod.ask_text(ahead, ahead.request)
+    return Backtrack(target=target, reason=reason)
+
+
+# --- session loop ----------------------------------------------------------------
 
 def _checker_applies(mode: str, action: AtomicAction) -> bool:
     if mode == "off":
@@ -442,14 +446,12 @@ def run_session(
     The final answer is the checked ending step when ``_checked_ending``
     accepts it, and otherwise the reply to one ``finalize`` call.
 
-    Two calls of one session may be in flight at once (see the module
-    docstring): a Backtrack sends the target request and the compression of
-    the chain it leaves together, and while a hypothesis is checked, R2's
-    guidance request for the decision after it goes out, unless R1 ends the
-    session first.  Every request is built, and every reply applied, on
-    this thread; the pool only sends, and a pooled call is answered before
-    this returns or raises.  R2's pooled reply is used only if R2's request
-    after the check equals the one sent ahead, so a check that revises the
+    Two calls of one session may be in flight at once, one of them sent
+    ahead (see the module docstring): the compression of a chain being left
+    goes with the target request, and R2's guidance request goes while the
+    hypothesis before it is checked, unless R1 ends the session first.  A
+    send ahead is answered before this returns or raises, and its reply is
+    used only for an identical request, so a check that revises the
     hypothesis costs one extra routing call.
 
     ``backends`` is the one backend every call goes to; each request names its
@@ -492,11 +494,8 @@ def run_session(
                 and model.round_count(tree) < config.max_rounds
             ):
                 ahead = _SentAhead(backends, prompts.build_routing_prompt(tree, sop_hints))
-            try:
+            with ahead or contextlib.nullcontext():
                 checker_mod.run_check_cycle(tree, node, backends)
-            finally:
-                if ahead is not None:
-                    futures.wait((ahead.reply,))
     except BackendFailure as exc:
         exc.tree = tree  # preserve the partial trace for callers
         raise

@@ -1,3 +1,5 @@
+import pytest
+
 from atomic_reasoner import answers
 from atomic_reasoner.model import FreeText, GridSchema, MultipleChoice, Numeric
 
@@ -93,6 +95,19 @@ class TestNumeric:
 
     def test_nothing_numeric(self):
         assert answers.normalize_numeric("no numbers here") is None
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("The answer is 1,000.", "1000"),
+            ("12,345 apples", "12345"),
+            ("\\boxed{1,000}", "1000"),
+            ("a total of 1,234,567.50", "2469135/2"),
+            ("-1,000", "-1000"),
+        ],
+    )
+    def test_thousands_separators_group_one_number(self, text, expected):
+        assert answers.normalize_numeric(text) == expected
 
 
 class TestIsComplete:

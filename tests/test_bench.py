@@ -123,6 +123,9 @@ class TestScore:
         )
         assert bench.score(task, "the total is 7/2").correct
         assert not bench.score(task, "the total is 3.4").correct
+        thousand = bench._task_from_record({"id": "k", "statement": "Add.", "gold": "1000"}, "numeric")
+        assert bench.score(thousand, "The answer is 1,000.").correct
+        assert bench.score(thousand, "\\boxed{1,000}").correct
 
 
 class TestOracle:

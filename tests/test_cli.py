@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import cli
+from atomic_reasoner import cli, metrics, model
+from atomic_reasoner.model import FreeText, Problem
 
 
 def run_cli(argv):
@@ -134,6 +135,17 @@ class TestExitCodes:
         code = run_cli(["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"i/o error: {problem}: not a task record")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"correct"', "null"])
+    def test_meta_sidecar_that_is_not_an_object_is_io_error(self, tmp_path, capsys, text):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        tree = model.new_tree(Problem(id="q", statement="A puzzle.", answer_schema=FreeText()))
+        (traces / "q.trace.json").write_text(metrics.serialize_trace(tree), encoding="utf-8")
+        meta = traces / "q.meta.json"
+        meta.write_text(text, encoding="utf-8")
+        assert run_cli(["synth", str(traces), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: {meta}: not a meta object")
 
     def test_replay_without_recordings_is_backend_failure(self, tmp_path):
         problem = tmp_path / "p.txt"

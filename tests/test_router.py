@@ -312,10 +312,11 @@ class Faulty:
     are told apart by their system messages, ``leave_systems`` (target,
     compression); ``leave_faults`` counts faults in them.  A routing call
     sent off the thread that made this backend is R2's request sent ahead
-    during a hypothesis check; ``ahead_faults`` counts faults in those.  A
-    call sent off that thread takes 2 ms, so one left running past its
-    session's end shows in ``late``, which counts calls sent, or still in
-    flight, once ``close`` has been called."""
+    during a hypothesis check; ``ahead_faults`` counts faults in those.
+    ``pooled_seeds`` lists the seed of every call sent off that thread, so a
+    re-ask sent from the pool shows.  A call sent off that thread takes 2 ms,
+    so one left running past its session's end shows in ``late``, which
+    counts calls sent, or still in flight, once ``close`` has been called."""
 
     def __init__(self, inner, seed, rate, leave_systems):
         self.inner = inner
@@ -324,6 +325,7 @@ class Faulty:
         self.leave_systems = leave_systems
         self.leave_faults = 0
         self.ahead_faults = 0
+        self.pooled_seeds = []
         self.late = 0
         self._closed = False
         self._in_flight = 0
@@ -338,6 +340,8 @@ class Faulty:
             self._sent[request.tag] += 1
             self.late += self._closed
             self._in_flight += 1
+            if pooled:
+                self.pooled_seeds.append(request.seed)
         try:
             if pooled:
                 time.sleep(0.002)
@@ -368,8 +372,8 @@ def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
     that backtrack, with 8 % of calls in every tag faulted, some in a leave
     and some in R2's request sent ahead: only BackendFailure escapes, every
     tree (finished or ``exc.tree``) keeps R1 and the chain cap and
-    round-trips through the trace format, and no call reaches the backend
-    after ``run_session`` returns or raises."""
+    round-trips through the trace format, no call reaches the backend
+    after ``run_session`` returns or raises, and the pool sends no re-ask."""
     config = SessionConfig()
     tasks = [bench.gen_puzzle(seed, 3, 2)[0] for seed in range(3)]
     oracles = [bench.oracle_session_backend(task) for task in tasks]
@@ -406,6 +410,8 @@ def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
     assert outcomes["finished"] and outcomes["failed"]
     assert sum(backend.leave_faults for backend in sessions)
     assert sum(backend.ahead_faults for backend in sessions)
+    pooled_seeds = [seed for backend in sessions for seed in backend.pooled_seeds]
+    assert pooled_seeds and set(pooled_seeds) == {None}
 
 
 def four_step_backend():
@@ -667,6 +673,38 @@ class TestLeavingAChain:
         with pytest.raises(BackendFailure, match="tag=routing") as excinfo:
             run_backtracking_session(backend)
         assert len(excinfo.value.tree.chains) == 1
+
+    def test_blank_compression_is_re_asked_on_the_session_thread_after_the_target(self):
+        """The pooled reply answers only the compression request it was sent
+        for; its ``seed=1`` re-ask goes out from the session's thread once
+        the target reply is in."""
+        script = backtracking_script(
+            routing_after=("GUIDANCE: verify again", "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude"),
+            summarize=(" \n", "chain summary", "final answer"),
+        )
+        inner = ScriptedBackend(script)
+        session_thread = threading.current_thread()
+        events = []
+
+        class Recorded:
+            def complete(self, request):
+                on_session = threading.current_thread() is session_thread
+                events.append(("sent", request.tag, request.seed, on_session))
+                reply = inner.complete(request)
+                events.append(("answered", request.tag, request.seed, on_session))
+                return reply
+
+        tree, final = run_backtracking_session(Recorded())
+        first, _second = tree.chains.values()
+        assert first.summary == "chain summary" and final.text == "final answer"
+        compression, re_ask, _final = [call for call in inner.calls if call.tag == "summarize"]
+        assert (compression.seed, re_ask.seed) == (None, 1)
+        assert dataclasses.replace(re_ask, seed=None) == compression
+        target_answered = [
+            i for i, event in enumerate(events) if event[:2] == ("answered", "routing")
+        ][4]
+        re_asked = events.index(("sent", "summarize", 1, True))
+        assert target_answered < re_asked
 
     def test_trees_are_rendered_and_prompts_built_on_the_session_thread(self, monkeypatch):
         """The leave's pool thread only sends: every render and prompt build
