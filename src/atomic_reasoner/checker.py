@@ -3,10 +3,11 @@ and bounded revision of flagged nodes."""
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import re
-from typing import Optional
+from typing import Callable, Optional
 
 from . import backends, model, prompts
 from .model import ActionCategory, AtomicAction, CheckReport, Node
@@ -230,13 +231,23 @@ def revise(tree: model.AtomicTree, node: Node, report: CheckReport, backend) -> 
     return node
 
 
-def run_check_cycle(tree: model.AtomicTree, node: Node, backend) -> Node:
+def run_check_cycle(
+    tree: model.AtomicTree,
+    node: Node,
+    backend,
+    during: Optional[Callable[[int], contextlib.AbstractContextManager]] = None,
+) -> Node:
     """check -> revise loop, bounded: after MAX_REVISIONS revisions a still-
     erroring node is accepted with its flag set.  Checks are tagged ``check``
-    and revisions ``solve``, so one backend serves both roles."""
+    and revisions ``solve``, so one backend serves both roles.
+
+    ``during(revisions)``, when given, returns the context manager each check
+    runs in, ``revisions`` being the revisions made so far (0 for the first
+    check); the session uses it to send the next routing request meanwhile."""
     revisions = 0
     while True:
-        report = check(tree, node, backend)
+        with during(revisions) if during else contextlib.nullcontext():
+            report = check(tree, node, backend)
         if not report.is_error:
             return node
         if revisions >= MAX_REVISIONS:

@@ -270,8 +270,10 @@ def cmd_synth(args) -> int:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
             if not isinstance(meta, dict):
                 raise ParseError("not a meta object", source=str(meta_path))
-            correct = bool(meta.get("correct"))
-            suite = meta.get("suite") or ""
+            correct = meta.get("correct") is True  # only a JSON true, not "false"
+            suite = meta.get("suite", "")
+            if not isinstance(suite, str):
+                raise ParseError("suite is not a string", source=str(meta_path))
         scored.append(metrics.ScoredTrace(tree=tree, correct=correct, suite=suite))
     records = metrics.to_sft_records(scored, filter=args.filter)
     out = _out_dir(args)

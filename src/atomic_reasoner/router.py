@@ -14,21 +14,27 @@ Hard engine rules take priority over anything the routing backend says:
 A request the session's thread has built before it needs the reply is
 sent ahead (``_SentAhead``): the pool ``_send_pool`` sends it with
 ``backend.complete`` while the thread sends, or waits on, another call, and
-the thread joins the send when that call is done.  Two requests go ahead:
+the thread joins the send when that call is done.  Two kinds of request go
+ahead:
 
 * the compression of a chain being left (tag ``summarize``), while the
   backtracking-target request (tag ``routing``) is sent (``_leave_chain``);
-* R2's guidance request, while the hypothesis before it is checked
-  (``run_session``).
+* the next routing request, while a step is checked (``run_session``):
+  during a hypothesis's first check, whose next decision is R2's, and
+  during every re-check of a revised step, unless R1 ends the session or
+  the chain is completed (``_routing_sent_during``).
 
 One rule holds for both: a pooled reply answers only a request
 byte-identical to the one sent ahead, and any other request goes to the
-backend on the session's thread.  Two do: R2's request after a check that
-revised the hypothesis, whose pooled reply is dropped, and the re-ask of a
-blank compression, sent after the branch.  So the session's thread builds
-every request and applies every reply, the pool only sends, every reply the
-session uses answers a request a serial session sends, and a revised
-hypothesis adds one routing request.
+backend on the session's thread.  Three do: the routing request after a
+check that revised the step, whose pooled reply is dropped, the re-ask of
+an unparseable routing reply (R4), and the re-ask of a blank compression,
+sent after the branch.  So the session's thread builds every request and
+applies every reply, the pool only sends, every reply the session uses
+answers a request a serial session sends, and a check that fails after a
+send ahead adds one routing request.  A check that fails for the last time
+(``checker.MAX_REVISIONS``) only flags the step, which no prompt shows, so
+its send is used.
 """
 
 from __future__ import annotations
@@ -216,9 +222,9 @@ def decide(
 
     A Backtrack is applied before it is returned: the tree branches at its
     target, and the chain left behind holds its summary (``_leave_chain``).
-    R2's guidance request is sent with ``backend.complete``, so a
-    ``_SentAhead`` passed as ``backend`` answers it when it equals the
-    request sent ahead during the check."""
+    The routing request (R2's, or R4's first attempt) is sent with
+    ``backend.complete``, so a ``_SentAhead`` passed as ``backend`` answers
+    it when it equals the request sent ahead during the last check."""
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -354,7 +360,7 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
 
 # Threads that send the requests sent ahead (``_SentAhead``) and do nothing
 # else.  Every session shares them and has at most one pooled send in
-# flight, because a hypothesis check and a leave never overlap; they start
+# flight, because a check and a leave never overlap; they start
 # on demand.  32 covers bench's default of at most 8 workers four times
 # over; past 32 concurrent sessions a send waits for a thread and that
 # session's overlap runs serially.
@@ -423,6 +429,24 @@ def _checker_applies(mode: str, action: AtomicAction) -> bool:
     return cat is ActionCategory.ENDING  # ending-only
 
 
+def _routing_sent_during(
+    tree: AtomicTree, node: model.Node, revisions: int, config: SessionConfig
+) -> bool:
+    """Whether the next routing request goes ahead during a check of
+    ``node`` after ``revisions`` revisions: during a hypothesis's first
+    check, whose next decision is R2's, and during every re-check of a
+    revised step, when R1 leaves room and the chain is not completed (a
+    completed chain terminates or backtracks with no routing request).  The
+    first check of any other step is not overlapped: it is the check that
+    finds most errors, and each error drops the send and adds a routing
+    call."""
+    return (
+        (revisions > 0 or node.action is AtomicAction.HYPOTHESIS_GENERATION)
+        and model.round_count(tree) < config.max_rounds
+        and not _chain_completed(tree)
+    )
+
+
 def _checked_ending(tree: AtomicTree, mode: TerminationMode) -> Optional[FinalAnswer]:
     """The final answer a session already holds: the content of the ending
     step its active chain closed on, when the session ended ActiveSolved, the
@@ -448,11 +472,12 @@ def run_session(
 
     Two calls of one session may be in flight at once, one of them sent
     ahead (see the module docstring): the compression of a chain being left
-    goes with the target request, and R2's guidance request goes while the
-    hypothesis before it is checked, unless R1 ends the session first.  A
-    send ahead is answered before this returns or raises, and its reply is
-    used only for an identical request, so a check that revises the
-    hypothesis costs one extra routing call.
+    goes with the target request, and the next routing request goes while a
+    hypothesis has its first check or a revised step is checked again
+    (``_routing_sent_during``), through ``run_check_cycle``'s ``during``.
+    A send ahead is answered before its check returns or raises, and its
+    reply is used only for an identical request, so a check that revises
+    the step after a send costs one extra routing call.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
@@ -488,14 +513,16 @@ def run_session(
             )
             if not _checker_applies(config.checker_mode, node.action):
                 continue
-            # R2 decides next unless R1 ends the session: send its request now.
-            if (
-                node.action is AtomicAction.HYPOTHESIS_GENERATION
-                and model.round_count(tree) < config.max_rounds
-            ):
-                ahead = _SentAhead(backends, prompts.build_routing_prompt(tree, sop_hints))
-            with ahead or contextlib.nullcontext():
-                checker_mod.run_check_cycle(tree, node, backends)
+
+            # ``ahead`` ends as the send made during the last check, for ``decide``.
+            def send_routing_ahead(revisions):
+                nonlocal ahead
+                ahead = None
+                if _routing_sent_during(tree, node, revisions, config):
+                    ahead = _SentAhead(backends, prompts.build_routing_prompt(tree, sop_hints))
+                return ahead or contextlib.nullcontext()
+
+            checker_mod.run_check_cycle(tree, node, backends, send_routing_ahead)
     except BackendFailure as exc:
         exc.tree = tree  # preserve the partial trace for callers
         raise

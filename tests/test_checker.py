@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -175,10 +176,20 @@ class TestCheckAndRevise:
                 "solve": ["try 1", "try 2", "try 3"],
             }
         )
-        checker.run_check_cycle(tree, node, backend)
+        inside = []
+
+        @contextlib.contextmanager
+        def during(revisions):
+            start = len(backend.calls)
+            yield
+            inside.append((revisions, [request.tag for request in backend.calls[start:]]))
+
+        checker.run_check_cycle(tree, node, backend, during)
         assert node.flagged is True
         assert node.content == "try 2"  # exactly two revision cycles ran
         assert len(node.check_reports) == 3  # MAX_REVISIONS + 1 checks
+        # each check, and no revision, runs in ``during`` of the revisions so far
+        assert inside == [(0, ["check"]), (1, ["check"]), (2, ["check"])]
 
     def test_cycle_never_moves_the_node(self):
         tree, node = make_tree_with_node()

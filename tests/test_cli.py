@@ -147,6 +147,17 @@ class TestExitCodes:
         assert run_cli(["synth", str(traces), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(f"i/o error: {meta}: not a meta object")
 
+    @pytest.mark.parametrize("suite", ["1", "null", '["grid"]', '{"name": "grid"}'])
+    def test_meta_sidecar_suite_that_is_not_a_string_is_io_error(self, tmp_path, capsys, suite):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        tree = model.new_tree(Problem(id="q", statement="A puzzle.", answer_schema=FreeText()))
+        (traces / "q.trace.json").write_text(metrics.serialize_trace(tree), encoding="utf-8")
+        meta = traces / "q.meta.json"
+        meta.write_text(f'{{"correct": true, "suite": {suite}}}', encoding="utf-8")
+        assert run_cli(["synth", str(traces), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: {meta}: suite is not a string")
+
     def test_replay_without_recordings_is_backend_failure(self, tmp_path):
         problem = tmp_path / "p.txt"
         problem.write_text("what is 2+2?", encoding="utf-8")
@@ -549,6 +560,16 @@ class TestInspectAndSynth:
         lines = (sft_out / "sft.jsonl").read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[0])
         assert "(A)" in record["answer"]
+
+    @pytest.mark.parametrize("correct", ['"false"', '"true"', "1", "null"])
+    def test_synth_counts_only_json_true_as_correct(self, case_files, tmp_path, capsys, correct):
+        out = self.solve_case(case_files, tmp_path, "case1")
+        (out / "case1.meta.json").write_text(f'{{"correct": {correct}, "suite": "mcq"}}', encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["synth", str(out), "--out", str(tmp_path / "o2")]) == 0
+        assert "0 records" in capsys.readouterr().out
+        assert run_cli(["synth", str(out), "--out", str(tmp_path / "o3"), "--filter", "all"]) == 0
+        assert "1 records" in capsys.readouterr().out
 
     def test_synth_correct_only_skips_unscored_traces(self, case_files, tmp_path, capsys):
         out = self.solve_case(case_files, tmp_path, "case1")

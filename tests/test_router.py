@@ -250,7 +250,10 @@ class TestBacktracking:
 
 def adversarial_backend(rng):
     """Emits random structured and unstructured routing responses; solve and
-    summarize requests get a random hypothesis, and every check passes."""
+    summarize requests get a random hypothesis, and a quarter of checks find
+    an error, chosen by the check request alone, so a check sent while a
+    routing request is in flight on another thread draws nothing from
+    ``rng``."""
     verbs = [
         "ACTION: PremiseDiscovery\nGUIDANCE: g",
         "ACTION: PremiseRetrieval\nGUIDANCE: g",
@@ -270,9 +273,13 @@ def adversarial_backend(rng):
     def reply(request):
         if request.tag == "routing":
             return rng.choice(verbs)
+        if request.tag == "check":
+            if random.Random(request.messages[-1].content).random() < 0.25:
+                return "Check Result: There is an error\nError Type: Conclusion Error"
+            return "Check Result: No error."
         return f"Hypothesis 1: guess {rng.random():.4f}"  # solve, summarize
 
-    return ScriptedBackend({"check": "Check Result: No error."}, default=reply)
+    return ScriptedBackend({}, default=reply)
 
 
 def run_adversarial_session(seed):
@@ -311,8 +318,11 @@ class Faulty:
     thread and the pool thread share no random state.  A leave's two calls
     are told apart by their system messages, ``leave_systems`` (target,
     compression); ``leave_faults`` counts faults in them.  A routing call
-    sent off the thread that made this backend is R2's request sent ahead
-    during a hypothesis check; ``ahead_faults`` counts faults in those.
+    sent off the thread that made this backend is a routing request sent
+    ahead during a check: ``recheck_faults`` counts faults in those sent
+    during the re-check of a revised step, told by the last solve request
+    from that thread being a revision, and ``r2_faults`` faults in the rest,
+    R2's requests sent during a hypothesis's first check.
     ``pooled_seeds`` lists the seed of every call sent off that thread, so a
     re-ask sent from the pool shows.  A call sent off that thread takes 2 ms,
     so one left running past its session's end shows in ``late``, which
@@ -324,7 +334,9 @@ class Faulty:
         self.rate = rate
         self.leave_systems = leave_systems
         self.leave_faults = 0
-        self.ahead_faults = 0
+        self.r2_faults = 0
+        self.recheck_faults = 0
+        self._revising = False
         self.pooled_seeds = []
         self.late = 0
         self._closed = False
@@ -342,6 +354,8 @@ class Faulty:
             self._in_flight += 1
             if pooled:
                 self.pooled_seeds.append(request.seed)
+            elif request.tag == "solve":
+                self._revising = "# Checker findings:" in request.messages[-1].content
         try:
             if pooled:
                 time.sleep(0.002)
@@ -350,7 +364,9 @@ class Faulty:
                 return self.inner.complete(request)
             with self._lock:
                 self.leave_faults += request.messages[0] in self.leave_systems
-                self.ahead_faults += pooled and request.tag == "routing"
+                if pooled and request.tag == "routing":
+                    self.recheck_faults += self._revising
+                    self.r2_faults += not self._revising
             fault = rng.choice(FAULTS)
             if fault == "blank":
                 return CompletionResult(text=" \n")
@@ -368,9 +384,10 @@ class Faulty:
 
 
 def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
-    """About 300 seeded sessions, half adversarial and half oracle sessions
-    that backtrack, with 8 % of calls in every tag faulted, some in a leave
-    and some in R2's request sent ahead: only BackendFailure escapes, every
+    """About 300 seeded sessions, half adversarial ones that revise steps and
+    half oracle sessions that backtrack, with 8 % of calls in every tag
+    faulted, some in a leave, some in R2's request sent ahead and some in a
+    routing request sent during a re-check: only BackendFailure escapes, every
     tree (finished or ``exc.tree``) keeps R1 and the chain cap and
     round-trips through the trace format, no call reaches the backend
     after ``run_session`` returns or raises, and the pool sends no re-ask."""
@@ -409,7 +426,8 @@ def test_fault_injection_fuzz_degrades_sessions_without_corrupting_trees():
     assert [backend.seed for backend in sessions if backend.late] == []
     assert outcomes["finished"] and outcomes["failed"]
     assert sum(backend.leave_faults for backend in sessions)
-    assert sum(backend.ahead_faults for backend in sessions)
+    assert sum(backend.r2_faults for backend in sessions)
+    assert sum(backend.recheck_faults for backend in sessions)
     pooled_seeds = [seed for backend in sessions for seed in backend.pooled_seeds]
     assert pooled_seeds and set(pooled_seeds) == {None}
 
@@ -594,9 +612,9 @@ class Answered:
     reply or failure is back.  The two calls named in ``meet``, each as
     (tag, n) for the n-th call of that tag, wait for each other on a barrier,
     so sent one after the other the first would time out.  A routing call
-    sent off the thread that made this backend, which is R2's request sent
-    ahead, raises ``ahead_failure`` when one is given; ``ahead`` counts those
-    calls."""
+    sent off the thread that made this backend is a routing request sent
+    ahead; ``ahead`` counts those calls, and the first of them raises
+    ``ahead_failure`` when one is given."""
 
     def __init__(self, inner, delays=(), meet=(), ahead_failure=None):
         self.inner = inner
@@ -616,11 +634,12 @@ class Answered:
             self._sent[request.tag] += 1
             nth = self._sent[request.tag]
             self.ahead += sent_ahead
+            first_ahead = sent_ahead and self.ahead == 1
         if (request.tag, nth) in self.meet:
             self.barrier.wait()
         time.sleep(self.delays.get(request.tag, 0.0))
         try:
-            if sent_ahead and self.ahead_failure is not None:
+            if first_ahead and self.ahead_failure is not None:
                 raise self.ahead_failure
             return self.inner.complete(request)
         finally:
@@ -820,8 +839,9 @@ class TestSendingR2Ahead:
         assert hypothesis.revised and hypothesis.content == "Hypothesis 1: revised"
         assert verification.guidance == "verify carefully"
         assert final.text == "final answer"
-        # the failed request sent ahead, then four from the session's thread
-        assert backend.ahead == 1 and backend.tags.count("routing") == 5
+        # R2's request sent ahead during the first check fails and is dropped;
+        # the one sent again during the re-check answers R2
+        assert backend.ahead == 2 and backend.tags.count("routing") == 5
 
     def test_failed_check_raises_after_r2_sent_ahead_is_answered(self):
         script = hypothesis_script()
@@ -843,6 +863,68 @@ class TestSendingR2Ahead:
         backend = Answered(ScriptedBackend(hypothesis_script()))
         run_hypothesis_session(backend, **config)
         assert backend.ahead == 0
+
+
+def premise_script(premise_checks, dropped=0):
+    """``hypothesis_script``'s session whose premise step, the first, is
+    checked by ``premise_checks`` and revised after each error but a last
+    one; ``dropped`` routing replies answer sends that a later revision
+    drops."""
+    script = hypothesis_script()
+    script["routing"][1:1] = ["ACTION: PremiseRetrieval\nGUIDANCE: dropped"] * dropped
+    script["solve"][1:1] = ["premises, revised"] * (len(premise_checks) - 1)
+    script["check"][:1] = premise_checks
+    return script
+
+
+class TestSendingRoutingAheadOfARecheck:
+    def test_recheck_and_next_routing_request_are_in_flight_together(self):
+        """The revised premise step's re-check (the second check) and the
+        next routing request (the second routing call) wait for each other on
+        a barrier; the reply sent ahead picks the next step."""
+        backend = Answered(
+            ScriptedBackend(premise_script((CONCLUSION_ERROR, NO_ERROR))),
+            meet=(("check", 2), ("routing", 2)),
+        )
+        tree, final = run_hypothesis_session(backend)
+        premises, hypothesis = model.active_path(tree)[:2]
+        assert premises.revised and premises.content == "premises, revised"
+        assert hypothesis.guidance == "propose"
+        assert final.text == "final answer"
+        # sent ahead: during the re-check and during the hypothesis's check
+        assert backend.ahead == 2
+        assert Counter(backend.tags) == Counter(routing=4, solve=5, check=5, summarize=1)
+
+    def test_nothing_is_sent_during_a_recheck_at_the_round_cap(self):
+        backend = Answered(ScriptedBackend(hypothesis_script((CONCLUSION_ERROR, NO_ERROR))))
+        tree, _final = run_hypothesis_session(backend, max_rounds=2)
+        assert model.active_path(tree)[-1].revised
+        assert backend.ahead == 0 and backend.tags.count("routing") == 2
+
+    def test_nothing_is_sent_during_a_recheck_of_summary_finished(self):
+        """Its chain is completed, so the session ends with no routing request;
+        the one send is R2's, during the hypothesis's check."""
+        script = hypothesis_script()
+        script["solve"].append("final content, revised")
+        script["check"][-1:] = [CONCLUSION_ERROR, NO_ERROR]
+        backend = Answered(ScriptedBackend(script))
+        tree, _final = run_hypothesis_session(backend)
+        ending = model.active_path(tree)[-1]
+        assert ending.action is AtomicAction.SUMMARY_FINISHED and ending.revised
+        assert backend.ahead == 1 and backend.tags.count("routing") == 4
+
+    def test_step_failing_every_check_costs_one_routing_call(self):
+        """The premise step fails all three checks: the send during its first
+        re-check is dropped by the second revision, and the send during the
+        last re-check answers the next decision, as a flag is in no prompt."""
+        backend = Answered(ScriptedBackend(premise_script((CONCLUSION_ERROR,) * 3, dropped=1)))
+        tree, final = run_hypothesis_session(backend)
+        premises, hypothesis = model.active_path(tree)[:2]
+        assert premises.flagged and hypothesis.guidance == "propose"
+        assert final.text == "final answer"
+        # a serial session sends 4; the two from the session's thread are the
+        # first and the last
+        assert backend.ahead == 3 and backend.tags.count("routing") == 5
 
 
 _STEP_LINE = re.compile(r"^Step \d+ \((\w+)\): (.*)$", re.MULTILINE)
