@@ -72,6 +72,11 @@ class CompletionRequest:
 
 
 class ResultSource(enum.Enum):
+    """Where a reply came from.  ``CACHE`` means served with no model wait:
+    a session whose last reply came from a cache sends nothing ahead
+    (``router._SentAhead``).  ``TallyBackend``, and ``CacheBackend`` on a
+    miss, return the inner backend's result, source included."""
+
     NETWORK = "Network"
     SCRIPT = "Script"
     CACHE = "Cache"

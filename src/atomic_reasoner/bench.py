@@ -324,13 +324,15 @@ def run_benchmark(
 ) -> BenchReport:
     """Run every task ``trials`` times under a strategy ('ar' or
     'single-pass').  Each (task, trial) pair is one job for one pool of
-    ``workers`` threads (default: one per job, at most 8; sessions wait on the
-    backend, not the CPU).  Results stay task-major, trials ascending.  A
+    ``workers`` threads (at least 1; default: one per job, at most 8; sessions
+    wait on the backend, not the CPU).  Results stay task-major, trials ascending.  A
     callable ``backend`` is a factory, called with the task at the start of
     each trial in that trial's thread.  A ``ScriptedBackend`` is used up as
     it answers, so each trial gets a ``fresh()`` copy of it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
     if strategy not in ("ar", "single-pass"):
         raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -222,6 +222,8 @@ def cmd_bench(args) -> int:
     config = _session_config(args)
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.workers is not None and args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     tasks, rejects = bench_mod.load_tasks(args.suite, args.format)
     for reject in rejects:
         print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)

@@ -35,6 +35,15 @@ answers a request a serial session sends, and a check that fails after a
 send ahead adds one routing request.  A check that fails for the last time
 (``checker.MAX_REVISIONS``) only flags the step, which no prompt shows, so
 its send is used.
+
+A session whose last reply came from a cache (``ResultSource.CACHE``, as a
+``CacheBackend`` hit returns) sends nothing ahead: such a reply comes with
+no model wait, so a pooled send would hide nothing and cost a thread
+handoff.  Its ``_SentAhead`` keeps the request and sends it on the
+session's thread when it is first asked for, so a dropped send is never
+sent.  ``run_session`` reads each reply's source once, through its
+``_Replies``; any other session, a cache miss included, sends ahead as
+above.
 """
 
 from __future__ import annotations
@@ -368,27 +377,54 @@ _SEND_THREADS = 32
 _send_pool = futures.ThreadPoolExecutor(_SEND_THREADS, thread_name_prefix="send-ahead")
 
 
+class _Replies:
+    """A session's backend, which remembers in ``cached`` whether its last
+    reply came from a cache: then the next reply is expected with no model
+    wait too, and ``_SentAhead`` sends nothing ahead."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.cached = False
+
+    def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
+        result = self.backend.complete(request)
+        self.cached = result.source is backends_mod.ResultSource.CACHE
+        return result
+
+
 class _SentAhead:
     """``request``, built on the session's thread, sent on the pool with
     ``backend.complete``; ``reply`` is that send's future, and leaving a
     ``with`` block on this object waits for it.  As a backend it answers a
     request equal to ``request`` with the pooled reply, or raises its
     failure; any other request goes to ``backend`` on the caller's thread,
-    and the pooled reply or failure is dropped."""
+    and the pooled reply or failure is dropped.
+
+    When ``backend``'s last reply came from a cache (``cached``) nothing is
+    sent ahead: ``reply`` is None, leaving the ``with`` block waits for
+    nothing, and a request equal to ``request`` goes to ``backend`` on the
+    caller's thread like any other, so a dropped send is never sent."""
 
     def __init__(self, backend, request: backends_mod.CompletionRequest):
         self.backend = backend
         self.request = request
-        self.reply = _send_pool.submit(backend.complete, request)
+        self.reply = None if self.cached else _send_pool.submit(backend.complete, request)
+
+    @property
+    def cached(self) -> bool:
+        """``backend.cached`` (a ``_Replies`` or another ``_SentAhead``);
+        False for a backend that does not track its replies."""
+        return getattr(self.backend, "cached", False)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        futures.wait((self.reply,))
+        if self.reply is not None:
+            futures.wait((self.reply,))
 
     def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
-        if request == self.request:
+        if self.reply is not None and request == self.request:
             return self.reply.result()  # re-raises a failed send
         return self.backend.complete(request)
 
@@ -477,13 +513,17 @@ def run_session(
     (``_routing_sent_during``), through ``run_check_cycle``'s ``during``.
     A send ahead is answered before its check returns or raises, and its
     reply is used only for an identical request, so a check that revises
-    the step after a send costs one extra routing call.
+    the step after a send costs one extra routing call.  While replies come
+    from a cache (``ResultSource.CACHE``) nothing is sent ahead: every call
+    is sent on the caller's thread, in series, and a dropped send is not
+    made at all.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
     can serve each role from a different model.  On BackendFailure the partial
     tree is preserved on the raised exception (``exc.tree``)."""
     config = config or SessionConfig()
+    backends = _Replies(backends)
 
     tree = model.new_tree(problem)
     active_sop = None

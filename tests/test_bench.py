@@ -267,3 +267,10 @@ class TestRunBenchmark:
             bench.run_benchmark([], "ar", ScriptedBackend({}), trials=0)
         with pytest.raises(ValueError):
             bench.run_benchmark([], "mcts", ScriptedBackend({}))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        task = bench._task_from_record(mcq_record(), "mcq")
+        backend = ScriptedBackend({"solve": "The correct answer is (A)"})
+        with pytest.raises(ValueError, match="workers"):
+            bench.run_benchmark([task], "single-pass", backend, trials=2, workers=workers)

@@ -117,6 +117,22 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and named in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bench_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(
+            json.dumps({"statement": "Pick.", "options": ["(A) y", "(B) n"], "gold": "A"}) + "\n",
+            encoding="utf-8",
+        )
+        script = tmp_path / "s.json"
+        script.write_text(json.dumps({"solve": "The correct answer is (A)"}), encoding="utf-8")
+        argv = ["bench", str(suite), "--format", "mcq", "--strategy", "single-pass",
+                "--script", str(script), "--workers", workers, "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--workers" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "record",
         [

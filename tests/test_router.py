@@ -12,7 +12,15 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from atomic_reasoner import bench, cases, metrics, model, prompts, router, sop
-from atomic_reasoner.backends import TAGS, CompletionResult, ScriptedBackend, TallyBackend
+from atomic_reasoner.backends import (
+    TAGS,
+    CacheBackend,
+    CacheMode,
+    CompletionResult,
+    ScriptedBackend,
+    TallyBackend,
+    cache_key,
+)
 from atomic_reasoner.errors import (
     BackendFailure,
     BackendTimeout,
@@ -1040,3 +1048,154 @@ def test_case_request_stream_is_byte_identical(name):
         fx.task.to_problem(), backends=recorder, sop_registry=sop.builtin_registry()
     )
     assert request_digests(recorder.calls) == GOLDEN_REQUEST_STREAMS[name]
+
+
+class OnThreads:
+    """Passes calls to ``inner`` and lists each request with whether it was
+    sent on the thread that made this backend."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+        self._session_thread = threading.current_thread()
+
+    def complete(self, request):
+        self.calls.append((request, threading.current_thread() is self._session_thread))
+        return self.inner.complete(request)
+
+    def requests(self, tag=None):
+        return [request for request, _on_session in self.calls if tag in (None, request.tag)]
+
+
+def strict_replay(store):
+    return OnThreads(CacheBackend(None, CacheMode.REPLAY, store, strict=True))
+
+
+def run_pure_session(backend):
+    return router.run_session(
+        Problem(id="pure", statement="A puzzle.", answer_schema=FreeText()),
+        config=SessionConfig(max_chains=1),
+        backends=backend,
+    )
+
+
+class TestSendingNothingAheadOnReplay:
+    """A session whose last reply came from a cache sends nothing ahead."""
+
+    def test_strict_replay_sends_every_call_on_the_session_thread(self, tmp_path):
+        fx = cases.load_case("case2")
+        registry = sop.builtin_registry()
+        recorded = OnThreads(fx.backend())
+        recording = router.run_session(
+            fx.task.to_problem(),
+            backends=CacheBackend(recorded, CacheMode.RECORD, tmp_path),
+            sop_registry=registry,
+        )
+        replayed = strict_replay(tmp_path)
+        tree, final = router.run_session(fx.task.to_problem(), backends=replayed, sop_registry=registry)
+        assert not all(on_session for _request, on_session in recorded.calls)
+        assert all(on_session for _request, on_session in replayed.calls)
+        assert metrics.serialize_trace(tree) == metrics.serialize_trace(recording[0])
+        assert final.text == recording[1].text
+
+    def test_replay_of_a_revised_hypothesis_makes_the_serial_requests(self, tmp_path):
+        """The recording's R2 request sent ahead during the failing first
+        check is dropped; its replay sends it neither ahead nor at all."""
+        recorded = OnThreads(ScriptedBackend({}, default=pure_reply))
+        run_pure_session(CacheBackend(recorded, CacheMode.RECORD, tmp_path))
+        replayed = strict_replay(tmp_path)
+        tree, final = run_pure_session(replayed)
+        assert len(recorded.requests("routing")) == PURE_REPLY_GOLDENS["routing"][0] + 1
+        assert request_digests(replayed.requests()) == {tag: PURE_REPLY_GOLDENS[tag] for tag in TAGS}
+        trace = hashlib.sha256(metrics.serialize_trace(tree).encode("utf-8")).hexdigest()
+        assert (trace, final.text) == (PURE_REPLY_GOLDENS["trace"], PURE_REPLY_GOLDENS["final"])
+
+    def test_recording_still_sends_ahead(self, tmp_path):
+        """Every reply of a cold ``RECORD`` session comes from its inner
+        backend, so the hypothesis's check and R2's request still wait for
+        each other on a barrier."""
+        backend = Answered(
+            ScriptedBackend(hypothesis_script()), meet=(("check", 2), ("routing", 3))
+        )
+        _tree, final = run_hypothesis_session(CacheBackend(backend, CacheMode.RECORD, tmp_path))
+        assert backend.ahead == 1 and final.text == "final answer"
+
+    def test_a_replay_miss_resumes_sending_ahead(self, tmp_path):
+        """The hypothesis's solve call misses a non-strict replay and is
+        answered by the inner backend, so R2's request goes ahead during the
+        hypothesis's check; a strict replay of the whole store sends none."""
+        inner = ScriptedBackend(hypothesis_script())
+        recording = run_hypothesis_session(CacheBackend(inner, CacheMode.RECORD, tmp_path))
+        replayed = Answered(CacheBackend(None, CacheMode.REPLAY, tmp_path, strict=True))
+        run_hypothesis_session(replayed)
+        assert replayed.ahead == 0
+
+        hypothesis_solve = [request for request in inner.calls if request.tag == "solve"][1]
+        (tmp_path / f"{cache_key(hypothesis_solve, 'scripted')}.json").unlink()
+        missed = ScriptedBackend({"solve": ["Hypothesis 1: draft"]})
+        replayed = Answered(CacheBackend(missed, CacheMode.REPLAY, tmp_path, strict=False))
+        tree, final = run_hypothesis_session(replayed)
+        assert missed.calls == [hypothesis_solve]
+        assert replayed.ahead == 1
+        assert metrics.serialize_trace(tree) == metrics.serialize_trace(recording[0])
+        assert final.text == recording[1].text
+
+    @pytest.mark.parametrize("tag, nth", [("routing", 3), ("summarize", 1)], ids=["r2", "compression"])
+    def test_strict_replay_miss_on_a_request_sent_ahead_raises_as_in_series(self, tmp_path, tag, nth):
+        """R2's request misses after the hypothesis's check passes, with no
+        step added; the compression misses after the target request, with
+        the tree branched and no summary stored."""
+        script = backtracking_script(
+            routing_after=("GUIDANCE: verify again", "ACTION: SUMMARY<FINISHED>\nGUIDANCE: conclude"),
+            summarize=("chain summary", "final answer"),
+        )
+        inner = ScriptedBackend(script)
+        run_backtracking_session(CacheBackend(inner, CacheMode.RECORD, tmp_path))
+        missing = [request for request in inner.calls if request.tag == tag][nth - 1]
+        (tmp_path / f"{cache_key(missing, 'scripted')}.json").unlink()
+
+        replayed = strict_replay(tmp_path)
+        with pytest.raises(MalformedResponse, match=f"cache miss \\(tag={tag}\\)") as excinfo:
+            run_backtracking_session(replayed)
+        assert replayed.calls[-1] == (missing, True)
+        assert all(on_session for _request, on_session in replayed.calls)
+        tree = excinfo.value.tree
+        assert all(chain.summary is None for chain in tree.chains.values())
+        if tag == "routing":
+            path = model.active_path(tree)
+            assert [node.action for node in path] == [
+                AtomicAction.PREMISE_DISCOVERY,
+                AtomicAction.HYPOTHESIS_GENERATION,
+            ]
+            assert [report.verdict for report in path[-1].check_reports] == ["NoError"]
+        else:
+            assert len(tree.chains) == 2
+            assert replayed.requests()[-2].tag == "routing"
+
+    def test_concurrent_replays_match_a_lone_one(self, tmp_path):
+        """Sixteen case2 sessions replayed from one strict store on eight
+        threads with a short switch interval: every trace, answer and token
+        tally equals a lone replay's."""
+        fx = cases.load_case("case2")
+        registry = sop.builtin_registry()
+        router.run_session(
+            fx.task.to_problem(),
+            backends=CacheBackend(fx.backend(), CacheMode.RECORD, tmp_path),
+            sop_registry=registry,
+        )
+        store = CacheBackend(None, CacheMode.REPLAY, tmp_path, strict=True)
+
+        def session(_):
+            tally = TallyBackend(store)
+            tree, final = router.run_session(fx.task.to_problem(), backends=tally, sop_registry=registry)
+            return metrics.serialize_trace(tree), final.text, tally.prompt_tokens, tally.completion_tokens
+
+        expected = session(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(session, range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 16
