@@ -3,7 +3,7 @@
 Every backend satisfies one contract: ``complete(CompletionRequest) ->
 CompletionResult`` and is safe to call concurrently, also by one session,
 which sends a request ahead on a pool thread while it sends another
-(``router._SentAhead``).  Three implementations ship here: a deterministic
+(``router._Replies.ahead``).  Three implementations ship here: a deterministic
 scripted backend for tests and replays, an HTTP client for OpenAI-compatible
 chat endpoints, and a record/replay cache that wraps either.  ``ask`` sends
 a request, re-asking once when the reply does not parse; every engine call
@@ -74,8 +74,9 @@ class CompletionRequest:
 class ResultSource(enum.Enum):
     """Where a reply came from.  ``CACHE`` means served with no model wait:
     a session whose last reply came from a cache sends nothing ahead
-    (``router._SentAhead``).  ``TallyBackend``, and ``CacheBackend`` on a
-    miss, return the inner backend's result, source included."""
+    (``router._Replies``, which reads the source of each reply the session
+    uses).  ``TallyBackend``, and ``CacheBackend`` on a miss, return the
+    inner backend's result, source included."""
 
     NETWORK = "Network"
     SCRIPT = "Script"
@@ -303,14 +304,26 @@ class HttpBackend:
             raise MalformedResponse("unparseable completion body", excerpt=response.text[:200])
         if not isinstance(text, str):
             raise MalformedResponse("completion content is not text", excerpt=response.text[:200])
-        usage = payload.get("usage") or {}
+        usage = payload.get("usage")
         return CompletionResult(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=_token_count(usage, "prompt_tokens"),
+            completion_tokens=_token_count(usage, "completion_tokens"),
             latency_ms=latency_ms,
             source=ResultSource.NETWORK,
         )
+
+
+def _token_count(usage, name: str) -> int:
+    """``usage[name]`` as a whole count; 0 when ``usage`` is not an object or
+    the count is missing, not a number (``null``, ``"12.5"``) or negative.
+    A reply's token usage is bookkeeping: it never fails the reply."""
+    if not isinstance(usage, dict):
+        return 0
+    try:
+        return max(0, int(usage.get(name, 0)))
+    except (TypeError, ValueError, OverflowError):
+        return 0
 
 
 def _parse_retry_after(response: requests.Response) -> Optional[float]:

@@ -54,10 +54,14 @@ class Reject:
 
 def _task_from_record(record: dict, format: str) -> Task:
     statement = record["statement"]
-    if not str(statement).strip():
+    if not isinstance(statement, str):
+        raise TypeError(f"statement is {type(statement).__name__}, not text")
+    if not statement.strip():
         raise ValueError("blank statement")
     if format == "mcq":
         options = record["options"]
+        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+            raise TypeError("options must be a list of strings")
         schema = MultipleChoice(options=tuple(options))
         gold = str(record["gold"]).upper()
         if gold not in answers.option_letters(schema):

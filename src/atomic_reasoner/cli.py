@@ -112,6 +112,10 @@ def _read_script(args):
     script = json.loads(Path(args.script).read_text(encoding="utf-8"))
     if not isinstance(script, dict):
         raise UsageError("--script must hold a JSON object keyed by request tag")
+    for tag, value in script.items():
+        texts = [value] if isinstance(value, str) else value
+        if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+            raise UsageError(f"--script value for {tag!r} must be a string or a list of strings")
     return script
 
 

@@ -12,10 +12,10 @@ Hard engine rules take priority over anything the routing backend says:
       premise-summarization step.
 
 A request the session's thread has built before it needs the reply is
-sent ahead (``_SentAhead``): the pool ``_send_pool`` sends it with
-``backend.complete`` while the thread sends, or waits on, another call, and
-the thread joins the send when that call is done.  Two kinds of request go
-ahead:
+sent ahead: the session's one backend, a ``_Replies``, has the pool
+``_send_pool`` send it with the wrapped backend's ``complete`` while the
+thread sends, or waits on, another call, and the thread joins the send
+when that call is done.  Two kinds of request go ahead:
 
 * the compression of a chain being left (tag ``summarize``), while the
   backtracking-target request (tag ``routing``) is sent (``_leave_chain``);
@@ -39,11 +39,10 @@ its send is used.
 A session whose last reply came from a cache (``ResultSource.CACHE``, as a
 ``CacheBackend`` hit returns) sends nothing ahead: such a reply comes with
 no model wait, so a pooled send would hide nothing and cost a thread
-handoff.  Its ``_SentAhead`` keeps the request and sends it on the
-session's thread when it is first asked for, so a dropped send is never
-sent.  ``run_session`` reads each reply's source once, through its
-``_Replies``; any other session, a cache miss included, sends ahead as
-above.
+handoff.  Its ``_Replies`` keeps the request, and the session's thread
+sends it when it is first asked for, so a dropped send is never sent.
+``_Replies`` reads the source of each reply the session uses; any other
+session, a cache miss included, sends ahead as above.
 """
 
 from __future__ import annotations
@@ -232,8 +231,9 @@ def decide(
     A Backtrack is applied before it is returned: the tree branches at its
     target, and the chain left behind holds its summary (``_leave_chain``).
     The routing request (R2's, or R4's first attempt) is sent with
-    ``backend.complete``, so a ``_SentAhead`` passed as ``backend`` answers
-    it when it equals the request sent ahead during the last check."""
+    ``backend.complete``, so the session's ``_Replies`` answers it with the
+    reply to the request sent ahead during the last check when the two are
+    equal."""
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -367,9 +367,9 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
     return path[-1].id, BacktrackReason.KEY_NODE
 
 
-# Threads that send the requests sent ahead (``_SentAhead``) and do nothing
-# else.  Every session shares them and has at most one pooled send in
-# flight, because a check and a leave never overlap; they start
+# Threads that send the requests sent ahead (``_Replies.ahead``) and do
+# nothing else.  Every session shares them and has at most one pooled send
+# in flight, because a check and a leave never overlap; they start
 # on demand.  32 covers bench's default of at most 8 workers four times
 # over; past 32 concurrent sessions a send waits for a thread and that
 # session's overlap runs serially.
@@ -378,55 +378,43 @@ _send_pool = futures.ThreadPoolExecutor(_SEND_THREADS, thread_name_prefix="send-
 
 
 class _Replies:
-    """A session's backend, which remembers in ``cached`` whether its last
-    reply came from a cache: then the next reply is expected with no model
-    wait too, and ``_SentAhead`` sends nothing ahead."""
+    """A session's backend: every call of the session goes through it, on
+    the session's thread, and it holds at most one request sent ahead.
+
+    ``cached`` records whether the last reply the session used came from a
+    cache: then the next reply is expected with no model wait too, and
+    nothing is sent ahead.  ``ahead(request)`` sends ``request`` on the pool
+    with ``backend.complete``, unless ``cached`` is set, and leaving its
+    ``with`` block waits for that send.  ``complete`` answers a request
+    equal to the one sent ahead, once, with the pooled reply, or raises its
+    failure; any other request, and one whose send ``cached`` held back,
+    goes to ``backend`` on the caller's thread.  A pooled reply that no
+    request takes is dropped when the next ``ahead`` replaces it."""
 
     def __init__(self, backend):
         self.backend = backend
         self.cached = False
+        self._sent = None, None  # the request sent ahead and its future
+
+    @contextlib.contextmanager
+    def ahead(self, request: backends_mod.CompletionRequest):
+        reply = None if self.cached else _send_pool.submit(self.backend.complete, request)
+        self._sent = request, reply
+        try:
+            yield
+        finally:
+            if reply is not None:
+                futures.wait((reply,))
 
     def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
-        result = self.backend.complete(request)
+        sent, reply = self._sent
+        if reply is not None and request == sent:
+            self._sent = None, None
+            result = reply.result()  # re-raises a failed send
+        else:
+            result = self.backend.complete(request)
         self.cached = result.source is backends_mod.ResultSource.CACHE
         return result
-
-
-class _SentAhead:
-    """``request``, built on the session's thread, sent on the pool with
-    ``backend.complete``; ``reply`` is that send's future, and leaving a
-    ``with`` block on this object waits for it.  As a backend it answers a
-    request equal to ``request`` with the pooled reply, or raises its
-    failure; any other request goes to ``backend`` on the caller's thread,
-    and the pooled reply or failure is dropped.
-
-    When ``backend``'s last reply came from a cache (``cached``) nothing is
-    sent ahead: ``reply`` is None, leaving the ``with`` block waits for
-    nothing, and a request equal to ``request`` goes to ``backend`` on the
-    caller's thread like any other, so a dropped send is never sent."""
-
-    def __init__(self, backend, request: backends_mod.CompletionRequest):
-        self.backend = backend
-        self.request = request
-        self.reply = None if self.cached else _send_pool.submit(backend.complete, request)
-
-    @property
-    def cached(self) -> bool:
-        """``backend.cached`` (a ``_Replies`` or another ``_SentAhead``);
-        False for a backend that does not track its replies."""
-        return getattr(self.backend, "cached", False)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.reply is not None:
-            futures.wait((self.reply,))
-
-    def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
-        if self.reply is not None and request == self.request:
-            return self.reply.result()  # re-raises a failed send
-        return self.backend.complete(request)
 
 
 def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
@@ -434,21 +422,22 @@ def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
     chain being left, when it has steps, is sent ahead while the target
     request goes out; the tree branches once both are answered, and then the
     chain's summary is read from the pooled reply.  A blank one is re-asked,
-    on this thread.
+    on this thread.  A plain ``backend``, as a direct ``decide`` caller
+    passes, is wrapped in a ``_Replies`` for the leave.
 
     Failures leave the tree as the serial order would: a failed target call
     raises with no branch and no summary, and a failed compression raises
     after the branch, with no summary.  When both fail, the target's failure
     is raised."""
+    if not isinstance(backend, _Replies):
+        backend = _Replies(backend)
     leaving = model.active_chain(tree)
-    ahead = None
-    if leaving.node_ids:
-        ahead = _SentAhead(backend, prompts.build_compression_prompt(tree, leaving))
-    with ahead or contextlib.nullcontext():
+    compression = prompts.build_compression_prompt(tree, leaving) if leaving.node_ids else None
+    with backend.ahead(compression) if compression else contextlib.nullcontext():
         target, reason = select_backtrack_target(tree, backend)
     model.branch_at(tree, target)
-    if ahead is not None:
-        leaving.summary = backends_mod.ask_text(ahead, ahead.request)
+    if compression:
+        leaving.summary = backends_mod.ask_text(backend, compression)
     return Backtrack(target=target, reason=reason)
 
 
@@ -532,10 +521,8 @@ def run_session(
     sop_hints = active_sop.scheduling_hints if active_sop else ""
 
     try:
-        ahead = None
         while True:
-            decision = decide(tree, config, ahead or backends, sop_hints)
-            ahead = None
+            decision = decide(tree, config, backends, sop_hints)
 
             if isinstance(decision, Terminate):
                 final = _checked_ending(tree, decision.mode) or executor_mod.finalize(
@@ -554,13 +541,10 @@ def run_session(
             if not _checker_applies(config.checker_mode, node.action):
                 continue
 
-            # ``ahead`` ends as the send made during the last check, for ``decide``.
             def send_routing_ahead(revisions):
-                nonlocal ahead
-                ahead = None
                 if _routing_sent_during(tree, node, revisions, config):
-                    ahead = _SentAhead(backends, prompts.build_routing_prompt(tree, sop_hints))
-                return ahead or contextlib.nullcontext()
+                    return backends.ahead(prompts.build_routing_prompt(tree, sop_hints))
+                return contextlib.nullcontext()
 
             checker_mod.run_check_cycle(tree, node, backends, send_routing_ahead)
     except BackendFailure as exc:

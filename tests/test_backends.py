@@ -274,6 +274,25 @@ class TestHttpBackend:
         with pytest.raises(MalformedResponse):
             backend.complete(make_request())
 
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            None,
+            {"prompt_tokens": None, "completion_tokens": None},
+            {"prompt_tokens": "12.5", "completion_tokens": "2.5"},
+            {"prompt_tokens": -3, "completion_tokens": float("inf")},
+            "12 tokens",
+            [11, 7],
+        ],
+        ids=["null-usage", "null-counts", "fractional-strings", "negative-and-inf", "string", "list"],
+    )
+    def test_malformed_usage_keeps_the_reply_with_zero_tokens(self, stub_server, usage):
+        stub_server.script = [("ok", {**ok_payload("answer text"), "usage": usage})]
+        backend, _ = make_http_backend(stub_server)
+        result = backend.complete(make_request())
+        assert result.text == "answer text"
+        assert (result.prompt_tokens, result.completion_tokens) == (0, 0)
+
     def test_timeout_retried_then_raised(self, stub_server, monkeypatch):
         import requests as requests_lib
 

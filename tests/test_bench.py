@@ -52,6 +52,23 @@ class TestLoadTasks:
         assert len(tasks) == 1
         assert [r.line for r in rejects] == [2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("statement", 12345),
+            ("statement", ["Pick", "one."]),
+            ("options", "(A) yes (B) no"),
+            ("options", [1, 2]),
+        ],
+        ids=["numeric-statement", "list-statement", "string-options", "numeric-options"],
+    )
+    def test_wrongly_typed_field_becomes_reject(self, tmp_path, field, value):
+        path = write_suite(tmp_path, [mcq_record(), {**mcq_record(id="t2"), field: value}])
+        tasks, rejects = bench.load_tasks(path, "mcq")
+        assert [task.id for task in tasks] == ["t1"]
+        assert [r.line for r in rejects] == [2]
+        assert rejects[0].reason.startswith("SchemaMismatch: ")
+
     def test_grid_round_trips_through_records(self, tmp_path):
         record = grid_record()
         path = write_suite(tmp_path, [record])

@@ -70,6 +70,39 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "script",
+        [{"routing": 5}, {"routing": None}, {"routing": ["ACTION: TERMINATE", 5]}, {"solve": {"a": "b"}}],
+        ids=["number", "null", "list-with-a-number", "object"],
+    )
+    def test_script_value_that_is_not_text_is_usage_error(self, tmp_path, capsys, script):
+        problem = tmp_path / "p.txt"
+        problem.write_text("what is 2+2?", encoding="utf-8")
+        script_path = tmp_path / "s.json"
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        code = run_cli(
+            ["solve", str(problem), "--script", str(script_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("statement", 12345), ("options", "(A) yes (B) no")],
+        ids=["numeric-statement", "string-options"],
+    )
+    def test_wrongly_typed_task_field_is_io_error(self, tmp_path, capsys, field, value):
+        record = {"format": "mcq", "statement": "Pick one.", "options": ["(A) x", "(B) y"], "gold": "A"}
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({**record, field: value}), encoding="utf-8")
+        script = tmp_path / "s.json"
+        script.write_text("{}", encoding="utf-8")
+        code = run_cli(
+            ["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_broken_task_json_is_io_error(self, tmp_path):
         problem = tmp_path / "p.json"
         problem.write_text("{not json", encoding="utf-8")

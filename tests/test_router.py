@@ -234,6 +234,21 @@ class TestBacktracking:
         )
         assert decision == Backtrack(path[0].id, BacktrackReason.KEY_NODE)
 
+    def test_direct_decide_sends_target_and_compression_together(self):
+        """A plain backend passed to ``decide`` gets the leave's overlap too:
+        the target request and the compression wait for each other on a
+        barrier, so sent one after the other the first would time out."""
+        tree = self.completed_tree()
+        path, left = model.active_path(tree), model.active_chain(tree)
+        backend = Answered(
+            ScriptedBackend({"routing": "TARGET: Step 2", "summarize": ["chain summary"]}),
+            meet=(("routing", 1), ("summarize", 1)),
+        )
+        decision = router.decide(tree, SessionConfig(), backend)
+        assert decision == Backtrack(path[1].id, BacktrackReason.KEY_NODE)
+        assert left.summary == "chain summary"
+        assert sorted(backend.tags) == ["routing", "summarize"]
+
     def test_second_completed_chain_terminates(self):
         tree = self.completed_tree()
         model.branch_at(tree, model.active_path(tree)[1].id)
