@@ -1,7 +1,10 @@
-"""Answer extraction and normalization for final-answer text.
+"""The final-answer format and its one reader.
 
-These parsers are total: they return ``None`` / empty structures instead of
-raising, so scoring can always proceed.
+``format_instruction`` is the format every final-answer prompt asks for, and
+``extract`` reads what a text states under it; the parsers below it return
+``None`` / empty structures instead of raising, so reading a reply never
+fails.  ``is_complete`` (does the checked ending step hold the whole answer?)
+and ``bench.score`` (is it the gold answer?) both read through ``extract``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .model import GridSchema, MultipleChoice, Numeric
+from .model import FreeText, GridSchema, MultipleChoice, Numeric
 
 # "The correct answer is (A)", tolerating bold markers and missing parens.
 _MCQ_PATTERN = re.compile(
@@ -135,7 +138,7 @@ _WHOLE_NUMBER = re.compile(rf"[+\-]?{_DIGITS}(?:\.\d+)?(?:/\d+)?")
 def normalize_numeric(text: str) -> Optional[str]:
     """Normalize a numeric answer: strip whitespace/boxed markers/leading '+'
     and thousands separators, drop trailing zeros.  Returns None when nothing
-    numeric is present."""
+    numeric is present, a box included: ``\\boxed{x 5}`` states no number."""
     candidate = text.strip()
     boxed = _BOXED.findall(candidate)
     if boxed:
@@ -151,11 +154,7 @@ def normalize_numeric(text: str) -> Optional[str]:
     if _WHOLE_NUMBER.fullmatch(candidate):
         candidate = candidate.replace(",", "")
     value = parse_rational(candidate)
-    if value is None:
-        return candidate or None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
+    return None if value is None else str(value)  # "7/2", or "4" for 4/1
 
 
 def parse_rational(text: str) -> Optional[Fraction]:
@@ -173,14 +172,46 @@ def numeric_equal(left: str, right: str) -> bool:
     return left.strip() == right.strip()
 
 
+def format_instruction(schema) -> str:
+    if isinstance(schema, MultipleChoice):
+        return (
+            "Your final answer should follow this format: "
+            '"The correct answer is (insert answer here)".'
+        )
+    if isinstance(schema, GridSchema):
+        first = schema.attribute_names[0]
+        rest = ", ".join(f"<{a}>" for a in schema.attribute_names[1:])
+        line = f"- House <n>: <{first}>" + (f" ({rest})" if rest else "")
+        return (
+            'End with a block starting with the line "Solution:" followed by one '
+            f'line per house in the form "{line}".'
+        )
+    if isinstance(schema, Numeric):
+        return "End with the final numeric value on its own line."
+    return "End with a clear statement of the final answer."
+
+
+def extract(schema, text: str):
+    """What the final-answer ``text`` states under ``schema``: the option
+    letter (mcq), the grid with ``None`` in each cell that does not parse,
+    the normalized number (numeric) or the stripped text (free text).  None
+    when no letter or number is found."""
+    if isinstance(schema, MultipleChoice):
+        return extract_mcq(text, option_letters(schema))
+    if isinstance(schema, GridSchema):
+        return parse_grid(text, schema)
+    if isinstance(schema, Numeric):
+        return normalize_numeric(text)
+    return text.strip()
+
+
 def is_complete(schema, text: str) -> bool:
     """Whether ``text`` states a whole answer under ``schema``: every grid
-    cell parses, an option letter extracts, or a number normalizes.  Free
-    text is never complete."""
+    cell, the option letter or the number is there.  Free text is never
+    complete."""
+    if isinstance(schema, FreeText):
+        return False
+    answer = extract(schema, text)
     if isinstance(schema, GridSchema):
-        return all(None not in cells.values() for cells in parse_grid(text, schema).values())
-    if isinstance(schema, MultipleChoice):
-        return extract_mcq(text, option_letters(schema)) is not None
-    if isinstance(schema, Numeric):
-        return normalize_numeric(text) is not None
-    return False
+        return all(None not in cells.values() for cells in answer.values())
+    return answer is not None

@@ -143,6 +143,10 @@ class ScriptedBackend:
     ):
         if not isinstance(script, dict):
             raise TypeError("a script maps request tags to responses")
+        for tag, value in script.items():
+            texts = [value] if isinstance(value, str) else value
+            if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+                raise TypeError(f"script value for {tag!r} must be a string or a list of strings")
         self._lock = threading.Lock()
         self._script = script
         self._default = default

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from . import answers, executor as executor_mod, metrics, puzzles
+from . import answers, metrics, puzzles
 from . import model, prompts, router
 from .backends import ScriptedBackend, TallyBackend
 from .errors import BackendFailure, EmptySuite
-from .model import FreeText, GridSchema, MultipleChoice, Numeric, Problem
+from .model import GridSchema, MultipleChoice, Numeric, Problem
 
 TASK_FORMATS = ("mcq", "grid", "numeric")
 
@@ -68,6 +68,8 @@ def _task_from_record(record: dict, format: str) -> Task:
             raise ValueError(f"gold {gold!r} not among option letters")
     elif format == "grid":
         schema = metrics.schema_from_json({"kind": "grid", **record["schema"]})
+        if not isinstance(record["gold"], dict):
+            raise TypeError("grid gold must be an object keyed by house")
         gold = {int(h): dict(cells) for h, cells in record["gold"].items()}
         for house in range(1, schema.houses + 1):
             cells = gold.get(house)
@@ -79,15 +81,20 @@ def _task_from_record(record: dict, format: str) -> Task:
     elif format == "numeric":
         schema = Numeric()
         gold = str(record["gold"])
+        if answers.normalize_numeric(gold) is None:
+            raise ValueError(f"gold {gold!r} is not a number")
     else:
         raise ValueError(f"unknown task format {format!r}")
+    split, suite = record.get("split"), record.get("suite", "")
+    if not isinstance(split, (str, type(None))) or not isinstance(suite, str):
+        raise TypeError("split and suite must be text")
     task = Task(
         id=str(record.get("id", "")),
         statement=statement,
         schema=schema,
         gold=gold,
-        split=record.get("split"),
-        suite=record.get("suite", ""),
+        split=split,
+        suite=suite,
     )
     if format == "grid" and "clues" in record:
         task.clues = [puzzles.clue_from_json(c) for c in record["clues"]]
@@ -141,42 +148,23 @@ def task_to_record(task: Task, format: str) -> dict:
 # --- scoring ------------------------------------------------------------------------
 
 def score(task: Task, final_text: str) -> Verdict:
-    """Total and deterministic scoring of a final-answer text."""
+    """Total and deterministic scoring of a final-answer text against the
+    gold: what ``answers.extract`` reads, cell by cell for a grid."""
     schema = task.schema
-    if isinstance(schema, MultipleChoice):
-        extracted = answers.extract_mcq(final_text, answers.option_letters(schema))
-        if extracted is None:
-            return Verdict(correct=False, partial=0.0, failure="NoAnswerFound")
-        correct = extracted == task.gold
-        return Verdict(correct=correct, partial=1.0 if correct else 0.0)
-
+    answer = answers.extract(schema, final_text)
     if isinstance(schema, GridSchema):
-        grid = answers.parse_grid(final_text, schema)
-        total = schema.houses * len(schema.attributes)
-        attrs = schema.attribute_names
-        hits = 0
-        for house in range(1, schema.houses + 1):
-            for attr in attrs:
-                if grid[house][attr] is not None and grid[house][attr] == task.gold[house][attr]:
-                    hits += 1
-        partial = hits / total
-        any_cell = any(v is not None for cells in grid.values() for v in cells.values())
-        return Verdict(
-            correct=(partial == 1.0),
-            partial=partial,
-            failure=None if any_cell else "NoAnswerFound",
-        )
-
+        cells = [(answer[h][a], task.gold[h][a]) for h in answer for a in schema.attribute_names]
+        partial = sum(got is not None and got == gold for got, gold in cells) / len(cells)
+        found = any(got is not None for got, _ in cells)
+        return Verdict(correct=(partial == 1.0), partial=partial, failure=None if found else "NoAnswerFound")
+    if answer is None:
+        return Verdict(correct=False, partial=0.0, failure="NoAnswerFound")
     if isinstance(schema, Numeric):
-        extracted = answers.normalize_numeric(final_text)
-        if extracted is None:
-            return Verdict(correct=False, partial=0.0, failure="NoAnswerFound")
-        gold = answers.normalize_numeric(str(task.gold)) or str(task.gold)
-        correct = answers.numeric_equal(extracted, gold)
-        return Verdict(correct=correct, partial=1.0 if correct else 0.0)
-
-    # free text: exact match after whitespace normalization
-    correct = final_text.strip() == str(task.gold).strip()
+        correct = answers.numeric_equal(answer, answers.normalize_numeric(str(task.gold)) or str(task.gold))
+    elif isinstance(schema, MultipleChoice):
+        correct = answer == task.gold
+    else:  # free text, matched after stripping whitespace
+        correct = answer == str(task.gold).strip()
     return Verdict(correct=correct, partial=1.0 if correct else 0.0)
 
 
@@ -245,7 +233,7 @@ def oracle_session_backend(task: Task) -> ScriptedBackend:
 
 def single_pass(task: Task, backend) -> str:
     """Baseline: one bare solver call with the problem and format instruction."""
-    instruction = executor_mod.format_instruction_for(task.schema)
+    instruction = answers.format_instruction(task.schema)
     return backend.complete(prompts.build_single_pass_prompt(task.statement, instruction)).text
 
 

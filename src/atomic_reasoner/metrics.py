@@ -140,10 +140,12 @@ def schema_from_json(data: dict):
     if kind == "mcq":
         return MultipleChoice(options=tuple(data["options"]))
     if kind == "grid":
-        return GridSchema(
-            houses=data["houses"],
-            attributes=tuple((name, tuple(values)) for name, values in data["attributes"]),
-        )
+        attributes = []
+        for name, values in data["attributes"]:
+            if not isinstance(values, list) or not all(isinstance(t, str) for t in (name, *values)):
+                raise TypeError("a grid attribute is a name and a list of values, all text")
+            attributes.append((name, tuple(values)))
+        return GridSchema(houses=data["houses"], attributes=tuple(attributes))
     raise ParseError(f"unknown answer schema kind {kind!r}")
 
 
@@ -263,7 +265,7 @@ def deserialize_trace(document: str) -> AtomicTree:
             next_node_seq=data["next_node_seq"],
             next_chain_seq=data["next_chain_seq"],
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed trace document: {exc!r}")
 
 
@@ -303,7 +305,8 @@ def to_sft_records(traces: Iterable[ScoredTrace], filter: str = "correct_only") 
         if filter == "correct_only" and not scored.correct:
             continue
         reasoning = model.render_steps(model.active_path(tree))
-        if not reasoning.strip() or not tree.terminated.final_answer.strip():
+        texts = (tree.problem.statement, reasoning, tree.terminated.final_answer)
+        if not all(text.strip() for text in texts):
             continue
         records.append(
             SftRecord(

@@ -154,6 +154,8 @@ def clue_to_json(clue: Clue) -> dict:
 
 
 def clue_from_json(data: dict) -> Clue:
+    if not isinstance(data, dict):
+        raise TypeError(f"a clue is an object, not {type(data).__name__}")
     kinds = {cls.__name__: cls for cls in (FixedPosition, LeftOf, Adjacent, SameHouse)}
     kind = data.get("kind")
     if kind not in kinds:

@@ -64,7 +64,6 @@ from .model import (
     ActionCategory,
     AtomicAction,
     AtomicTree,
-    ChainStatus,
     Problem,
     TerminationMode,
 )
@@ -245,12 +244,8 @@ def decide(
 
     # Completed chain: backtrack once, then conclude.
     if _chain_completed(tree):
-        explored_before = any(
-            c.status is not ChainStatus.ACTIVE and c.id != tree.active_chain_id
-            for c in tree.chains.values()
-        )
         if (
-            explored_before
+            len(tree.chains) > 1
             or len(tree.chains) >= config.max_chains
             or model.round_count(tree) + 2 > config.max_rounds
         ):

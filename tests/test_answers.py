@@ -96,6 +96,11 @@ class TestNumeric:
     def test_nothing_numeric(self):
         assert answers.normalize_numeric("no numbers here") is None
 
+    @pytest.mark.parametrize("text", ["\\boxed{x 5}", "\\boxed{1 000}", "\\boxed{abc}", "ratio 5/0"])
+    def test_a_box_or_fraction_that_is_no_number_reads_as_none(self, text):
+        assert answers.normalize_numeric(text) is None
+        assert not answers.is_complete(Numeric(), text)
+
     @pytest.mark.parametrize(
         "text, expected",
         [

@@ -124,6 +124,11 @@ class TestScriptedBackend:
         with pytest.raises(TypeError):
             ScriptedBackend(["one", "two"])
 
+    @pytest.mark.parametrize("value", [5, None, ["one", 2], ("one",), {"text": "one"}])
+    def test_script_value_that_is_not_text_is_rejected_at_construction(self, value):
+        with pytest.raises(TypeError, match="'routing'"):
+            ScriptedBackend({"solve": ["one"], "routing": value})
+
     def test_tag_keyed_queues_and_infinite_string(self):
         backend = ScriptedBackend({"solve": ["a"], "check": "always"})
         assert backend.complete(make_request(tag="check")).text == "always"

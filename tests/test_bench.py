@@ -1,13 +1,14 @@
 import json
+import random
 import threading
 import time
 
 import pytest
 
-from atomic_reasoner import bench, cases, puzzles, router, sop
+from atomic_reasoner import answers, bench, cases, puzzles, router, sop
 from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.errors import EmptySuite
-from atomic_reasoner.model import GridSchema, MultipleChoice, Numeric
+from atomic_reasoner.model import FreeText, GridSchema, MultipleChoice, Numeric
 
 
 def mcq_record(id="t1", gold="A"):
@@ -59,13 +60,59 @@ class TestLoadTasks:
             ("statement", ["Pick", "one."]),
             ("options", "(A) yes (B) no"),
             ("options", [1, 2]),
+            ("split", 1),
+            ("suite", 7),
         ],
-        ids=["numeric-statement", "list-statement", "string-options", "numeric-options"],
+        ids=[
+            "numeric-statement",
+            "list-statement",
+            "string-options",
+            "numeric-options",
+            "numeric-split",
+            "numeric-suite",
+        ],
     )
     def test_wrongly_typed_field_becomes_reject(self, tmp_path, field, value):
         path = write_suite(tmp_path, [mcq_record(), {**mcq_record(id="t2"), field: value}])
         tasks, rejects = bench.load_tasks(path, "mcq")
         assert [task.id for task in tasks] == ["t1"]
+        assert [r.line for r in rejects] == [2]
+        assert rejects[0].reason.startswith("SchemaMismatch: ")
+
+    @pytest.mark.parametrize("gold", ["abc", "5/0", None])
+    def test_numeric_gold_that_is_no_number_becomes_reject(self, tmp_path, gold):
+        records = [{"id": id, "statement": "Add.", "gold": g} for id, g in [("n1", "7/2"), ("n2", gold)]]
+        tasks, rejects = bench.load_tasks(write_suite(tmp_path, records), "numeric")
+        assert [task.id for task in tasks] == ["n1"]
+        assert [r.line for r in rejects] == [2]
+
+    def test_null_split_loads_as_none(self, tmp_path):
+        path = write_suite(tmp_path, [{**mcq_record(), "split": None}])
+        tasks, rejects = bench.load_tasks(path, "mcq")
+        assert rejects == [] and tasks[0].split is None
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"gold": [1, 2]},
+            {"clues": ["x"]},
+            {
+                "schema": {"houses": 2, "attributes": [["name", "AB"]]},
+                "gold": {"1": {"name": "A"}, "2": {"name": "B"}},
+            },
+            {
+                "schema": {"houses": 2, "attributes": [["n", [1, 2]]]},
+                "gold": {"1": {"n": 1}, "2": {"n": 2}},
+            },
+        ],
+        ids=["list-gold", "string-clue", "string-values", "numeric-values"],
+    )
+    def test_malformed_grid_record_becomes_reject(self, tmp_path, change):
+        record = {**grid_record(), **change}
+        if "schema" in change:
+            del record["clues"]
+        tasks, rejects = bench.load_tasks(write_suite(tmp_path, [grid_record(), record]), "grid")
+        assert len(tasks) == 1
         assert [r.line for r in rejects] == [2]
         assert rejects[0].reason.startswith("SchemaMismatch: ")
 
@@ -143,6 +190,80 @@ class TestScore:
         thousand = bench._task_from_record({"id": "k", "statement": "Add.", "gold": "1000"}, "numeric")
         assert bench.score(thousand, "The answer is 1,000.").correct
         assert bench.score(thousand, "\\boxed{1,000}").correct
+
+
+class TestOneReader:
+    """``answers.is_complete`` and ``score`` read a text the same way: an
+    answer complete enough to end a session scores correct against a gold
+    that is its own reading."""
+
+    NOISE = ["", "So ", "Checked every clue.\n", "(Z) is out; ", "**", "  \n", "1, 2 and 3. "]
+
+    def mcq_text(self, rng, schema):
+        letter = rng.choice(answers.option_letters(schema) + ["Q", "b"])
+        form = rng.choice(
+            [
+                "The correct answer is ({})",
+                "the correct answer is **{}**",
+                "({})",
+                "I pick {}",
+                "THE CORRECT ANSWER IS: {}",
+            ]
+        )
+        return rng.choice(self.NOISE) + form.format(letter) + rng.choice(self.NOISE)
+
+    def grid_text(self, rng, schema):
+        grid = {h: {} for h in range(1, schema.houses + 1)}
+        for name, values in schema.attributes:
+            for house, value in zip(grid, rng.sample(values, len(values))):
+                grid[house][name] = value
+        lines = answers.format_grid_answer(schema, grid).splitlines()
+        edit = rng.randrange(5)
+        if edit == 0:
+            del lines[rng.randrange(1, len(lines))]
+        elif edit == 1:
+            lines = [line.upper().replace("-", " ") for line in lines]
+        elif edit == 2:
+            house = rng.randrange(1, len(lines))
+            lines[house] = lines[house].replace(grid[house][schema.attribute_names[0]], "Zed")
+        elif edit == 3:
+            lines = ["Solution:", "- House 1: nobody"] + rng.choice(self.NOISE).splitlines() + lines
+        return rng.choice(self.NOISE) + "\n".join(lines)
+
+    def numeric_text(self, rng, schema):
+        number = rng.choice(
+            ["42", "-7", "+3.50", "1,000", "12,345.60", "2/4", "-1/3", "0.0", "5/0", "x 5", "1 000", "abc"]
+            + [""]
+        )
+        form = rng.choice(["{}", "\\boxed{{{}}}", "the total is {}.", "{} apples"])
+        return rng.choice(self.NOISE) + form.format(number) + rng.choice(self.NOISE)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_complete_answer_scores_correct_against_its_own_reading(self, seed):
+        rng = random.Random(2500 + seed)
+        names = ["Arnold", "Eric", "Peter", "Alice"]
+        foods = ["grilled cheese", "ice-cream", "pizza", "stir fry"]
+        houses = rng.randrange(2, 5)
+        options = tuple(f"({c}) option" for c in "ABCDEFG"[: rng.randrange(2, 8)])
+        grid = GridSchema(
+            houses=houses, attributes=(("name", tuple(names[:houses])), ("food", tuple(foods[:houses])))
+        )
+        kinds = [
+            (MultipleChoice(options=options), self.mcq_text),
+            (grid, self.grid_text),
+            (Numeric(), self.numeric_text),
+        ]
+        complete = 0
+        for schema, make in kinds:
+            for _ in range(100):
+                text = make(rng, schema)
+                assert not answers.is_complete(FreeText(), text)
+                if answers.is_complete(schema, text):
+                    complete += 1
+                    gold = answers.extract(schema, text)
+                    task = bench.Task(id="t", statement="s", schema=schema, gold=gold)
+                    assert bench.score(task, text).correct, (schema, text)
+        assert 50 < complete < 250
 
 
 class TestOracle:

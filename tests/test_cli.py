@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import cli, metrics, model
+from atomic_reasoner import bench, cli, metrics, model
 from atomic_reasoner.model import FreeText, Problem
 
 
@@ -95,6 +95,23 @@ class TestExitCodes:
         record = {"format": "mcq", "statement": "Pick one.", "options": ["(A) x", "(B) y"], "gold": "A"}
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({**record, field: value}), encoding="utf-8")
+        script = tmp_path / "s.json"
+        script.write_text("{}", encoding="utf-8")
+        code = run_cli(
+            ["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"gold": [1, 2]}, {"clues": ["x"]}, {"suite": 7}],
+        ids=["list-gold", "string-clue", "numeric-suite"],
+    )
+    def test_malformed_grid_task_is_io_error(self, tmp_path, capsys, change):
+        record = {"format": "grid", **bench.task_to_record(bench.gen_puzzle(0, 3, 2)[0], "grid"), **change}
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(record), encoding="utf-8")
         script = tmp_path / "s.json"
         script.write_text("{}", encoding="utf-8")
         code = run_cli(
@@ -591,6 +608,26 @@ class TestInspectAndSynth:
 
     def test_inspect_missing_file_is_io_error(self, tmp_path):
         assert run_cli(["inspect", str(tmp_path / "nope.trace.json")]) == 3
+
+    def test_trace_with_a_node_list_is_io_error(self, case_files, tmp_path, capsys):
+        out = self.solve_case(case_files, tmp_path, "case1")
+        trace = out / "case1.trace.json"
+        data = json.loads(trace.read_text(encoding="utf-8"))
+        trace.write_text(json.dumps({**data, "nodes": []}), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["inspect", str(trace)]) == 3
+        assert run_cli(["synth", str(out), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.count("i/o error: ") == 2
+
+    def test_synth_skips_a_trace_with_a_blank_statement(self, case_files, tmp_path, capsys):
+        out = self.solve_case(case_files, tmp_path, "case1")
+        trace = out / "case1.trace.json"
+        data = json.loads(trace.read_text(encoding="utf-8"))
+        data["problem"]["statement"] = "  "
+        trace.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["synth", str(out), "--out", str(tmp_path / "o"), "--filter", "all"]) == 0
+        assert "0 records" in capsys.readouterr().out
 
     def test_synth_empty_dir(self, tmp_path, capsys):
         traces = tmp_path / "traces"

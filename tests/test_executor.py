@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from atomic_reasoner import executor, model
+from atomic_reasoner import answers, executor, model
 from atomic_reasoner.backends import ScriptedBackend
 from atomic_reasoner.errors import EmptyCompletion
 from atomic_reasoner.model import (
@@ -78,7 +78,7 @@ class TestExecute:
         prompt = backend.calls[0].messages[-1].content
         header = "# The expert's guidance for the current step:\n"
         assert prompt.split(header, 1)[1].split("\n", 1)[0] == "assemble the answer"
-        section = "\n\n# The format of the final answer:\n" + executor.format_instruction_for(schema)
+        section = "\n\n# The format of the final answer:\n" + answers.format_instruction(schema)
         assert prompt.endswith(section)
         assert node.guidance == "assemble the answer"
 
@@ -86,22 +86,22 @@ class TestExecute:
         schema = GridSchema(houses=2, attributes=(("name", ("A", "B")),))
         backend = ScriptedBackend({"solve": ["content"]})
         executor.execute(make_tree(schema), AtomicAction.PREMISE_DISCOVERY, "g", backend)
-        assert executor.format_instruction_for(schema) not in backend.calls[0].messages[-1].content
+        assert answers.format_instruction(schema) not in backend.calls[0].messages[-1].content
 
 
 class TestFormatInstruction:
     def test_mcq_instruction_matches_transcript_convention(self):
         schema = MultipleChoice(options=("(A) x", "(B) y"))
-        text = executor.format_instruction_for(schema)
+        text = answers.format_instruction(schema)
         assert 'The correct answer is' in text
 
     def test_grid_instruction_lists_houses(self):
         schema = GridSchema(houses=2, attributes=(("name", ("A", "B")),))
-        text = executor.format_instruction_for(schema)
+        text = answers.format_instruction(schema)
         assert "Solution:" in text and "House" in text
 
     def test_numeric_instruction(self):
-        assert "numeric" in executor.format_instruction_for(Numeric()).lower()
+        assert "numeric" in answers.format_instruction(Numeric()).lower()
 
 
 class TestFinalize:

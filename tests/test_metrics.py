@@ -16,6 +16,7 @@ from atomic_reasoner.model import (
     AtomicAction,
     CheckReport,
     FreeText,
+    GridSchema,
     MultipleChoice,
     Problem,
     TerminationMode,
@@ -152,6 +153,19 @@ class TestSerialization:
         with pytest.raises(ParseError):
             metrics.deserialize_trace('{"format_version": 1}')
 
+    def test_nodes_that_are_not_an_object_raise_parse_error(self):
+        data = json.loads(metrics.serialize_trace(random_tree(random.Random(3))))
+        with pytest.raises(ParseError):
+            metrics.deserialize_trace(json.dumps({**data, "nodes": []}))
+
+    def test_grid_attribute_values_that_are_not_a_list_raise_parse_error(self):
+        schema = GridSchema(houses=2, attributes=(("n", ("A", "B")),))
+        tree = model.new_tree(Problem(id="g", statement="s", answer_schema=schema))
+        data = json.loads(metrics.serialize_trace(tree))
+        data["problem"]["answer_schema"]["attributes"] = [["n", "AB"]]
+        with pytest.raises(ParseError):
+            metrics.deserialize_trace(json.dumps(data))
+
 
 class TestSftExport:
     def make_scored(self, correct=True, terminate=True):
@@ -179,6 +193,13 @@ class TestSftExport:
         assert "solve it" in record.instruction
         assert "Step 1 (PremiseDiscovery): the clues" in record.reasoning
         assert record.answer == "the answer is x"
+
+    def test_blank_statement_skipped(self):
+        """A trace file can hold a statement no session starts from."""
+        data = json.loads(metrics.serialize_trace(self.make_scored().tree))
+        data["problem"]["statement"] = " \n"
+        tree = metrics.deserialize_trace(json.dumps(data))
+        assert metrics.to_sft_records([ScoredTrace(tree=tree, correct=True)], filter="all") == []
 
     def test_unterminated_traces_skipped(self):
         assert metrics.to_sft_records([self.make_scored(terminate=False)], filter="all") == []
