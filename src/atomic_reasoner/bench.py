@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 from . import answers, metrics, puzzles
 from . import model, prompts, router
 from .backends import ScriptedBackend, TallyBackend
-from .errors import BackendFailure, EmptySuite
+from .errors import BackendFailure, EmptySuite, ParseError, check_shape
 from .model import GridSchema, MultipleChoice, Numeric, Problem
 
 TASK_FORMATS = ("mcq", "grid", "numeric")
@@ -52,25 +52,28 @@ class Reject:
 
 # --- task files (JSON lines, one task per line) ----------------------------------
 
+# The shape of a task record, per format.
+_TASK_FIELDS = {"statement": str, "id?": (str, int), "split?": (str, None), "suite?": str}
+TASK_SHAPES = {
+    "mcq": {**_TASK_FIELDS, "options": [str], "gold": str},
+    "grid": {**_TASK_FIELDS, "schema": dict, "gold": {str: {str: str}}, "clues?": list},
+    "numeric": {**_TASK_FIELDS, "gold": (str, int)},
+}
+
+
 def _task_from_record(record: dict, format: str) -> Task:
+    check_shape(record, TASK_SHAPES[format], "task record")
     statement = record["statement"]
-    if not isinstance(statement, str):
-        raise TypeError(f"statement is {type(statement).__name__}, not text")
     if not statement.strip():
         raise ValueError("blank statement")
     if format == "mcq":
-        options = record["options"]
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-            raise TypeError("options must be a list of strings")
-        schema = MultipleChoice(options=tuple(options))
-        gold = str(record["gold"]).upper()
+        schema = MultipleChoice(options=tuple(record["options"]))
+        gold = record["gold"].upper()
         if gold not in answers.option_letters(schema):
             raise ValueError(f"gold {gold!r} not among option letters")
     elif format == "grid":
-        schema = metrics.schema_from_json({"kind": "grid", **record["schema"]})
-        if not isinstance(record["gold"], dict):
-            raise TypeError("grid gold must be an object keyed by house")
-        gold = {int(h): dict(cells) for h, cells in record["gold"].items()}
+        schema = metrics.schema_from_json({**record["schema"], "kind": "grid"})
+        gold = {int(h): cells for h, cells in record["gold"].items()}
         for house in range(1, schema.houses + 1):
             cells = gold.get(house)
             if cells is None:
@@ -78,23 +81,18 @@ def _task_from_record(record: dict, format: str) -> Task:
             for attr, values in schema.attributes:
                 if cells.get(attr) not in values:
                     raise ValueError(f"gold house {house} has bad {attr!r} cell")
-    elif format == "numeric":
+    else:
         schema = Numeric()
         gold = str(record["gold"])
         if answers.normalize_numeric(gold) is None:
             raise ValueError(f"gold {gold!r} is not a number")
-    else:
-        raise ValueError(f"unknown task format {format!r}")
-    split, suite = record.get("split"), record.get("suite", "")
-    if not isinstance(split, (str, type(None))) or not isinstance(suite, str):
-        raise TypeError("split and suite must be text")
     task = Task(
         id=str(record.get("id", "")),
         statement=statement,
         schema=schema,
         gold=gold,
-        split=split,
-        suite=suite,
+        split=record.get("split"),
+        suite=record.get("suite", ""),
     )
     if format == "grid" and "clues" in record:
         task.clues = [puzzles.clue_from_json(c) for c in record["clues"]]
@@ -110,13 +108,14 @@ def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Re
     text = Path(path).read_text(encoding="utf-8")
     tasks: list[Task] = []
     rejects: list[Reject] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Not ``splitlines``: a record may hold a raw U+2028 or U+2029.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
             tasks.append(_task_from_record(record, format))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, ParseError) as exc:
             rejects.append(Reject(line=line_no, reason=f"SchemaMismatch: {exc}"))
     if not tasks and not rejects:
         raise EmptySuite(f"no tasks in {path}")

@@ -23,7 +23,7 @@ from .backends import (
     HttpConfig,
     ScriptedBackend,
 )
-from .errors import AtomicReasonerError, BackendFailure, ParseError
+from .errors import AtomicReasonerError, BackendFailure, ParseError, check_shape
 from .model import FreeText, Problem
 
 EXIT_OK = 0
@@ -110,12 +110,10 @@ def _read_script(args):
     if not args.script:
         raise UsageError("--backend scripted requires --script")
     script = json.loads(Path(args.script).read_text(encoding="utf-8"))
-    if not isinstance(script, dict):
-        raise UsageError("--script must hold a JSON object keyed by request tag")
-    for tag, value in script.items():
-        texts = [value] if isinstance(value, str) else value
-        if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
-            raise UsageError(f"--script value for {tag!r} must be a string or a list of strings")
+    try:
+        ScriptedBackend(script)  # the one check of a script's shape
+    except TypeError as exc:
+        raise UsageError(f"--script: {exc}") from exc
     return script
 
 
@@ -172,11 +170,14 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
         record = json.loads(raw)
         try:
             task = bench_mod._task_from_record(record, record["format"])
-        except (ValueError, KeyError, TypeError) as exc:  # as bench.load_tasks rejects a line
+        except (ValueError, KeyError, TypeError, ParseError) as exc:  # as bench.load_tasks rejects a line
             raise ParseError(f"not a task record: {exc!r}", source=args.problem) from exc
         return task.to_problem(), task
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 
+
+# The .meta.json sidecar beside each trace.
+META_SHAPE = {"suite?": str}
 
 _UNSAFE_NAME_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -274,12 +275,9 @@ def cmd_synth(args) -> int:
         correct, suite = False, ""
         if meta_path.exists():
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            if not isinstance(meta, dict):
-                raise ParseError("not a meta object", source=str(meta_path))
+            check_shape(meta, META_SHAPE, str(meta_path))
             correct = meta.get("correct") is True  # only a JSON true, not "false"
             suite = meta.get("suite", "")
-            if not isinstance(suite, str):
-                raise ParseError("suite is not a string", source=str(meta_path))
         scored.append(metrics.ScoredTrace(tree=tree, correct=correct, suite=suite))
     records = metrics.to_sft_records(scored, filter=args.filter)
     out = _out_dir(args)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import model
-from .errors import DimensionMismatch, InvalidDistribution, ParseError
+from .errors import DimensionMismatch, InvalidDistribution, ParseError, check_shape
 from .model import (
     AtomicAction,
     AtomicTree,
@@ -131,22 +131,52 @@ def _schema_to_json(schema) -> dict:
     raise TypeError(f"unknown schema type {type(schema)!r}")
 
 
+# The fields of each answer schema kind's JSON object beside "kind".
+SCHEMA_SHAPES = {
+    "free_text": {}, "numeric": {}, "mcq": {"options": [str]},
+    "grid": {"houses": int, "attributes": [[str, [str]]]},
+}
+
+
 def schema_from_json(data: dict):
-    kind = data.get("kind")
-    if kind == "free_text":
-        return FreeText()
-    if kind == "numeric":
-        return Numeric()
+    kind = data["kind"]
+    if kind not in SCHEMA_SHAPES:
+        raise ParseError(f"unknown kind {kind!r}", "answer schema")
+    check_shape(data, SCHEMA_SHAPES[kind], "answer schema")
     if kind == "mcq":
         return MultipleChoice(options=tuple(data["options"]))
     if kind == "grid":
-        attributes = []
-        for name, values in data["attributes"]:
-            if not isinstance(values, list) or not all(isinstance(t, str) for t in (name, *values)):
-                raise TypeError("a grid attribute is a name and a list of values, all text")
-            attributes.append((name, tuple(values)))
-        return GridSchema(houses=data["houses"], attributes=tuple(attributes))
-    raise ParseError(f"unknown answer schema kind {kind!r}")
+        attributes = tuple((name, tuple(values)) for name, values in data["attributes"])
+        return GridSchema(houses=data["houses"], attributes=attributes)
+    return FreeText() if kind == "free_text" else Numeric()
+
+
+# What every trace document holds.
+TRACE_SHAPE = {
+    "format_version": int,
+    "problem": {"id": str, "statement": str, "domain_hint": (str, None), "answer_schema": {"kind": str}},
+    "nodes": {
+        str: {
+            "action": str,
+            "guidance": str,
+            "content": str,
+            "created_round": int,
+            "revised": bool,
+            "flagged": bool,
+            "check_reports": [
+                {"verdict": str, "kinds": [str], "rationale": str, "suggestion": (str, None)}
+            ],
+        }
+    },
+    "chains": {
+        str: {"parent": ([str, int], None), "node_ids": [str], "status": str, "summary": (str, None)}
+    },
+    "chain_order": [str],
+    "active_chain": str,
+    "terminated": ({"mode": str, "final_answer": str}, None),
+    "next_node_seq": int,
+    "next_chain_seq": int,
+}
 
 
 def tree_to_json(tree: AtomicTree) -> dict:
@@ -209,10 +239,19 @@ def serialize_trace(tree: AtomicTree) -> str:
 
 
 def deserialize_trace(document: str) -> AtomicTree:
+    """The tree a trace document holds.  Raises ``ParseError`` unless the
+    document has ``TRACE_SHAPE`` and this ``format_version``, and every
+    chain's nodes, parent step and the active chain exist, so no reader of
+    the tree can fail on it."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid trace document: {exc.msg}", line=exc.lineno)
+    check_shape(data, TRACE_SHAPE, "trace")
+    if data["format_version"] != TRACE_FORMAT_VERSION:
+        raise ParseError(f"unknown format_version {data['format_version']}", "trace")
+    if sorted(data["chain_order"]) != sorted(data["chains"]):
+        raise ParseError("chain_order does not name each chain once", "trace")
     try:
         problem = Problem(
             id=data["problem"]["id"],
@@ -233,7 +272,7 @@ def deserialize_trace(document: str) -> AtomicTree:
                 check_reports=[
                     CheckReport(
                         verdict=r["verdict"],
-                        kinds=list(r["kinds"]),
+                        kinds=r["kinds"],
                         rationale=r["rationale"],
                         suggestion=r["suggestion"],
                     )
@@ -246,7 +285,7 @@ def deserialize_trace(document: str) -> AtomicTree:
             chains[cid] = Chain(
                 id=cid,
                 parent=tuple(cd["parent"]) if cd["parent"] else None,
-                node_ids=list(cd["node_ids"]),
+                node_ids=cd["node_ids"],
                 status=ChainStatus(cd["status"]),
                 summary=cd["summary"],
             )
@@ -256,17 +295,29 @@ def deserialize_trace(document: str) -> AtomicTree:
                 mode=TerminationMode(data["terminated"]["mode"]),
                 final_answer=data["terminated"]["final_answer"],
             )
-        return AtomicTree(
-            problem=problem,
-            chains=chains,
-            nodes=nodes,
-            active_chain_id=data["active_chain"],
-            terminated=terminated,
-            next_node_seq=data["next_node_seq"],
-            next_chain_seq=data["next_chain_seq"],
-        )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise ParseError(f"malformed trace document: {exc!r}")
+    earlier: set[str] = set()
+    for cid, chain in chains.items():
+        if not all(nid in nodes for nid in chain.node_ids):
+            raise ParseError(f"chain {cid} holds a node the trace lacks", "trace")
+        if chain.parent is not None:
+            parent_id, index = chain.parent
+            # Only an earlier chain can be a parent, so parents form no cycle.
+            if parent_id not in earlier or not 0 <= index < len(chains[parent_id].node_ids):
+                raise ParseError(f"chain {cid} branches from no step of an earlier chain", "trace")
+        earlier.add(cid)
+    if data["active_chain"] not in chains:
+        raise ParseError(f"active_chain {data['active_chain']!r} is not a chain", "trace")
+    return AtomicTree(
+        problem=problem,
+        chains=chains,
+        nodes=nodes,
+        active_chain_id=data["active_chain"],
+        terminated=terminated,
+        next_node_seq=data["next_node_seq"],
+        next_chain_seq=data["next_chain_seq"],
+    )
 
 
 # --- SFT export -------------------------------------------------------------------

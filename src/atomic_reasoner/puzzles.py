@@ -25,9 +25,9 @@ import operator
 import random
 from dataclasses import dataclass, fields
 from itertools import permutations
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Union, get_args, get_type_hints
 
-from .errors import GenerationExhausted, TooLarge
+from .errors import GenerationExhausted, TooLarge, check_shape
 from .model import GridSchema
 
 MAX_HOUSES = 5
@@ -144,6 +144,8 @@ class SameHouse:
 
 
 Clue = Union[FixedPosition, LeftOf, Adjacent, SameHouse]
+# Each clue kind by name: its class and the fields of its JSON object beside "kind".
+CLUE_SHAPES = {cls.__name__: (cls, get_type_hints(cls)) for cls in get_args(Clue)}
 
 
 def clue_to_json(clue: Clue) -> dict:
@@ -154,14 +156,12 @@ def clue_to_json(clue: Clue) -> dict:
 
 
 def clue_from_json(data: dict) -> Clue:
-    if not isinstance(data, dict):
-        raise TypeError(f"a clue is an object, not {type(data).__name__}")
-    kinds = {cls.__name__: cls for cls in (FixedPosition, LeftOf, Adjacent, SameHouse)}
-    kind = data.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"unknown clue kind {kind!r}")
-    args = {k: v for k, v in data.items() if k != "kind"}
-    return kinds[kind](**args)
+    check_shape(data, {"kind": str}, "clue")
+    if data["kind"] not in CLUE_SHAPES:
+        raise ValueError(f"unknown clue kind {data['kind']!r}")
+    cls, shape = CLUE_SHAPES[data["kind"]]
+    check_shape(data, shape, "clue")
+    return cls(**{name: data[name] for name in shape})
 
 
 # --- brute-force solver -------------------------------------------------------------
@@ -215,7 +215,7 @@ def validate_clues(schema: GridSchema, clues: list[Clue]) -> None:
     for clue in clues:
         if isinstance(clue, FixedPosition):
             sides = [(clue.attribute, clue.value)]
-            if not isinstance(clue.house, int) or not 1 <= clue.house <= schema.houses:
+            if type(clue.house) is not int or not 1 <= clue.house <= schema.houses:
                 raise ValueError(f"{clue!r}: house outside 1..{schema.houses}")
         elif type(clue) in _CLUE_TESTS:
             sides = [(clue.attribute_a, clue.value_a), (clue.attribute_b, clue.value_b)]

@@ -142,6 +142,35 @@ class TestLoadTasks:
         assert len(tasks) == 1
         assert [r.line for r in rejects] == [2]
 
+    def test_line_separator_inside_a_record_does_not_split_it(self, tmp_path):
+        records = [mcq_record(id="t1"), {**mcq_record(id="t2"), "statement": "Pick\u2028one\u2029now."}]
+        path = tmp_path / "suite.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records) + "{broken\n",
+            encoding="utf-8",
+        )
+        tasks, rejects = bench.load_tasks(path, "mcq")
+        assert [task.statement for task in tasks] == ["Pick one.", "Pick\u2028one\u2029now."]
+        assert [r.line for r in rejects] == [3]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"clues": {}},
+            {"gold": {h: [[a, v] for a, v in cells.items()] for h, cells in grid_record()["gold"].items()}},
+            {"clues": [{"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": True}]},
+            {"suite": None},
+            {"id": None},
+        ],
+        ids=["object-clues", "cell-pairs-gold", "bool-house", "null-suite", "null-id"],
+    )
+    def test_field_no_longer_coerced_becomes_reject(self, tmp_path, change):
+        record = {**grid_record(), **change}
+        tasks, rejects = bench.load_tasks(write_suite(tmp_path, [grid_record(), record]), "grid")
+        assert len(tasks) == 1
+        assert [r.line for r in rejects] == [2]
+        assert rejects[0].reason.startswith("SchemaMismatch: ")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -211,7 +211,7 @@ class TestExitCodes:
         meta = traces / "q.meta.json"
         meta.write_text(text, encoding="utf-8")
         assert run_cli(["synth", str(traces), "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err.startswith(f"i/o error: {meta}: not a meta object")
+        assert capsys.readouterr().err.startswith(f"i/o error: {meta}: not an object")
 
     @pytest.mark.parametrize("suite", ["1", "null", '["grid"]', '{"name": "grid"}'])
     def test_meta_sidecar_suite_that_is_not_a_string_is_io_error(self, tmp_path, capsys, suite):

@@ -127,6 +127,16 @@ class TestTraceStats:
         assert set(stats.action_histogram) == {a.value for a in AtomicAction}
 
 
+def branched_tree():
+    """Chain c1 with two steps; chain c2 branched from its first step."""
+    tree = model.new_tree(Problem(id="b", statement="s", answer_schema=FreeText()))
+    model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "n1")
+    model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "n2")
+    model.branch_at(tree, "n1")
+    model.append_node(tree, AtomicAction.HYPOTHESIS_GENERATION, "g", "n3")
+    return tree
+
+
 class TestSerialization:
     def test_round_trip_is_identity_on_random_trees(self):
         rng = random.Random(7)
@@ -163,6 +173,58 @@ class TestSerialization:
         tree = model.new_tree(Problem(id="g", statement="s", answer_schema=schema))
         data = json.loads(metrics.serialize_trace(tree))
         data["problem"]["answer_schema"]["attributes"] = [["n", "AB"]]
+        with pytest.raises(ParseError):
+            metrics.deserialize_trace(json.dumps(data))
+
+    @pytest.mark.parametrize("version", [99, "x", None, True, 1.0, "absent"])
+    def test_other_format_version_raises_parse_error(self, version):
+        data = json.loads(metrics.serialize_trace(random_tree(random.Random(3))))
+        if version == "absent":
+            del data["format_version"]
+        else:
+            data["format_version"] = version
+        with pytest.raises(ParseError):
+            metrics.deserialize_trace(json.dumps(data))
+
+    def test_revised_that_is_not_a_bool_raises_parse_error(self):
+        """``"revised": "no"`` is truthy; ``trace_stats`` would count it."""
+        tree = branched_tree()
+        data = json.loads(metrics.serialize_trace(tree))
+        data["nodes"]["n1"]["revised"] = "no"
+        with pytest.raises(ParseError, match="nodes.n1.revised is not true or false"):
+            metrics.deserialize_trace(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d["chains"]["c1"]["node_ids"].append("n9"),
+            lambda d: d.update(active_chain="c9"),
+            lambda d: d["chains"]["c2"].update(parent=["c9", 0]),
+            lambda d: d["chains"]["c2"].update(parent=["c1", 5]),
+            lambda d: d["chains"]["c2"].update(parent=["c1", -1]),
+            lambda d: d["chains"]["c2"].update(parent=["c2", 0]),
+            lambda d: d["chains"]["c1"].update(parent=["c2", 0]),
+            lambda d: d.update(chain_order=["c1"]),
+            lambda d: d.update(chain_order=["c1", "c2", "c2"]),
+            lambda d: d.update(chain_order=["c1", "c9"]),
+        ],
+        ids=[
+            "unknown-node",
+            "unknown-active-chain",
+            "unknown-parent-chain",
+            "parent-index-past-its-chain",
+            "negative-parent-index",
+            "own-parent",
+            "parent-cycle",
+            "chain-left-out-of-order",
+            "chain-named-twice",
+            "unknown-chain-in-order",
+        ],
+    )
+    def test_dangling_link_raises_parse_error(self, change):
+        data = json.loads(metrics.serialize_trace(branched_tree()))
+        metrics.deserialize_trace(json.dumps(data))
+        change(data)
         with pytest.raises(ParseError):
             metrics.deserialize_trace(json.dumps(data))
 

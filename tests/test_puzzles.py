@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from atomic_reasoner import bench, puzzles
-from atomic_reasoner.errors import GenerationExhausted, TooLarge
+from atomic_reasoner.errors import GenerationExhausted, ParseError, TooLarge
 from atomic_reasoner.model import GridSchema
 from atomic_reasoner.puzzles import Adjacent, FixedPosition, LeftOf, SameHouse
 
@@ -179,6 +179,18 @@ class TestClues:
     def test_unknown_clue_kind_rejected(self):
         with pytest.raises(ValueError):
             puzzles.clue_from_json({"kind": "Telepathy"})
+
+    def test_bool_house_rejected(self):
+        """``True == 1``: a bool house would stand for house 1."""
+        with pytest.raises(ValueError, match="house outside"):
+            puzzles.validate_clues(SCHEMA2, [FixedPosition("name", "Eric", True)])
+        with pytest.raises(ParseError, match="house is not an integer"):
+            puzzles.clue_from_json({"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": True})
+
+    @pytest.mark.parametrize("data", [["FixedPosition"], {"kind": 5}, {"kind": "LeftOf", "attribute_a": "name"}])
+    def test_clue_of_another_shape_rejected(self, data):
+        with pytest.raises(ParseError):
+            puzzles.clue_from_json(data)
 
 
 class TestBruteSolve:
