@@ -100,6 +100,15 @@ def _task_from_record(record: dict, format: str) -> Task:
     return task
 
 
+def task_from_record(record) -> Task:
+    """The task a record that names its ``format`` holds: a ``solve`` task
+    file or a shipped case."""
+    check_shape(record, {"format": str}, "task record")
+    if record["format"] not in TASK_FORMATS:
+        raise ParseError(f"unknown format {record['format']!r}", "task record")
+    return _task_from_record(record, record["format"])
+
+
 def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Reject]]:
     """Load a line-delimited task file; malformed lines become rejects, never
     silent drops."""

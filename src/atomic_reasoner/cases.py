@@ -35,5 +35,4 @@ def load_case(name: str) -> CaseFixture:
         .read_text(encoding="utf-8")
     )
     record = json.loads(raw)
-    task = bench_mod._task_from_record(record, record["format"])
-    return CaseFixture(name=name, task=task, script=record["script"])
+    return CaseFixture(name=name, task=bench_mod.task_from_record(record), script=record["script"])

@@ -151,7 +151,7 @@ _KIND_LOOKUP[_normalize_kind_token("Conclusion Errors")] = ErrorKind.CONCLUSION_
 # A value is the rest of the separator's own line (``[^\S\n]`` is whitespace
 # other than a newline); a blank value is no value.
 def _field(name: str) -> tuple[re.Pattern, re.Pattern]:
-    source = rf"{name}\s*[:\-][^\S\n]*(\S.*)"
+    source = rf"{name}\**\s*[:\-][^\S\n]*(\S.*)"
     return re.compile(source, re.IGNORECASE), re.compile(source)
 
 

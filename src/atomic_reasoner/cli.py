@@ -106,10 +106,19 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _read_json(path) -> object:
+    """The JSON value the file at ``path`` holds; a ``ParseError`` naming the
+    file when it holds none."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", str(path), exc.lineno) from exc
+
+
 def _read_script(args):
     if not args.script:
         raise UsageError("--backend scripted requires --script")
-    script = json.loads(Path(args.script).read_text(encoding="utf-8"))
+    script = _read_json(args.script)
     try:
         ScriptedBackend(script)  # the one check of a script's shape
     except TypeError as exc:
@@ -165,14 +174,14 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
         return Problem(id="stdin", statement=text, answer_schema=FreeText()), None
     if not args.problem:
         raise UsageError("solve needs a problem file or --stdin")
-    raw = Path(args.problem).read_text(encoding="utf-8")
     if args.problem.endswith(".json"):
-        record = json.loads(raw)
+        record = _read_json(args.problem)
         try:
-            task = bench_mod._task_from_record(record, record["format"])
-        except (ValueError, KeyError, TypeError, ParseError) as exc:  # as bench.load_tasks rejects a line
+            task = bench_mod.task_from_record(record)
+        except (ValueError, ParseError) as exc:  # as bench.load_tasks rejects a line
             raise ParseError(f"not a task record: {exc!r}", source=args.problem) from exc
         return task.to_problem(), task
+    raw = Path(args.problem).read_text(encoding="utf-8")
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 
 
@@ -270,11 +279,11 @@ def cmd_synth(args) -> int:
         raise FileNotFoundError(f"not a directory: {traces_dir}")
     scored = []
     for trace_path in sorted(traces_dir.glob("*.trace.json")):
-        tree = metrics.deserialize_trace(trace_path.read_text(encoding="utf-8"))
+        tree = metrics.deserialize_trace(trace_path.read_text(encoding="utf-8"), str(trace_path))
         meta_path = trace_path.with_name(trace_path.name.replace(".trace.json", ".meta.json"))
         correct, suite = False, ""
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = _read_json(meta_path)
             check_shape(meta, META_SHAPE, str(meta_path))
             correct = meta.get("correct") is True  # only a JSON true, not "false"
             suite = meta.get("suite", "")
@@ -288,7 +297,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    tree = metrics.deserialize_trace(Path(args.trace).read_text(encoding="utf-8"))
+    tree = metrics.deserialize_trace(Path(args.trace).read_text(encoding="utf-8"), args.trace)
     print(f"Problem: {tree.problem.statement}")
     print()
     print(model.render_tree(tree))
@@ -338,7 +347,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BackendFailure as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except AtomicReasonerError as exc:

@@ -3,28 +3,16 @@ entropy diagnostics over action selection."""
 
 from __future__ import annotations
 
+import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Iterable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import model
 from .errors import DimensionMismatch, InvalidDistribution, ParseError, check_shape
-from .model import (
-    AtomicAction,
-    AtomicTree,
-    Chain,
-    ChainStatus,
-    CheckReport,
-    FreeText,
-    GridSchema,
-    MultipleChoice,
-    Node,
-    Numeric,
-    Problem,
-    Termination,
-    TerminationMode,
-)
+from .model import AtomicAction, AtomicTree, FreeText, GridSchema, MultipleChoice, Numeric
 
 PROB_TOLERANCE = 1e-9
 TRACE_FORMAT_VERSION = 1
@@ -151,85 +139,86 @@ def schema_from_json(data: dict):
     return FreeText() if kind == "free_text" else Numeric()
 
 
+# The answer schema classes, which ``_schema_to_json`` writes.
+_SCHEMAS = get_args(model.AnswerSchema)
+
+
+@functools.cache
+def _fields(cls: type, keyed: bool) -> dict:
+    """The JSON fields of the trace dataclass ``cls`` and their types; a
+    keyed object (a node or chain) is keyed by its id and does not repeat it."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if not (keyed and f.name == "id")}
+
+
+def _shape(tp, keyed: bool = False):
+    """The ``check_shape`` shape of a ``tp`` value as ``_to_json`` writes it."""
+    if tp == model.AnswerSchema:
+        return {"kind": str}  # ``schema_from_json`` checks the kind's own fields
+    if is_dataclass(tp):
+        return {name: _shape(hint) for name, hint in _fields(tp, keyed).items()}
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        return tuple(_shape(arg) for arg in args)
+    if origin in (list, tuple):
+        return [_shape(arg) for arg in args]
+    if origin is dict:
+        return {str: _shape(args[1], keyed=True)}
+    if tp is type(None):
+        return None
+    return str if issubclass(tp, enum.Enum) else tp
+
+
+def _to_json(value, keyed: bool = False):
+    """A trace value as JSON: a dataclass as an object of its fields, an enum
+    member as its value, a tuple as a list."""
+    if isinstance(value, _SCHEMAS):
+        return _schema_to_json(value)
+    if is_dataclass(value):
+        return {name: _to_json(getattr(value, name)) for name in _fields(type(value), keyed)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _to_json(item, keyed=True) for key, item in value.items()}
+    return value
+
+
+def _from_json(tp, data, key: Optional[str] = None):
+    """The ``tp`` value ``_to_json`` wrote as ``data``, which has
+    ``_shape(tp)``; ``key`` is a keyed object's id."""
+    if tp == model.AnswerSchema:
+        return schema_from_json(data)
+    if is_dataclass(tp):
+        values = {name: _from_json(hint, data[name]) for name, hint in _fields(tp, key is not None).items()}
+        return tp(**values) if key is None else tp(id=key, **values)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        return None if data is None else _from_json(args[0], data)
+    if origin is list:
+        return [_from_json(args[0], item) for item in data]
+    if origin is tuple:
+        return tuple(_from_json(arg, item) for arg, item in zip(args, data))
+    if origin is dict:
+        return {name: _from_json(args[1], item, name) for name, item in data.items()}
+    return tp(data)  # an enum member by its value; a str, int or bool as it is
+
+
+def _document(tree_fields: dict, format_version, chain_order) -> dict:
+    """A trace document's top level: the tree's fields, ``active_chain_id``
+    named ``active_chain``, beside ``format_version`` and ``chain_order``."""
+    document = dict(tree_fields, format_version=format_version, chain_order=chain_order)
+    document["active_chain"] = document.pop("active_chain_id")
+    return document
+
+
 # What every trace document holds.
-TRACE_SHAPE = {
-    "format_version": int,
-    "problem": {"id": str, "statement": str, "domain_hint": (str, None), "answer_schema": {"kind": str}},
-    "nodes": {
-        str: {
-            "action": str,
-            "guidance": str,
-            "content": str,
-            "created_round": int,
-            "revised": bool,
-            "flagged": bool,
-            "check_reports": [
-                {"verdict": str, "kinds": [str], "rationale": str, "suggestion": (str, None)}
-            ],
-        }
-    },
-    "chains": {
-        str: {"parent": ([str, int], None), "node_ids": [str], "status": str, "summary": (str, None)}
-    },
-    "chain_order": [str],
-    "active_chain": str,
-    "terminated": ({"mode": str, "final_answer": str}, None),
-    "next_node_seq": int,
-    "next_chain_seq": int,
-}
+TRACE_SHAPE = _document(_shape(AtomicTree), int, [str])
 
 
 def tree_to_json(tree: AtomicTree) -> dict:
-    return {
-        "format_version": TRACE_FORMAT_VERSION,
-        "problem": {
-            "id": tree.problem.id,
-            "statement": tree.problem.statement,
-            "domain_hint": tree.problem.domain_hint,
-            "answer_schema": _schema_to_json(tree.problem.answer_schema),
-        },
-        "nodes": {
-            nid: {
-                "action": node.action.value,
-                "guidance": node.guidance,
-                "content": node.content,
-                "created_round": node.created_round,
-                "revised": node.revised,
-                "flagged": node.flagged,
-                "check_reports": [
-                    {
-                        "verdict": r.verdict,
-                        "kinds": list(r.kinds),
-                        "rationale": r.rationale,
-                        "suggestion": r.suggestion,
-                    }
-                    for r in node.check_reports
-                ],
-            }
-            for nid, node in tree.nodes.items()
-        },
-        "chains": {
-            cid: {
-                "parent": list(chain.parent) if chain.parent else None,
-                "node_ids": list(chain.node_ids),
-                "status": chain.status.value,
-                "summary": chain.summary,
-            }
-            for cid, chain in tree.chains.items()
-        },
-        "chain_order": list(tree.chains),
-        "active_chain": tree.active_chain_id,
-        "terminated": (
-            {
-                "mode": tree.terminated.mode.value,
-                "final_answer": tree.terminated.final_answer,
-            }
-            if tree.terminated
-            else None
-        ),
-        "next_node_seq": tree.next_node_seq,
-        "next_chain_seq": tree.next_chain_seq,
-    }
+    return _document(_to_json(tree), TRACE_FORMAT_VERSION, list(tree.chains))
 
 
 def serialize_trace(tree: AtomicTree) -> str:
@@ -238,86 +227,40 @@ def serialize_trace(tree: AtomicTree) -> str:
     return json.dumps(tree_to_json(tree), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def deserialize_trace(document: str) -> AtomicTree:
-    """The tree a trace document holds.  Raises ``ParseError`` unless the
-    document has ``TRACE_SHAPE`` and this ``format_version``, and every
-    chain's nodes, parent step and the active chain exist, so no reader of
-    the tree can fail on it."""
+def deserialize_trace(document: str, source: str = "trace") -> AtomicTree:
+    """The tree a trace document holds.  Raises ``ParseError`` from
+    ``source`` unless the document has this ``format_version`` and
+    ``TRACE_SHAPE``, and every chain's nodes, parent step and the active
+    chain exist, so no reader of the tree can fail on it."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid trace document: {exc.msg}", line=exc.lineno)
-    check_shape(data, TRACE_SHAPE, "trace")
+        raise ParseError(f"invalid trace document: {exc.msg}", source, exc.lineno)
+    check_shape(data, {"format_version": int}, source)
     if data["format_version"] != TRACE_FORMAT_VERSION:
-        raise ParseError(f"unknown format_version {data['format_version']}", "trace")
+        raise ParseError(f"unknown format_version {data['format_version']}", source)
+    check_shape(data, TRACE_SHAPE, source)
     if sorted(data["chain_order"]) != sorted(data["chains"]):
-        raise ParseError("chain_order does not name each chain once", "trace")
+        raise ParseError("chain_order does not name each chain once", source)
+    data["chains"] = {cid: data["chains"][cid] for cid in data["chain_order"]}
+    data["active_chain_id"] = data["active_chain"]
     try:
-        problem = Problem(
-            id=data["problem"]["id"],
-            statement=data["problem"]["statement"],
-            domain_hint=data["problem"]["domain_hint"],
-            answer_schema=schema_from_json(data["problem"]["answer_schema"]),
-        )
-        nodes = {}
-        for nid, nd in data["nodes"].items():
-            nodes[nid] = Node(
-                id=nid,
-                action=AtomicAction(nd["action"]),
-                guidance=nd["guidance"],
-                content=nd["content"],
-                created_round=nd["created_round"],
-                revised=nd["revised"],
-                flagged=nd["flagged"],
-                check_reports=[
-                    CheckReport(
-                        verdict=r["verdict"],
-                        kinds=r["kinds"],
-                        rationale=r["rationale"],
-                        suggestion=r["suggestion"],
-                    )
-                    for r in nd["check_reports"]
-                ],
-            )
-        chains = {}
-        for cid in data["chain_order"]:
-            cd = data["chains"][cid]
-            chains[cid] = Chain(
-                id=cid,
-                parent=tuple(cd["parent"]) if cd["parent"] else None,
-                node_ids=cd["node_ids"],
-                status=ChainStatus(cd["status"]),
-                summary=cd["summary"],
-            )
-        terminated = None
-        if data["terminated"]:
-            terminated = Termination(
-                mode=TerminationMode(data["terminated"]["mode"]),
-                final_answer=data["terminated"]["final_answer"],
-            )
-    except ValueError as exc:
-        raise ParseError(f"malformed trace document: {exc!r}")
+        tree = _from_json(AtomicTree, data)
+    except (ValueError, ParseError) as exc:
+        raise ParseError(f"malformed trace document: {exc}", source) from exc
     earlier: set[str] = set()
-    for cid, chain in chains.items():
-        if not all(nid in nodes for nid in chain.node_ids):
-            raise ParseError(f"chain {cid} holds a node the trace lacks", "trace")
+    for cid, chain in tree.chains.items():
+        if not all(nid in tree.nodes for nid in chain.node_ids):
+            raise ParseError(f"chain {cid} holds a node the trace lacks", source)
         if chain.parent is not None:
             parent_id, index = chain.parent
             # Only an earlier chain can be a parent, so parents form no cycle.
-            if parent_id not in earlier or not 0 <= index < len(chains[parent_id].node_ids):
-                raise ParseError(f"chain {cid} branches from no step of an earlier chain", "trace")
+            if parent_id not in earlier or not 0 <= index < len(tree.chains[parent_id].node_ids):
+                raise ParseError(f"chain {cid} branches from no step of an earlier chain", source)
         earlier.add(cid)
-    if data["active_chain"] not in chains:
-        raise ParseError(f"active_chain {data['active_chain']!r} is not a chain", "trace")
-    return AtomicTree(
-        problem=problem,
-        chains=chains,
-        nodes=nodes,
-        active_chain_id=data["active_chain"],
-        terminated=terminated,
-        next_node_seq=data["next_node_seq"],
-        next_chain_seq=data["next_chain_seq"],
-    )
+    if tree.active_chain_id not in tree.chains:
+        raise ParseError(f"active_chain {tree.active_chain_id!r} is not a chain", source)
+    return tree
 
 
 # --- SFT export -------------------------------------------------------------------
@@ -375,18 +318,5 @@ def to_sft_records(traces: Iterable[ScoredTrace], filter: str = "correct_only") 
 
 
 def sft_records_to_jsonl(records: Iterable[SftRecord]) -> str:
-    lines = []
-    for record in records:
-        lines.append(
-            json.dumps(
-                {
-                    "instruction": record.instruction,
-                    "reasoning": record.reasoning,
-                    "answer": record.answer,
-                    "meta": record.meta,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
+    lines = [json.dumps(asdict(record), sort_keys=True, ensure_ascii=False) for record in records]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -122,7 +122,7 @@ class SessionConfig:
 # A field's value is the rest of its own line (``[^\S\n]`` is whitespace other
 # than a newline); an empty value is no value.
 def _field(name: str, value: str = "(.*)") -> re.Pattern:
-    return re.compile(rf"^[^\S\n]*\**{name}[^\S\n]*[:\-][^\S\n]*{value}$", re.IGNORECASE | re.MULTILINE)
+    return re.compile(rf"^[^\S\n]*\**{name}\**[^\S\n]*[:\-][^\S\n]*{value}$", re.IGNORECASE | re.MULTILINE)
 
 
 _ACTION_LINE = _field("ACTION")

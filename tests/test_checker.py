@@ -88,6 +88,17 @@ class TestParser:
         )
         assert report.kinds == ["SortingError"]
 
+    # Each field name in turn wrapped in ``**``; the "é" variants take the
+    # non-ASCII path of the parser.
+    @pytest.mark.parametrize("tail", ["", " é"])
+    @pytest.mark.parametrize("bold", ["Check Result", "Error Type", "Suggestion"])
+    def test_bold_field_names_are_read(self, bold, tail):
+        text = "Check Result: There is an error.\nError Type: Sorting Error\nSuggestion: Recount." + tail
+        report = checker.parse_check_response(
+            text.replace(bold, f"**{bold}**"), AtomicAction.HYPOTHESIS_VERIFICATION
+        )
+        assert (report.verdict, report.kinds, report.suggestion) == ("Error", ["SortingError"], "Recount." + tail)
+
     # A field's value never starts on the next line; the "é" variants take the
     # non-ASCII path of the parser.
     @pytest.mark.parametrize("tail", ["", " é"])

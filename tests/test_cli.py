@@ -202,6 +202,24 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"i/o error: {problem}: not a task record")
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"statement": "Pick."}, "format is missing"),
+            ({"format": ["mcq"], "statement": "Pick."}, "format is not a string"),
+            ({"format": "essay", "statement": "Pick."}, "unknown format 'essay'"),
+            (["not", "a", "record"], "not an object"),
+        ],
+        ids=["no-format", "list-format", "unknown-format", "not-an-object"],
+    )
+    def test_task_record_without_a_known_format_names_the_field(self, tmp_path, capsys, record, message):
+        problem = tmp_path / "task.json"
+        problem.write_text(json.dumps(record), encoding="utf-8")
+        script = tmp_path / "s.json"
+        script.write_text("{}", encoding="utf-8")
+        assert run_cli(["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]) == 3
+        assert f"task record: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"correct"', "null"])
     def test_meta_sidecar_that_is_not_an_object_is_io_error(self, tmp_path, capsys, text):
         traces = tmp_path / "traces"
@@ -618,6 +636,26 @@ class TestInspectAndSynth:
         assert run_cli(["inspect", str(trace)]) == 3
         assert run_cli(["synth", str(out), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.count("i/o error: ") == 2
+
+    def test_synth_names_the_trace_that_does_not_load(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        document = (Path(__file__).parent / "data" / "case1.trace.json").read_text(encoding="utf-8")
+        (traces / "a.trace.json").write_text(document, encoding="utf-8")
+        bad = traces / "b.trace.json"
+        bad.write_text(json.dumps({**json.loads(document), "active_chain": 5}), encoding="utf-8")
+        assert run_cli(["synth", str(traces), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"i/o error: {bad}: active_chain is not a string\n"
+
+    def test_synth_names_the_meta_sidecar_that_is_not_json(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        document = (Path(__file__).parent / "data" / "case1.trace.json").read_text(encoding="utf-8")
+        (traces / "a.trace.json").write_text(document, encoding="utf-8")
+        meta = traces / "a.meta.json"
+        meta.write_text('{"correct": true,', encoding="utf-8")
+        assert run_cli(["synth", str(traces), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: {meta}:1: invalid JSON: ")
 
     def test_synth_skips_a_trace_with_a_blank_statement(self, case_files, tmp_path, capsys):
         out = self.solve_case(case_files, tmp_path, "case1")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +228,66 @@ class TestSerialization:
         change(data)
         with pytest.raises(ParseError):
             metrics.deserialize_trace(json.dumps(data))
+
+
+DATA = Path(__file__).parent / "data"
+
+# The trace format as it was written out by hand before ``TRACE_SHAPE`` was
+# derived from the model's dataclasses: the derived shape must not drift.
+TRACE_SHAPE_REFERENCE = {
+    "format_version": int,
+    "problem": {"id": str, "statement": str, "domain_hint": (str, None), "answer_schema": {"kind": str}},
+    "nodes": {
+        str: {
+            "action": str,
+            "guidance": str,
+            "content": str,
+            "created_round": int,
+            "revised": bool,
+            "flagged": bool,
+            "check_reports": [
+                {"verdict": str, "kinds": [str], "rationale": str, "suggestion": (str, None)}
+            ],
+        }
+    },
+    "chains": {
+        str: {"parent": ([str, int], None), "node_ids": [str], "status": str, "summary": (str, None)}
+    },
+    "chain_order": [str],
+    "active_chain": str,
+    "terminated": ({"mode": str, "final_answer": str}, None),
+    "next_node_seq": int,
+    "next_chain_seq": int,
+}
+
+
+class TestTraceFormat:
+    """The format derived from the dataclasses against traces recorded
+    before it was derived."""
+
+    def test_derived_shape_equals_the_reference(self):
+        assert metrics.TRACE_SHAPE == TRACE_SHAPE_REFERENCE
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_recorded_trace_reserializes_byte_identically(self, name):
+        document = (DATA / f"{name}.trace.json").read_text(encoding="utf-8")
+        assert metrics.serialize_trace(metrics.deserialize_trace(document)) == document
+
+    def test_recorded_traces_cover_the_format(self):
+        trees = [
+            metrics.deserialize_trace((DATA / f"{name}.trace.json").read_text(encoding="utf-8"))
+            for name in ("case1", "case2")
+        ]
+        nodes = [node for tree in trees for node in tree.nodes.values()]
+        chains = [chain for tree in trees for chain in tree.chains.values()]
+        assert any(node.revised for node in nodes)
+        assert any(report.is_error and report.suggestion for node in nodes for report in node.check_reports)
+        assert any(chain.parent for chain in chains) and any(chain.summary for chain in chains)
+        assert {type(tree.problem.answer_schema) for tree in trees} == {MultipleChoice, GridSchema}
+
+    def test_other_format_version_is_reported_before_the_rest_of_the_shape(self):
+        with pytest.raises(ParseError, match="^trace: unknown format_version 2$"):
+            metrics.deserialize_trace(json.dumps({"format_version": 2, "events": []}))
 
 
 class TestSftExport:

@@ -74,6 +74,13 @@ class TestParsing:
         assert router.parse_routing_response("no structured footer here") is None
         assert router.parse_routing_response("ACTION: FooBarBaz") is None
 
+    @pytest.mark.parametrize(
+        "text", ["**ACTION**: PremiseDiscovery\nGUIDANCE: go", "ACTION: PremiseDiscovery\n**GUIDANCE**: go"]
+    )
+    def test_bold_field_names_are_read(self, text):
+        p = router.parse_routing_response(text)
+        assert (p.action, p.guidance) == (AtomicAction.PREMISE_DISCOVERY, "go")
+
     def test_last_action_line_wins(self):
         p = router.parse_routing_response(
             "ACTION: PremiseDiscovery\nreconsidering...\nACTION: HypothesisGeneration\nGUIDANCE: go"
@@ -205,6 +212,13 @@ class TestBacktracking:
         decision, path, left, _ = self.leave(tree, "TARGET: Step 2\nREASON: UnexploredBranch")
         assert decision == Backtrack(path[1].id, BacktrackReason.UNEXPLORED_BRANCH)
         assert left.status is ChainStatus.SUSPENDED
+
+    @pytest.mark.parametrize(
+        "reply", ["**TARGET**: 3\nREASON: IncorrectContent", "TARGET: 3\n**REASON**: IncorrectContent"]
+    )
+    def test_bold_target_and_reason_are_read(self, reply):
+        decision, path, _, _ = self.leave(self.completed_tree(), reply)
+        assert decision == Backtrack(path[2].id, BacktrackReason.INCORRECT_CONTENT)
 
     def test_mid_chain_backtrack_proposal_branches(self):
         tree = make_tree()

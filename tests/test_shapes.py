@@ -143,7 +143,7 @@ def test_trace_that_does_not_load_is_io_error_for_inspect_and_synth(case2_run, t
     path.write_text(json.dumps({**trace, **change}), encoding="utf-8")
     assert cli.main(["inspect", str(path)]) == 3
     assert cli.main(["synth", str(tmp_path), "--filter", "all", "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.count("i/o error: trace: ") == 2
+    assert capsys.readouterr().err.count(f"i/o error: {path}: ") == 2
 
 
 def test_every_wrongly_typed_meta_field_exits_cleanly(case2_run, tmp_path, capsys):
