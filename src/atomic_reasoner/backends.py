@@ -7,7 +7,7 @@ which sends a request ahead on a pool thread while it sends another
 scripted backend for tests and replays, an HTTP client for OpenAI-compatible
 chat endpoints, and a record/replay cache that wraps either.  ``ask`` sends
 a request, re-asking once when the reply does not parse; every engine call
-that expects a usable reply goes through it.
+goes through it.
 """
 
 from __future__ import annotations
@@ -72,15 +72,18 @@ class CompletionRequest:
 
 
 class ResultSource(enum.Enum):
-    """Where a reply came from.  ``CACHE`` means served with no model wait:
-    a session whose last reply came from a cache sends nothing ahead
-    (``router._Replies``, which reads the source of each reply the session
-    uses).  ``TallyBackend``, and ``CacheBackend`` on a miss, return the
-    inner backend's result, source included."""
+    """Where a reply came from.  ``CACHE`` is a replay hit, served with no
+    model wait: a session whose last reply was one sends nothing
+    ahead (``router._Replies``, which reads the source of each reply the
+    session uses).  ``RECORDING`` is a hit while recording: the session's
+    next request most likely misses and waits on the model, so it keeps
+    sending ahead.  ``TallyBackend``, and ``CacheBackend`` on a miss, return
+    the inner backend's result, source included."""
 
     NETWORK = "Network"
     SCRIPT = "Script"
     CACHE = "Cache"
+    RECORDING = "Recording"
 
 
 @dataclass
@@ -518,7 +521,7 @@ class CacheBackend:
                 text=body[:size].decode("utf-8"),
                 prompt_tokens=prompt_tokens,
                 completion_tokens=completion_tokens,
-                source=ResultSource.CACHE,
+                source=ResultSource.CACHE if self.mode is CacheMode.REPLAY else ResultSource.RECORDING,
             )
         except ValueError as exc:
             raise MalformedResponse(f"corrupt cache entry {key}.json: {exc}")

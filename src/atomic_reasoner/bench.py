@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 from . import answers, metrics, puzzles
 from . import model, prompts, router
-from .backends import ScriptedBackend, TallyBackend
+from .backends import ScriptedBackend, TallyBackend, ask
 from .errors import BackendFailure, EmptySuite, ParseError, check_shape
 from .model import GridSchema, MultipleChoice, Numeric, Problem
 
@@ -242,7 +242,8 @@ def oracle_session_backend(task: Task) -> ScriptedBackend:
 def single_pass(task: Task, backend) -> str:
     """Baseline: one bare solver call with the problem and format instruction."""
     instruction = answers.format_instruction(task.schema)
-    return backend.complete(prompts.build_single_pass_prompt(task.statement, instruction)).text
+    request = prompts.build_single_pass_prompt(task.statement, instruction)
+    return ask(backend, request, lambda text: text)  # the reply as it came: one call
 
 
 @dataclass

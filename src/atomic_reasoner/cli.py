@@ -179,7 +179,9 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
         try:
             task = bench_mod.task_from_record(record)
         except (ValueError, ParseError) as exc:  # as bench.load_tasks rejects a line
-            raise ParseError(f"not a task record: {exc!r}", source=args.problem) from exc
+            # The file's name stands for "task record"; a part's source ("clue") stays.
+            reason = exc.message if getattr(exc, "source", None) == "task record" else exc
+            raise ParseError(f"not a task record: {reason}", source=args.problem) from exc
         return task.to_problem(), task
     raw = Path(args.problem).read_text(encoding="utf-8")
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None

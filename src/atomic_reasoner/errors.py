@@ -71,11 +71,14 @@ class EmptyCompletion(BackendFailure):
 # --- parsing / io errors ----------------------------------------------------
 
 class ParseError(AtomicReasonerError):
+    """``<source>[:<line>]: <message>``; ``message`` keeps the bare reason."""
+
     def __init__(self, message: str, source: str = "", line: int | None = None):
         loc = f"{source or '<input>'}"
         if line is not None:
             loc += f":{line}"
         super().__init__(f"{loc}: {message}")
+        self.message = message
         self.source = source
         self.line = line
 

@@ -37,12 +37,13 @@ send ahead adds one routing request.  A check that fails for the last time
 its send is used.
 
 A session whose last reply came from a cache (``ResultSource.CACHE``, as a
-``CacheBackend`` hit returns) sends nothing ahead: such a reply comes with
-no model wait, so a pooled send would hide nothing and cost a thread
-handoff.  Its ``_Replies`` keeps the request, and the session's thread
-sends it when it is first asked for, so a dropped send is never sent.
-``_Replies`` reads the source of each reply the session uses; any other
-session, a cache miss included, sends ahead as above.
+replay hit returns) sends nothing ahead: such a reply comes with no model
+wait, so a pooled send would hide nothing and cost a thread handoff.  Its
+``_Replies`` keeps the request, and the session's thread sends it when it
+is first asked for, so a dropped send is never sent.  ``_Replies`` reads
+the source of each reply the session uses; any other session, a cache miss
+and a hit while recording (``ResultSource.RECORDING``) included, sends
+ahead as above.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def _field(name: str, value: str = "(.*)") -> re.Pattern:
 
 _ACTION_LINE = _field("ACTION")
 _GUIDANCE_LINE = _field("GUIDANCE")
-_TARGET_LINE = _field("TARGET", r"(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*")
+# TARGET's value is a step number alone; markup may wrap it, as ``**TARGET:** Step 2``.
+_TARGET_LINE = _field("TARGET", r"\**[^\S\n]*(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*")
 _REASON_LINE = _field("REASON")
 
 
@@ -207,16 +209,15 @@ def _has_hypothesis(path: list[model.Node]) -> bool:
 
 
 def _verification_guidance(path: list[model.Node]) -> str:
-    for node in reversed(path):
-        if node.action is AtomicAction.HYPOTHESIS_GENERATION:
-            excerpt = node.content.strip().replace("\n", " ")
-            if len(excerpt) > 300:
-                excerpt = excerpt[:300] + "..."
-            return (
-                "Verify the most recently proposed hypothesis against every premise, "
-                f"one premise at a time. The hypothesis step was: {excerpt}"
-            )
-    return "Verify the current conclusion against every premise, one premise at a time."
+    """Guidance to verify the deepest hypothesis on ``path``, which holds one."""
+    node = next(n for n in reversed(path) if n.action is AtomicAction.HYPOTHESIS_GENERATION)
+    excerpt = node.content.strip().replace("\n", " ")
+    if len(excerpt) > 300:
+        excerpt = excerpt[:300] + "..."
+    return (
+        "Verify the most recently proposed hypothesis against every premise, "
+        f"one premise at a time. The hypothesis step was: {excerpt}"
+    )
 
 
 def decide(
@@ -229,10 +230,9 @@ def decide(
 
     A Backtrack is applied before it is returned: the tree branches at its
     target, and the chain left behind holds its summary (``_leave_chain``).
-    The routing request (R2's, or R4's first attempt) is sent with
-    ``backend.complete``, so the session's ``_Replies`` answers it with the
-    reply to the request sent ahead during the last check when the two are
-    equal."""
+    The routing request goes through ``backends.ask``, so the session's
+    ``_Replies`` answers its first attempt with the reply to the request sent
+    ahead during the last check when the two are equal."""
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
 
@@ -252,13 +252,15 @@ def decide(
             return Terminate(TerminationMode.ACTIVE_SOLVED)
         return _leave_chain(tree, backend)
 
-    # R2: a fresh hypothesis is verified promptly; backend gives guidance only.
+    # R2: a fresh hypothesis is verified promptly; backend gives guidance only,
+    # through a parser that never rejects, so it is asked once.
     if path and path[-1].action is AtomicAction.HYPOTHESIS_GENERATION:
-        reply = backend.complete(prompts.build_routing_prompt(tree, sop_hints))
-        return Extend(
-            AtomicAction.HYPOTHESIS_VERIFICATION,
-            parse_guidance_only(reply.text) or _verification_guidance(path),
+        guidance = backends_mod.ask(
+            backend,
+            prompts.build_routing_prompt(tree, sop_hints),
+            lambda text: parse_guidance_only(text) or _verification_guidance(path),
         )
+        return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, guidance)
 
     # R4 envelope: parse the proposal, one re-ask, then safe fallback.
     proposal = backends_mod.ask(
@@ -280,11 +282,7 @@ def decide(
             )
         if proposal.kind == "terminate":
             return Terminate(TerminationMode.ACTIVE_SOLVED)
-        return Extend(
-            AtomicAction.SUMMARY_FINISHED,
-            proposal.guidance
-            or "Assemble the verified conclusions into the complete final answer.",
-        )
+        # A finish extends with SUMMARY<FINISHED>, below.
 
     if proposal.kind == "backtrack":
         if len(tree.chains) >= config.max_chains:
@@ -377,14 +375,15 @@ class _Replies:
     the session's thread, and it holds at most one request sent ahead.
 
     ``cached`` records whether the last reply the session used came from a
-    cache: then the next reply is expected with no model wait too, and
-    nothing is sent ahead.  ``ahead(request)`` sends ``request`` on the pool
-    with ``backend.complete``, unless ``cached`` is set, and leaving its
-    ``with`` block waits for that send.  ``complete`` answers a request
-    equal to the one sent ahead, once, with the pooled reply, or raises its
-    failure; any other request, and one whose send ``cached`` held back,
-    goes to ``backend`` on the caller's thread.  A pooled reply that no
-    request takes is dropped when the next ``ahead`` replaces it."""
+    cache replay (``ResultSource.CACHE``): then the next reply is expected
+    with no model wait too, and nothing is sent ahead.  ``ahead(request)``
+    sends ``request`` on the pool with ``backend.complete``, unless
+    ``cached`` is set, and leaving its ``with`` block waits for that send.
+    ``complete`` answers a request equal to the one sent ahead, once, with
+    the pooled reply, or raises its failure; any other request, and one
+    whose send ``cached`` held back, goes to ``backend`` on the caller's
+    thread.  A pooled reply that no request takes is dropped when the next
+    ``ahead`` replaces it."""
 
     def __init__(self, backend):
         self.backend = backend

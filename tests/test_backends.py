@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import datetime
 import email.utils
@@ -9,6 +10,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -546,6 +548,12 @@ class TestCacheBackend:
         assert second.prompt_tokens == first.prompt_tokens
         assert second.source is ResultSource.CACHE
 
+    def test_hit_while_recording_is_its_own_source(self, tmp_path):
+        recorder = CacheBackend(ScriptedBackend({"solve": ["recorded answer"]}), CacheMode.RECORD, tmp_path)
+        assert recorder.complete(make_request("q")).source is ResultSource.SCRIPT
+        hit = recorder.complete(make_request("q"))
+        assert (hit.text, hit.source) == ("recorded answer", ResultSource.RECORDING)
+
     def test_strict_replay_miss_raises(self, tmp_path):
         replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
         with pytest.raises(MalformedResponse, match="cache miss"):
@@ -704,3 +712,46 @@ class TestCacheBackend:
         replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
         with pytest.raises(MalformedResponse, match="corrupt cache entry"):
             replayer.complete(request)
+
+
+# --- one path from prompt to reply ---------------------------------------------------
+
+# Where ``.complete(`` may be called, as (module, qualified name): ``ask``, the
+# wrappers that pass a request on, and every method of a session's backend.
+COMPLETE_CALLERS = {
+    ("backends", "ask"),
+    ("backends", "CacheBackend.complete"),
+    ("backends", "TallyBackend.complete"),
+    ("router", "_Replies"),
+}
+
+
+def _complete_calls(node, module, scope=""):
+    """(module, qualified name of the enclosing def, line) of each
+    ``.complete(`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            if child.func.attr == "complete":
+                yield module, scope, child.lineno
+        yield from _complete_calls(child, module, inner)
+
+
+def _allowed(module, scope):
+    return any(
+        module == allowed_module and (scope == name or scope.startswith(name + "."))
+        for allowed_module, name in COMPLETE_CALLERS
+    )
+
+
+def test_every_engine_call_goes_through_ask():
+    package = Path(backends.__file__).parent
+    calls = [
+        call
+        for path in sorted(package.glob("*.py"))
+        for call in _complete_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert {("backends", "ask"), ("router", "_Replies.complete")} <= {call[:2] for call in calls}
+    assert [call for call in calls if not _allowed(*call[:2])] == []

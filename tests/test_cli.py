@@ -220,6 +220,14 @@ class TestExitCodes:
         assert run_cli(["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]) == 3
         assert f"task record: {message}" in capsys.readouterr().err
 
+    def test_task_record_reason_is_printed_once(self, tmp_path, capsys):
+        problem = tmp_path / "task.json"
+        problem.write_text(json.dumps({"statement": "Pick."}), encoding="utf-8")
+        script = tmp_path / "s.json"
+        script.write_text("{}", encoding="utf-8")
+        assert run_cli(["solve", str(problem), "--script", str(script), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"i/o error: {problem}: not a task record: format is missing\n"
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"correct"', "null"])
     def test_meta_sidecar_that_is_not_an_object_is_io_error(self, tmp_path, capsys, text):
         traces = tmp_path / "traces"

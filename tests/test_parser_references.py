@@ -89,7 +89,7 @@ _REF_GUIDANCE_LINE = re.compile(
     r"^[^\S\n]*\**GUIDANCE[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*$", re.IGNORECASE | re.MULTILINE
 )
 _REF_TARGET_LINE = re.compile(
-    r"^[^\S\n]*\**TARGET[^\S\n]*[:\-][^\S\n]*(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*$",
+    r"^[^\S\n]*\**TARGET[^\S\n]*[:\-][^\S\n]*\**[^\S\n]*(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*$",
     re.IGNORECASE | re.MULTILINE,
 )
 _REF_REASON_LINE = re.compile(

@@ -220,6 +220,21 @@ class TestBacktracking:
         decision, path, _, _ = self.leave(self.completed_tree(), reply)
         assert decision == Backtrack(path[2].id, BacktrackReason.INCORRECT_CONTENT)
 
+    @pytest.mark.parametrize("reply", ["**TARGET:** Step 2", "**TARGET:** 2", "TARGET: **Step 2**"])
+    def test_markup_around_the_target_separator_is_read_at_once(self, reply):
+        tree = self.completed_tree()
+        backend = ScriptedBackend({"routing": [reply, "TARGET: Step 3"]})
+        target = router.select_backtrack_target(tree, backend)
+        assert target == (model.active_path(tree)[1].id, BacktrackReason.KEY_NODE)
+        assert len(backend.calls) == 1
+
+    def test_target_with_more_than_a_step_number_is_asked_again(self):
+        tree = self.completed_tree()
+        backend = ScriptedBackend({"routing": ["TARGET: Step 2 because it branches", "TARGET: Step 3"]})
+        target = router.select_backtrack_target(tree, backend)
+        assert target == (model.active_path(tree)[2].id, BacktrackReason.KEY_NODE)
+        assert len(backend.calls) == 2
+
     def test_mid_chain_backtrack_proposal_branches(self):
         tree = make_tree()
         model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
@@ -1147,6 +1162,24 @@ class TestSendingNothingAheadOnReplay:
             ScriptedBackend(hypothesis_script()), meet=(("check", 2), ("routing", 3))
         )
         _tree, final = run_hypothesis_session(CacheBackend(backend, CacheMode.RECORD, tmp_path))
+        assert backend.ahead == 1 and final.text == "final answer"
+
+    def test_a_hit_while_recording_keeps_sending_ahead(self, tmp_path):
+        """The store already holds the hypothesis's solve request, so the
+        recording session's hypothesis is a hit; its check and R2's request
+        miss and still wait for each other on a barrier."""
+        script = hypothesis_script()
+        probe = ScriptedBackend(script)
+        run_hypothesis_session(probe)
+        hypothesis_solve = [request for request in probe.calls if request.tag == "solve"][1]
+        recorder = CacheBackend(ScriptedBackend({"solve": "Hypothesis 1: draft"}), CacheMode.RECORD, tmp_path)
+        recorder.complete(hypothesis_solve)
+
+        script["solve"].remove("Hypothesis 1: draft")  # the store answers it
+        inner = ScriptedBackend(script)
+        backend = Answered(inner, meet=(("check", 2), ("routing", 3)))
+        _tree, final = run_hypothesis_session(CacheBackend(backend, CacheMode.RECORD, tmp_path))
+        assert hypothesis_solve not in inner.calls
         assert backend.ahead == 1 and final.text == "final answer"
 
     def test_a_replay_miss_resumes_sending_ahead(self, tmp_path):
