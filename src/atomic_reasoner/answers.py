@@ -129,17 +129,20 @@ def format_grid_answer(schema: GridSchema, grid: dict[int, dict[str, str]]) -> s
 
 
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
-# Digits, read as one number when grouped by thousands ("1,000").
+# Digits, read as one number when grouped by thousands ("1,000"), then an
+# optional decimal part, exponent ("2.5e-3") and denominator.
 _DIGITS = r"(?:\d{1,3}(?:,\d{3})+|\d+)"
-_NUMBER = re.compile(rf"-?\+?{_DIGITS}(?:\.\d+)?(?:/\d+)?")
-_WHOLE_NUMBER = re.compile(rf"[+\-]?{_DIGITS}(?:\.\d+)?(?:/\d+)?")
+_MAGNITUDE = rf"{_DIGITS}(?:\.\d+)?(?:[eE][+\-]?\d+)?(?:/\d+)?"
+_NUMBER = re.compile(rf"-?\+?{_MAGNITUDE}")
+_WHOLE_NUMBER = re.compile(rf"[+\-]?{_MAGNITUDE}")
 
 
 def normalize_numeric(text: str) -> Optional[str]:
-    """Normalize a numeric answer: strip whitespace/boxed markers/leading '+'
-    and thousands separators, drop trailing zeros.  Returns None when nothing
-    numeric is present, a box included: ``\\boxed{x 5}`` states no number."""
-    candidate = text.strip()
+    """Normalize a numeric answer: read U+2212 as '-', strip whitespace/boxed
+    markers/leading '+' and thousands separators, drop trailing zeros.
+    Returns None when nothing numeric is present, a box included:
+    ``\\boxed{x 5}`` states no number."""
+    candidate = text.strip().replace("\u2212", "-")
     boxed = _BOXED.findall(candidate)
     if boxed:
         candidate = boxed[-1].strip()

@@ -27,8 +27,9 @@ def execute(
 ) -> Node:
     """Run one Extend decision: build the solver prompt, call the backend,
     append the node.  The ending step is asked for the schema's answer format,
-    so it can stand as the final answer.  Hypothesis steps missing the
-    'Hypothesis <k>:' marker get flagged for checker attention."""
+    so it can stand as the final answer.  A hypothesis step missing the
+    'Hypothesis <k>:' marker gets ``Node.flagged`` set; the flag is recorded
+    in the trace, and no prompt renders it."""
     answer_format = ""
     if action is AtomicAction.SUMMARY_FINISHED:
         answer_format = answers.format_instruction(tree.problem.answer_schema)

@@ -37,13 +37,12 @@ send ahead adds one routing request.  A check that fails for the last time
 its send is used.
 
 A session whose last reply came from a cache (``ResultSource.CACHE``, as a
-replay hit returns) sends nothing ahead: such a reply comes with no model
-wait, so a pooled send would hide nothing and cost a thread handoff.  Its
-``_Replies`` keeps the request, and the session's thread sends it when it
-is first asked for, so a dropped send is never sent.  ``_Replies`` reads
-the source of each reply the session uses; any other session, a cache miss
-and a hit while recording (``ResultSource.RECORDING``) included, sends
-ahead as above.
+replay hit returns) builds nothing ahead: such a reply comes with no model
+wait, so a pooled send would hide nothing and cost a thread handoff, and
+each request is built and sent on the session's thread when it is asked
+for.  ``_Replies`` reads the source of each reply the session uses; any
+other session, a cache miss and a hit while recording
+(``ResultSource.RECORDING``) included, sends ahead as above.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import enum
 import re
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import checker as checker_mod
 from . import executor as executor_mod
@@ -376,14 +375,13 @@ class _Replies:
 
     ``cached`` records whether the last reply the session used came from a
     cache replay (``ResultSource.CACHE``): then the next reply is expected
-    with no model wait too, and nothing is sent ahead.  ``ahead(request)``
-    sends ``request`` on the pool with ``backend.complete``, unless
-    ``cached`` is set, and leaving its ``with`` block waits for that send.
-    ``complete`` answers a request equal to the one sent ahead, once, with
-    the pooled reply, or raises its failure; any other request, and one
-    whose send ``cached`` held back, goes to ``backend`` on the caller's
-    thread.  A pooled reply that no request takes is dropped when the next
-    ``ahead`` replaces it."""
+    with no model wait too, and nothing is built ahead.  ``ahead(build)``
+    calls ``build`` unless ``cached`` is set and sends the request it
+    returns, if any, on the pool with ``backend.complete``; leaving its
+    ``with`` block waits for that send.  ``complete`` answers a request
+    equal to the one sent ahead, once, with the pooled reply, or raises its
+    failure; any other request goes to ``backend`` on the caller's thread.
+    A pooled reply that no request takes is dropped at the next ``ahead``."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -391,8 +389,9 @@ class _Replies:
         self._sent = None, None  # the request sent ahead and its future
 
     @contextlib.contextmanager
-    def ahead(self, request: backends_mod.CompletionRequest):
-        reply = None if self.cached else _send_pool.submit(self.backend.complete, request)
+    def ahead(self, build: Callable[[], Optional[backends_mod.CompletionRequest]]):
+        request = None if self.cached else build()
+        reply = None if request is None else _send_pool.submit(self.backend.complete, request)
         self._sent = request, reply
         try:
             yield
@@ -402,7 +401,7 @@ class _Replies:
 
     def complete(self, request: backends_mod.CompletionRequest) -> backends_mod.CompletionResult:
         sent, reply = self._sent
-        if reply is not None and request == sent:
+        if request == sent:
             self._sent = None, None
             result = reply.result()  # re-raises a failed send
         else:
@@ -427,7 +426,7 @@ def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
         backend = _Replies(backend)
     leaving = model.active_chain(tree)
     compression = prompts.build_compression_prompt(tree, leaving) if leaving.node_ids else None
-    with backend.ahead(compression) if compression else contextlib.nullcontext():
+    with backend.ahead(lambda: compression):
         target, reason = select_backtrack_target(tree, backend)
     model.branch_at(tree, target)
     if compression:
@@ -497,9 +496,8 @@ def run_session(
     A send ahead is answered before its check returns or raises, and its
     reply is used only for an identical request, so a check that revises
     the step after a send costs one extra routing call.  While replies come
-    from a cache (``ResultSource.CACHE``) nothing is sent ahead: every call
-    is sent on the caller's thread, in series, and a dropped send is not
-    made at all.
+    from a cache (``ResultSource.CACHE``) nothing is built ahead: every call
+    is built and sent on the caller's thread, in series.
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
@@ -536,9 +534,11 @@ def run_session(
                 continue
 
             def send_routing_ahead(revisions):
-                if _routing_sent_during(tree, node, revisions, config):
-                    return backends.ahead(prompts.build_routing_prompt(tree, sop_hints))
-                return contextlib.nullcontext()
+                return backends.ahead(
+                    lambda: prompts.build_routing_prompt(tree, sop_hints)
+                    if _routing_sent_during(tree, node, revisions, config)
+                    else None
+                )
 
             checker_mod.run_check_cycle(tree, node, backends, send_routing_ahead)
     except BackendFailure as exc:

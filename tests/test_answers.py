@@ -114,6 +114,17 @@ class TestNumeric:
     def test_thousands_separators_group_one_number(self, text, expected):
         assert answers.normalize_numeric(text) == expected
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("so the total is 2.5e-3", "1/400", id="plain"),
+            pytest.param("1e5", "100000", id="bare"),
+            pytest.param("\\boxed{\u22127}", "-7", id="boxed"),
+        ],
+    )
+    def test_exponents_and_unicode_minus_read_alike_in_every_form(self, text, expected):
+        assert answers.normalize_numeric(text) == expected
+
 
 class TestIsComplete:
     def test_grid_needs_every_cell(self):

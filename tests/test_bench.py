@@ -219,6 +219,9 @@ class TestScore:
         thousand = bench._task_from_record({"id": "k", "statement": "Add.", "gold": "1000"}, "numeric")
         assert bench.score(thousand, "The answer is 1,000.").correct
         assert bench.score(thousand, "\\boxed{1,000}").correct
+        exponent = bench._task_from_record({"id": "e", "statement": "Scale.", "gold": "1e5"}, "numeric")
+        assert bench.score(exponent, "100000").correct
+        assert not bench.score(exponent, "5").correct
 
 
 class TestOneReader:

@@ -4,10 +4,12 @@ version it replaced.
 The copies below are the straightforward regex scans the engine used before
 its parsers read an ASCII reply's lowered copy or walk lines from the end.
 The routing copies carry the line rule: a field's value is the rest of its
-own line, never the next line.  Inputs are the checker corpus plus seeded
-fuzz: field lines at random positions, mixed case, ``*`` markup, empty
-values, CRLF line ends and non-ASCII text whose lowered form changes length
-or which matches ASCII letters case-insensitively (``İ``, ``ſ``, ``K``).
+own line, never the next line.  Every copy also reads a bold field name
+(``**NAME**:``, ``NAME**:``), as the engine does.  Inputs are the checker
+corpus plus seeded fuzz: field lines at random positions, mixed case, ``*``
+markup around names and values, empty values, CRLF line ends and non-ASCII
+text whose lowered form changes length or which matches ASCII letters
+case-insensitively (``İ``, ``ſ``, ``K``).
 """
 
 import json
@@ -41,9 +43,9 @@ def _reference_parse_action(name):
     raise UnknownAction(f"unknown atomic action: {name!r}")
 
 
-_REF_RESULT_LINE = re.compile(r"check\s+result\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
-_REF_TYPE_LINE = re.compile(r"error\s+type\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
-_REF_SUGGESTION_LINE = re.compile(r"suggestion\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
+_REF_RESULT_LINE = re.compile(r"check\s+result\**\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
+_REF_TYPE_LINE = re.compile(r"error\s+type\**\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
+_REF_SUGGESTION_LINE = re.compile(r"suggestion\**\s*[:\-][^\S\n]*(\S.*)", re.IGNORECASE)
 
 
 def _reference_parse_check_response(text, action):
@@ -83,17 +85,17 @@ def _reference_parse_check_response(text, action):
 
 
 _REF_ACTION_LINE = re.compile(
-    r"^[^\S\n]*\**ACTION[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*\**$", re.IGNORECASE | re.MULTILINE
+    r"^[^\S\n]*\**ACTION\**[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*\**$", re.IGNORECASE | re.MULTILINE
 )
 _REF_GUIDANCE_LINE = re.compile(
-    r"^[^\S\n]*\**GUIDANCE[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*$", re.IGNORECASE | re.MULTILINE
+    r"^[^\S\n]*\**GUIDANCE\**[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*$", re.IGNORECASE | re.MULTILINE
 )
 _REF_TARGET_LINE = re.compile(
-    r"^[^\S\n]*\**TARGET[^\S\n]*[:\-][^\S\n]*\**[^\S\n]*(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*$",
+    r"^[^\S\n]*\**TARGET\**[^\S\n]*[:\-][^\S\n]*\**[^\S\n]*(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*$",
     re.IGNORECASE | re.MULTILINE,
 )
 _REF_REASON_LINE = re.compile(
-    r"^[^\S\n]*\**REASON[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*\**$", re.IGNORECASE | re.MULTILINE
+    r"^[^\S\n]*\**REASON\**[^\S\n]*[:\-][^\S\n]*(.*?)[^\S\n]*\**$", re.IGNORECASE | re.MULTILINE
 )
 
 
@@ -233,6 +235,7 @@ def _field_line(rng):
     line = (
         rng.choice(("", " ", "\t", "*", "**", " ** ", "- "))
         + key
+        + rng.choice(("", "", "**", "*"))
         + rng.choice((":", ":", " :", "-", ": ", ":\t", "：", ":\n"))
         + rng.choice(("", " ", "  ", "*", "** "))
         + value

@@ -1154,6 +1154,23 @@ class TestSendingNothingAheadOnReplay:
         trace = hashlib.sha256(metrics.serialize_trace(tree).encode("utf-8")).hexdigest()
         assert (trace, final.text) == (PURE_REPLY_GOLDENS["trace"], PURE_REPLY_GOLDENS["final"])
 
+    def test_replay_builds_each_routing_prompt_it_sends_and_no_other(self, tmp_path, monkeypatch):
+        """Every routing prompt a replaying session builds is sent once, in
+        the order built: none is built ahead and then dropped or rebuilt."""
+        run_pure_session(CacheBackend(ScriptedBackend({}, default=pure_reply), CacheMode.RECORD, tmp_path))
+        built = []
+        build = prompts.build_routing_prompt
+
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(prompts, "build_routing_prompt", counted_build)
+        replayed = strict_replay(tmp_path)
+        run_pure_session(replayed)
+        assert len(built) == PURE_REPLY_GOLDENS["routing"][0]
+        assert built == replayed.requests("routing")
+
     def test_recording_still_sends_ahead(self, tmp_path):
         """Every reply of a cold ``RECORD`` session comes from its inner
         backend, so the hypothesis's check and R2's request still wait for
