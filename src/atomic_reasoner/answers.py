@@ -130,9 +130,11 @@ def format_grid_answer(schema: GridSchema, grid: dict[int, dict[str, str]]) -> s
 
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
 # Digits, read as one number when grouped by thousands ("1,000"), then an
-# optional decimal part, exponent ("2.5e-3") and denominator.
+# optional decimal part and exponent ("2.5e-3"); a magnitude is such an
+# operand or a ratio of two ("7.5/2").
 _DIGITS = r"(?:\d{1,3}(?:,\d{3})+|\d+)"
-_MAGNITUDE = rf"{_DIGITS}(?:\.\d+)?(?:[eE][+\-]?\d+)?(?:/\d+)?"
+_OPERAND = rf"{_DIGITS}(?:\.\d+)?(?:[eE][+\-]?\d+)?"
+_MAGNITUDE = rf"{_OPERAND}(?:/{_OPERAND})?"
 _NUMBER = re.compile(rf"-?\+?{_MAGNITUDE}")
 _WHOLE_NUMBER = re.compile(rf"[+\-]?{_MAGNITUDE}")
 
@@ -161,8 +163,10 @@ def normalize_numeric(text: str) -> Optional[str]:
 
 
 def parse_rational(text: str) -> Optional[Fraction]:
+    """The number ``text`` states; a ratio is the quotient of its two parts."""
     try:
-        return Fraction(text.strip())
+        numerator, denominator = text.split("/") if "/" in text else (text, "1")
+        return Fraction(numerator) / Fraction(denominator)
     except (ValueError, ZeroDivisionError):
         return None
 

@@ -37,7 +37,7 @@ class Task:
 class Verdict:
     correct: bool
     partial: float
-    failure: Optional[str] = None  # "NoAnswerFound" | "SchemaMismatch" | "BackendFailure"
+    failure: Optional[str] = None  # "NoAnswerFound" | "BackendFailure"
 
     def __post_init__(self):
         if self.correct and self.partial != 1.0:
@@ -72,7 +72,7 @@ def _task_from_record(record: dict, format: str) -> Task:
         if gold not in answers.option_letters(schema):
             raise ValueError(f"gold {gold!r} not among option letters")
     elif format == "grid":
-        schema = metrics.schema_from_json({**record["schema"], "kind": "grid"})
+        schema = metrics.from_json(GridSchema, record["schema"], "answer schema")
         gold = {int(h): cells for h, cells in record["gold"].items()}
         for house in range(1, schema.houses + 1):
             cells = gold.get(house)
@@ -95,7 +95,7 @@ def _task_from_record(record: dict, format: str) -> Task:
         suite=record.get("suite", ""),
     )
     if format == "grid" and "clues" in record:
-        task.clues = [puzzles.clue_from_json(c) for c in record["clues"]]
+        task.clues = [metrics.from_json(puzzles.Clue, clue, "clue") for clue in record["clues"]]
         puzzles.validate_clues(schema, task.clues)
     return task
 
@@ -141,13 +141,10 @@ def task_to_record(task: Task, format: str) -> dict:
         record["options"] = list(task.schema.options)
         record["gold"] = task.gold
     elif format == "grid":
-        record["schema"] = {
-            "houses": task.schema.houses,
-            "attributes": [[n, list(v)] for n, v in task.schema.attributes],
-        }
+        record["schema"] = metrics.to_json(GridSchema, task.schema)
         record["gold"] = {str(h): cells for h, cells in task.gold.items()}
         if task.clues:
-            record["clues"] = [puzzles.clue_to_json(c) for c in task.clues]
+            record["clues"] = [metrics.to_json(puzzles.Clue, clue) for clue in task.clues]
     elif format == "numeric":
         record["gold"] = task.gold
     return record

@@ -141,9 +141,8 @@ _KIND_LOOKUP = {}
 for _kind in ErrorKind:
     _KIND_LOOKUP[_normalize_kind_token(_kind.value)] = _kind
     _KIND_LOOKUP[_normalize_kind_token(_human_name(_kind))] = _kind
-# Plural / variant surface forms seen in the wild.
+# A plural seen in the wild that dropping a trailing "s" does not reduce to its kind.
 _KIND_LOOKUP[_normalize_kind_token("Expression Inconsistencies")] = ErrorKind.EXPRESSION_INCONSISTENCY
-_KIND_LOOKUP[_normalize_kind_token("Conclusion Errors")] = ErrorKind.CONCLUSION_ERROR
 
 # Each field's pattern compiled IGNORECASE for any reply, and as is for the
 # lowered copy of an ASCII reply: that scan is several times cheaper, and

@@ -1,5 +1,6 @@
-"""Trace serialization, run statistics, SFT-corpus export, and discrete
-entropy diagnostics over action selection."""
+"""Record serialization (traces, clues and answer schemas), run
+statistics, SFT-corpus export, and discrete entropy diagnostics over action
+selection."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterable, Optional, Sequence, Union, get_args, get_origin, ge
 
 from . import model
 from .errors import DimensionMismatch, InvalidDistribution, ParseError, check_shape
-from .model import AtomicAction, AtomicTree, FreeText, GridSchema, MultipleChoice, Numeric
+from .model import AtomicAction, AtomicTree
 
 PROB_TOLERANCE = 1e-9
 TRACE_FORMAT_VERSION = 1
@@ -101,66 +102,43 @@ def trace_stats(tree: AtomicTree) -> TraceStats:
     )
 
 
-# --- trace serialization ------------------------------------------------------------
-
-def _schema_to_json(schema) -> dict:
-    if isinstance(schema, FreeText):
-        return {"kind": "free_text"}
-    if isinstance(schema, Numeric):
-        return {"kind": "numeric"}
-    if isinstance(schema, MultipleChoice):
-        return {"kind": "mcq", "options": list(schema.options)}
-    if isinstance(schema, GridSchema):
-        return {
-            "kind": "grid",
-            "houses": schema.houses,
-            "attributes": [[name, list(values)] for name, values in schema.attributes],
-        }
-    raise TypeError(f"unknown schema type {type(schema)!r}")
-
-
-# The fields of each answer schema kind's JSON object beside "kind".
-SCHEMA_SHAPES = {
-    "free_text": {}, "numeric": {}, "mcq": {"options": [str]},
-    "grid": {"houses": int, "attributes": [[str, [str]]]},
-}
-
-
-def schema_from_json(data: dict):
-    kind = data["kind"]
-    if kind not in SCHEMA_SHAPES:
-        raise ParseError(f"unknown kind {kind!r}", "answer schema")
-    check_shape(data, SCHEMA_SHAPES[kind], "answer schema")
-    if kind == "mcq":
-        return MultipleChoice(options=tuple(data["options"]))
-    if kind == "grid":
-        attributes = tuple((name, tuple(values)) for name, values in data["attributes"])
-        return GridSchema(houses=data["houses"], attributes=attributes)
-    return FreeText() if kind == "free_text" else Numeric()
-
-
-# The answer schema classes, which ``_schema_to_json`` writes.
-_SCHEMAS = get_args(model.AnswerSchema)
-
+# --- record serialization ------------------------------------------------------------
 
 @functools.cache
 def _fields(cls: type, keyed: bool) -> dict:
-    """The JSON fields of the trace dataclass ``cls`` and their types; a
-    keyed object (a node or chain) is keyed by its id and does not repeat it."""
+    """The JSON fields of the dataclass ``cls`` and their types; a keyed
+    object (a node or chain) is keyed by its id and does not repeat it."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls) if not (keyed and f.name == "id")}
 
 
+@functools.cache
+def _kinds(tp) -> Optional[dict]:
+    """Each member of ``tp`` by its ``kind`` when ``tp`` is a union of
+    dataclasses, else None."""
+    args = get_args(tp)
+    if get_origin(tp) is Union and all(is_dataclass(arg) for arg in args):
+        return {cls.kind: cls for cls in args}
+    return None
+
+
+# Types whose values are written as they are.
+_PLAIN = {str, int, float, bool, type(None)}
+
+
+@functools.cache
 def _shape(tp, keyed: bool = False):
-    """The ``check_shape`` shape of a ``tp`` value as ``_to_json`` writes it."""
-    if tp == model.AnswerSchema:
-        return {"kind": str}  # ``schema_from_json`` checks the kind's own fields
+    """The ``check_shape`` shape of a ``tp`` value as ``to_json`` writes it."""
+    if _kinds(tp):
+        return {"kind": str}  # ``from_json`` checks the member's own fields
     if is_dataclass(tp):
         return {name: _shape(hint) for name, hint in _fields(tp, keyed).items()}
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union:
         return tuple(_shape(arg) for arg in args)
-    if origin in (list, tuple):
+    if origin is list or args[1:] == (...,):
+        return [_shape(args[0])]
+    if origin is tuple:
         return [_shape(arg) for arg in args]
     if origin is dict:
         return {str: _shape(args[1], keyed=True)}
@@ -169,40 +147,64 @@ def _shape(tp, keyed: bool = False):
     return str if issubclass(tp, enum.Enum) else tp
 
 
-def _to_json(value, keyed: bool = False):
-    """A trace value as JSON: a dataclass as an object of its fields, an enum
-    member as its value, a tuple as a list."""
-    if isinstance(value, _SCHEMAS):
-        return _schema_to_json(value)
-    if is_dataclass(value):
-        return {name: _to_json(getattr(value, name)) for name in _fields(type(value), keyed)}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_to_json(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _to_json(item, keyed=True) for key, item in value.items()}
-    return value
-
-
-def _from_json(tp, data, key: Optional[str] = None):
-    """The ``tp`` value ``_to_json`` wrote as ``data``, which has
-    ``_shape(tp)``; ``key`` is a keyed object's id."""
-    if tp == model.AnswerSchema:
-        return schema_from_json(data)
+def to_json(tp, value, keyed: bool = False):
+    """The ``tp`` value ``value`` as JSON: a dataclass as an object of its
+    fields, a member of a union of dataclasses as its own object with a
+    leading ``"kind"``, an enum member as its value, a tuple as a list."""
+    if tp in _PLAIN:
+        return value
     if is_dataclass(tp):
-        values = {name: _from_json(hint, data[name]) for name, hint in _fields(tp, key is not None).items()}
+        return {name: to_json(hint, getattr(value, name)) for name, hint in _fields(tp, keyed).items()}
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        if value is None:
+            return None
+        if _kinds(tp):
+            return {"kind": value.kind, **to_json(type(value), value)}
+        return to_json(args[0], value)  # Optional[X]
+    if origin is list or args[1:] == (...,):
+        return [to_json(args[0], item) for item in value]
+    if origin is tuple:
+        return [to_json(arg, item) for arg, item in zip(args, value)]
+    if origin is dict:
+        return {key: to_json(args[1], item, keyed=True) for key, item in value.items()}
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def from_json(tp, data, where: str):
+    """The ``tp`` value ``to_json`` wrote as ``data``.  Raises ``ParseError``
+    from ``where`` unless ``data`` has that shape and names known kinds."""
+    check_shape(data, _shape(tp), where)
+    return _from_json(tp, data, where)
+
+
+def _from_json(tp, data, where: str, path: str = "", key: Optional[str] = None):
+    """``from_json`` of ``data``, which has ``_shape(tp)``, at ``path`` in
+    its record; ``key`` is a keyed object's id."""
+    if tp in _PLAIN:
+        return data
+    prefix = f"{path}." if path else ""
+    kinds = _kinds(tp)
+    if kinds:
+        if data["kind"] not in kinds:
+            raise ParseError(f"{prefix}kind {data['kind']!r} is unknown", where)
+        tp = kinds[data["kind"]]
+        check_shape(data, _shape(tp), where, path)
+    if is_dataclass(tp):
+        hints = _fields(tp, key is not None)
+        values = {name: _from_json(hint, data[name], where, prefix + name) for name, hint in hints.items()}
         return tp(**values) if key is None else tp(id=key, **values)
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union:  # Optional[X]
-        return None if data is None else _from_json(args[0], data)
-    if origin is list:
-        return [_from_json(args[0], item) for item in data]
+        return None if data is None else _from_json(args[0], data, where, path)
+    if origin is list or args[1:] == (...,):
+        items = [_from_json(args[0], item, where, f"{path}[{i}]") for i, item in enumerate(data)]
+        return items if origin is list else tuple(items)
     if origin is tuple:
-        return tuple(_from_json(arg, item) for arg, item in zip(args, data))
+        return tuple(_from_json(arg, item, where, f"{path}[{i}]") for i, (arg, item) in enumerate(zip(args, data)))
     if origin is dict:
-        return {name: _from_json(args[1], item, name) for name, item in data.items()}
-    return tp(data)  # an enum member by its value; a str, int or bool as it is
+        return {name: _from_json(args[1], item, where, prefix + name, name) for name, item in data.items()}
+    return tp(data)  # an enum member by its value
 
 
 def _document(tree_fields: dict, format_version, chain_order) -> dict:
@@ -218,7 +220,7 @@ TRACE_SHAPE = _document(_shape(AtomicTree), int, [str])
 
 
 def tree_to_json(tree: AtomicTree) -> dict:
-    return _document(_to_json(tree), TRACE_FORMAT_VERSION, list(tree.chains))
+    return _document(to_json(AtomicTree, tree), TRACE_FORMAT_VERSION, list(tree.chains))
 
 
 def serialize_trace(tree: AtomicTree) -> str:
@@ -245,8 +247,8 @@ def deserialize_trace(document: str, source: str = "trace") -> AtomicTree:
     data["chains"] = {cid: data["chains"][cid] for cid in data["chain_order"]}
     data["active_chain_id"] = data["active_chain"]
     try:
-        tree = _from_json(AtomicTree, data)
-    except (ValueError, ParseError) as exc:
+        tree = _from_json(AtomicTree, data, source)
+    except ValueError as exc:
         raise ParseError(f"malformed trace document: {exc}", source) from exc
     earlier: set[str] = set()
     for cid, chain in tree.chains.items():

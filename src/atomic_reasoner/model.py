@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import ClassVar, Iterable, Iterator, Optional, Union
 
 from .errors import (
     AlreadyTerminated,
@@ -78,14 +78,19 @@ def parse_action(name: str) -> AtomicAction:
 class FreeText:
     """An answer scored by exact match after stripping whitespace."""
 
+    kind: ClassVar[str] = "free_text"
+
 
 @dataclass(frozen=True)
 class Numeric:
     """A numeric answer, compared as a rational number."""
 
+    kind: ClassVar[str] = "numeric"
+
 
 @dataclass(frozen=True)
 class MultipleChoice:
+    kind: ClassVar[str] = "mcq"
     options: tuple[str, ...]
 
     def __post_init__(self):
@@ -97,6 +102,7 @@ class MultipleChoice:
 class GridSchema:
     """Logic-grid schema: n houses, each attribute has exactly n values."""
 
+    kind: ClassVar[str] = "grid"
     houses: int
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
 

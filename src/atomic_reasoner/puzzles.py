@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Optional, Union, get_args, get_type_hints
+from typing import ClassVar, Iterator, Optional, Union
 
-from .errors import GenerationExhausted, TooLarge, check_shape
+from .errors import GenerationExhausted, TooLarge
 from .model import GridSchema
 
 MAX_HOUSES = 5
@@ -52,6 +52,7 @@ ATTRIBUTE_POOLS: list[tuple[str, tuple[str, ...]]] = [
 
 @dataclass(frozen=True, slots=True)
 class FixedPosition:
+    kind: ClassVar[str] = "FixedPosition"
     attribute: str
     value: str
     house: int  # 1-based
@@ -68,6 +69,7 @@ class FixedPosition:
 
 @dataclass(frozen=True, slots=True)
 class LeftOf:
+    kind: ClassVar[str] = "LeftOf"
     attribute_a: str
     value_a: str
     attribute_b: str
@@ -91,6 +93,7 @@ class LeftOf:
 
 @dataclass(frozen=True, slots=True)
 class Adjacent:
+    kind: ClassVar[str] = "Adjacent"
     attribute_a: str
     value_a: str
     attribute_b: str
@@ -117,6 +120,7 @@ class Adjacent:
 
 @dataclass(frozen=True, slots=True)
 class SameHouse:
+    kind: ClassVar[str] = "SameHouse"
     attribute_a: str
     value_a: str
     attribute_b: str
@@ -143,25 +147,8 @@ class SameHouse:
         )
 
 
+# A clue's JSON object names its class as its ``kind``.
 Clue = Union[FixedPosition, LeftOf, Adjacent, SameHouse]
-# Each clue kind by name: its class and the fields of its JSON object beside "kind".
-CLUE_SHAPES = {cls.__name__: (cls, get_type_hints(cls)) for cls in get_args(Clue)}
-
-
-def clue_to_json(clue: Clue) -> dict:
-    data = {"kind": type(clue).__name__}
-    for field in fields(clue):
-        data[field.name] = getattr(clue, field.name)
-    return data
-
-
-def clue_from_json(data: dict) -> Clue:
-    check_shape(data, {"kind": str}, "clue")
-    if data["kind"] not in CLUE_SHAPES:
-        raise ValueError(f"unknown clue kind {data['kind']!r}")
-    cls, shape = CLUE_SHAPES[data["kind"]]
-    check_shape(data, shape, "clue")
-    return cls(**{name: data[name] for name in shape})
 
 
 # --- brute-force solver -------------------------------------------------------------

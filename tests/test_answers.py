@@ -125,6 +125,18 @@ class TestNumeric:
     def test_exponents_and_unicode_minus_read_alike_in_every_form(self, text, expected):
         assert answers.normalize_numeric(text) == expected
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("7.5/2", "15/4", id="decimal-numerator"),
+            pytest.param("1e5/2", "50000", id="exponent-numerator"),
+            pytest.param("\\boxed{7.5/2}", "15/4", id="boxed"),
+            pytest.param("0.5/0.25", "2", id="decimal-denominator"),
+        ],
+    )
+    def test_ratio_of_decimals_reads_as_their_quotient(self, text, expected):
+        assert answers.normalize_numeric(text) == expected
+
 
 class TestIsComplete:
     def test_grid_needs_every_cell(self):

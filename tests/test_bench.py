@@ -116,6 +116,19 @@ class TestLoadTasks:
         assert [r.line for r in rejects] == [2]
         assert rejects[0].reason.startswith("SchemaMismatch: ")
 
+    @pytest.mark.parametrize(
+        "task, format",
+        [
+            (bench.Task(id="m", statement="Pick.", schema=MultipleChoice(("(A) x", "(B) y")), gold="B",
+                        split="hard", suite="s"), "mcq"),
+            (bench.Task(id="n", statement="Add.", schema=Numeric(), gold="7/2", split="easy"), "numeric"),
+        ],
+        ids=["mcq", "numeric"],
+    )
+    def test_task_round_trips_through_records(self, tmp_path, task, format):
+        tasks, rejects = bench.load_tasks(write_suite(tmp_path, [bench.task_to_record(task, format)]), format)
+        assert rejects == [] and tasks == [task]
+
     def test_grid_round_trips_through_records(self, tmp_path):
         record = grid_record()
         path = write_suite(tmp_path, [record])
@@ -222,6 +235,8 @@ class TestScore:
         exponent = bench._task_from_record({"id": "e", "statement": "Scale.", "gold": "1e5"}, "numeric")
         assert bench.score(exponent, "100000").correct
         assert not bench.score(exponent, "5").correct
+        ratio = bench._task_from_record({"id": "r", "statement": "Halve.", "gold": "15/4"}, "numeric")
+        assert bench.score(ratio, "7.5/2").correct
 
 
 class TestOneReader:

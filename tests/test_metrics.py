@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import metrics, model
+from atomic_reasoner import metrics, model, puzzles
 from atomic_reasoner.errors import DimensionMismatch, InvalidDistribution, ParseError
 from atomic_reasoner.metrics import (
     DiscreteDistribution,
@@ -19,6 +19,7 @@ from atomic_reasoner.model import (
     FreeText,
     GridSchema,
     MultipleChoice,
+    Numeric,
     Problem,
     TerminationMode,
 )
@@ -228,6 +229,54 @@ class TestSerialization:
         change(data)
         with pytest.raises(ParseError):
             metrics.deserialize_trace(json.dumps(data))
+
+
+class TestRecordCodec:
+    """``to_json``/``from_json`` on the tagged unions the records hold."""
+
+    @pytest.mark.parametrize(
+        "schema",
+        [FreeText(), Numeric(), MultipleChoice(("(A) x", "(B) y")), GridSchema(2, (("n", ("A", "B")),))],
+        ids=["free_text", "numeric", "mcq", "grid"],
+    )
+    def test_answer_schema_round_trips(self, schema):
+        data = metrics.to_json(model.AnswerSchema, schema)
+        assert data["kind"] == type(schema).kind
+        assert metrics.from_json(model.AnswerSchema, json.loads(json.dumps(data)), "schema") == schema
+
+    @pytest.mark.parametrize(
+        "clue",
+        [
+            puzzles.FixedPosition("name", "Eric", 2),
+            puzzles.LeftOf("name", "Arnold", "pet", "dog"),
+            puzzles.Adjacent("pet", "cat", "pet", "dog"),
+            puzzles.SameHouse("name", "Eric", "pet", "dog"),
+        ],
+        ids=lambda clue: type(clue).__name__,
+    )
+    def test_clue_round_trips(self, clue):
+        data = metrics.to_json(puzzles.Clue, clue)
+        assert list(data)[0] == "kind" and data["kind"] == type(clue).__name__
+        assert metrics.from_json(puzzles.Clue, json.loads(json.dumps(data)), "clue") == clue
+
+    def test_member_is_written_without_a_kind_where_its_type_is_no_union(self):
+        assert metrics.to_json(GridSchema, GridSchema(1, (("n", ("A",)),))) == {"houses": 1, "attributes": [["n", ["A"]]]}
+
+    def test_unknown_kind_names_where(self):
+        with pytest.raises(ParseError, match="^schema: kind 'essay' is unknown$"):
+            metrics.from_json(model.AnswerSchema, {"kind": "essay"}, "schema")
+
+    def test_wrongly_typed_member_field_names_where(self):
+        data = {"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": True}
+        with pytest.raises(ParseError, match="^clue: house is not an integer$"):
+            metrics.from_json(puzzles.Clue, data, "clue")
+
+    def test_member_error_in_a_trace_names_the_file_and_the_path(self):
+        tree = model.new_tree(Problem(id="m", statement="s", answer_schema=MultipleChoice(("(A) x", "(B) y"))))
+        data = json.loads(metrics.serialize_trace(tree))
+        data["problem"]["answer_schema"]["options"] = "(A) x"
+        with pytest.raises(ParseError, match="^q.trace.json: problem.answer_schema.options is not a list$"):
+            metrics.deserialize_trace(json.dumps(data), "q.trace.json")
 
 
 DATA = Path(__file__).parent / "data"

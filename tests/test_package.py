@@ -8,13 +8,12 @@ import pytest
 
 import atomic_reasoner
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "atomic_reasoner"
 
 
 def _package_data_globs():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     return config["tool"]["setuptools"]["package-data"]["atomic_reasoner"]
 

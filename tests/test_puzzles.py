@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import bench, puzzles
+from atomic_reasoner import bench, metrics, puzzles
 from atomic_reasoner.errors import GenerationExhausted, ParseError, TooLarge
 from atomic_reasoner.model import GridSchema
 from atomic_reasoner.puzzles import Adjacent, FixedPosition, LeftOf, SameHouse
@@ -174,23 +174,24 @@ class TestClues:
             Adjacent("pet", "cat", "pet", "dog"),
             SameHouse("name", "Eric", "pet", "dog"),
         ):
-            assert puzzles.clue_from_json(puzzles.clue_to_json(clue)) == clue
+            assert metrics.from_json(puzzles.Clue, metrics.to_json(puzzles.Clue, clue), "clue") == clue
 
     def test_unknown_clue_kind_rejected(self):
-        with pytest.raises(ValueError):
-            puzzles.clue_from_json({"kind": "Telepathy"})
+        with pytest.raises(ParseError, match="^clue: kind 'Telepathy' is unknown$"):
+            metrics.from_json(puzzles.Clue, {"kind": "Telepathy"}, "clue")
 
     def test_bool_house_rejected(self):
         """``True == 1``: a bool house would stand for house 1."""
         with pytest.raises(ValueError, match="house outside"):
             puzzles.validate_clues(SCHEMA2, [FixedPosition("name", "Eric", True)])
         with pytest.raises(ParseError, match="house is not an integer"):
-            puzzles.clue_from_json({"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": True})
+            data = {"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": True}
+            metrics.from_json(puzzles.Clue, data, "clue")
 
     @pytest.mark.parametrize("data", [["FixedPosition"], {"kind": 5}, {"kind": "LeftOf", "attribute_a": "name"}])
     def test_clue_of_another_shape_rejected(self, data):
         with pytest.raises(ParseError):
-            puzzles.clue_from_json(data)
+            metrics.from_json(puzzles.Clue, data, "clue")
 
 
 class TestBruteSolve:
