@@ -135,8 +135,8 @@ _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
 _DIGITS = r"(?:\d{1,3}(?:,\d{3})+|\d+)"
 _OPERAND = rf"{_DIGITS}(?:\.\d+)?(?:[eE][+\-]?\d+)?"
 _MAGNITUDE = rf"{_OPERAND}(?:/{_OPERAND})?"
+# A sign is "-", "+" or "-+", which reads as "-".
 _NUMBER = re.compile(rf"-?\+?{_MAGNITUDE}")
-_WHOLE_NUMBER = re.compile(rf"[+\-]?{_MAGNITUDE}")
 
 
 def normalize_numeric(text: str) -> Optional[str]:
@@ -150,13 +150,13 @@ def normalize_numeric(text: str) -> Optional[str]:
         candidate = boxed[-1].strip()
     else:
         numbers = _NUMBER.findall(candidate)
-        if candidate and _WHOLE_NUMBER.fullmatch(candidate):
+        if candidate and _NUMBER.fullmatch(candidate):
             numbers = [candidate]
         if not numbers:
             return None
         candidate = numbers[-1]
-    candidate = candidate.lstrip("+").strip()
-    if _WHOLE_NUMBER.fullmatch(candidate):
+    candidate = re.sub(r"^(-?)\++", r"\1", candidate).strip()
+    if _NUMBER.fullmatch(candidate):
         candidate = candidate.replace(",", "")
     value = parse_rational(candidate)
     return None if value is None else str(value)  # "7/2", or "4" for 4/1

@@ -8,15 +8,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 from . import answers, metrics, puzzles
 from . import model, prompts, router
 from .backends import ScriptedBackend, TallyBackend, ask
 from .errors import BackendFailure, EmptySuite, ParseError, check_shape
 from .model import GridSchema, MultipleChoice, Numeric, Problem
-
-TASK_FORMATS = ("mcq", "grid", "numeric")
 
 
 @dataclass
@@ -52,28 +50,52 @@ class Reject:
 
 # --- task files (JSON lines, one task per line) ----------------------------------
 
-# The shape of a task record, per format.
-_TASK_FIELDS = {"statement": str, "id?": (str, int), "split?": (str, None), "suite?": str}
-TASK_SHAPES = {
-    "mcq": {**_TASK_FIELDS, "options": [str], "gold": str},
-    "grid": {**_TASK_FIELDS, "schema": dict, "gold": {str: {str: str}}, "clues?": list},
-    "numeric": {**_TASK_FIELDS, "gold": (str, int)},
-}
+@dataclass(kw_only=True)
+class TaskRecord:
+    """The fields every task record holds, as the record codec
+    (``metrics.to_json``/``from_json``) writes and reads them."""
+
+    optional: ClassVar[tuple[str, ...]] = ("id", "split", "suite")
+    id: Union[str, int] = ""
+    statement: str
+    split: Optional[str] = None
+    suite: str = ""
 
 
-def _task_from_record(record: dict, format: str) -> Task:
-    check_shape(record, TASK_SHAPES[format], "task record")
-    statement = record["statement"]
-    if not statement.strip():
+@dataclass(kw_only=True)
+class McqRecord(TaskRecord):
+    options: tuple[str, ...]
+    gold: str
+
+
+@dataclass(kw_only=True)
+class GridRecord(TaskRecord):
+    optional: ClassVar[tuple[str, ...]] = (*TaskRecord.optional, "clues")
+    schema: GridSchema
+    gold: dict[str, dict[str, str]]
+    clues: list[puzzles.Clue] = field(default_factory=list)
+
+
+@dataclass(kw_only=True)
+class NumericRecord(TaskRecord):
+    gold: Union[str, int]
+
+
+TASK_RECORDS = {"mcq": McqRecord, "grid": GridRecord, "numeric": NumericRecord}
+
+
+def _task_from_record(data: dict, format: str) -> Task:
+    record = metrics.from_json(TASK_RECORDS[format], data, "task record")
+    if not record.statement.strip():
         raise ValueError("blank statement")
     if format == "mcq":
-        schema = MultipleChoice(options=tuple(record["options"]))
-        gold = record["gold"].upper()
+        schema = MultipleChoice(options=record.options)
+        gold = record.gold.upper()
         if gold not in answers.option_letters(schema):
             raise ValueError(f"gold {gold!r} not among option letters")
     elif format == "grid":
-        schema = metrics.from_json(GridSchema, record["schema"], "answer schema")
-        gold = {int(h): cells for h, cells in record["gold"].items()}
+        schema = record.schema
+        gold = {int(h): cells for h, cells in record.gold.items()}
         for house in range(1, schema.houses + 1):
             cells = gold.get(house)
             if cells is None:
@@ -81,30 +103,28 @@ def _task_from_record(record: dict, format: str) -> Task:
             for attr, values in schema.attributes:
                 if cells.get(attr) not in values:
                     raise ValueError(f"gold house {house} has bad {attr!r} cell")
+        puzzles.validate_clues(schema, record.clues)
     else:
         schema = Numeric()
-        gold = str(record["gold"])
+        gold = str(record.gold)
         if answers.normalize_numeric(gold) is None:
             raise ValueError(f"gold {gold!r} is not a number")
-    task = Task(
-        id=str(record.get("id", "")),
-        statement=statement,
+    return Task(
+        id=str(record.id),
+        statement=record.statement,
         schema=schema,
         gold=gold,
-        split=record.get("split"),
-        suite=record.get("suite", ""),
+        split=record.split,
+        suite=record.suite,
+        clues=getattr(record, "clues", []),
     )
-    if format == "grid" and "clues" in record:
-        task.clues = [metrics.from_json(puzzles.Clue, clue, "clue") for clue in record["clues"]]
-        puzzles.validate_clues(schema, task.clues)
-    return task
 
 
 def task_from_record(record) -> Task:
     """The task a record that names its ``format`` holds: a ``solve`` task
     file or a shipped case."""
     check_shape(record, {"format": str}, "task record")
-    if record["format"] not in TASK_FORMATS:
+    if record["format"] not in TASK_RECORDS:
         raise ParseError(f"unknown format {record['format']!r}", "task record")
     return _task_from_record(record, record["format"])
 
@@ -112,9 +132,9 @@ def task_from_record(record) -> Task:
 def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Reject]]:
     """Load a line-delimited task file; malformed lines become rejects, never
     silent drops."""
-    if format not in TASK_FORMATS:
-        raise ValueError(f"format must be one of {TASK_FORMATS}")
-    text = Path(path).read_text(encoding="utf-8")
+    if format not in TASK_RECORDS:
+        raise ValueError(f"format must be one of {tuple(TASK_RECORDS)}")
+    text = Path(path).read_text(encoding="utf-8-sig")
     tasks: list[Task] = []
     rejects: list[Reject] = []
     # Not ``splitlines``: a record may hold a raw U+2028 or U+2029.
@@ -132,22 +152,14 @@ def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Re
 
 
 def task_to_record(task: Task, format: str) -> dict:
-    record: dict = {"id": task.id, "statement": task.statement}
-    if task.split:
-        record["split"] = task.split
-    if task.suite:
-        record["suite"] = task.suite
+    parts = {"gold": task.gold}
     if format == "mcq":
-        record["options"] = list(task.schema.options)
-        record["gold"] = task.gold
+        parts["options"] = task.schema.options
     elif format == "grid":
-        record["schema"] = metrics.to_json(GridSchema, task.schema)
-        record["gold"] = {str(h): cells for h, cells in task.gold.items()}
-        if task.clues:
-            record["clues"] = [metrics.to_json(puzzles.Clue, clue) for clue in task.clues]
-    elif format == "numeric":
-        record["gold"] = task.gold
-    return record
+        parts = {"schema": task.schema, "gold": {str(h): c for h, c in task.gold.items()}, "clues": task.clues}
+    cls = TASK_RECORDS[format]
+    record = cls(id=task.id, statement=task.statement, split=task.split, suite=task.suite, **parts)
+    return metrics.to_json(cls, record)
 
 
 # --- scoring ------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a task suite and report means")
     p_bench.add_argument("suite", help="line-delimited JSON task file")
-    p_bench.add_argument("--format", choices=bench_mod.TASK_FORMATS, default="grid")
+    p_bench.add_argument("--format", choices=list(bench_mod.TASK_RECORDS), default="grid")
     p_bench.add_argument("--strategy", choices=("ar", "single-pass"), default="ar")
     p_bench.add_argument("--trials", type=int, default=3)
     p_bench.add_argument("--workers", type=int, default=None)
@@ -110,7 +110,7 @@ def _read_json(path) -> object:
     """The JSON value the file at ``path`` holds; a ``ParseError`` naming the
     file when it holds none."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", str(path), exc.lineno) from exc
 
@@ -179,8 +179,7 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
         try:
             task = bench_mod.task_from_record(record)
         except (ValueError, ParseError) as exc:  # as bench.load_tasks rejects a line
-            # The file's name stands for "task record"; a part's source ("clue") stays.
-            reason = exc.message if getattr(exc, "source", None) == "task record" else exc
+            reason = exc.message if isinstance(exc, ParseError) else exc  # the file stands for "task record"
             raise ParseError(f"not a task record: {reason}", source=args.problem) from exc
         return task.to_problem(), task
     raw = Path(args.problem).read_text(encoding="utf-8")

@@ -1,6 +1,6 @@
-"""Record serialization (traces, clues and answer schemas), run
-statistics, SFT-corpus export, and discrete entropy diagnostics over action
-selection."""
+"""Record serialization (traces, task records, clues and answer schemas)
+through one codec compiled once per type, run statistics, SFT-corpus export,
+and discrete entropy diagnostics over action selection."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Iterable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from itertools import cycle
+from typing import Callable, Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import model
 from .errors import DimensionMismatch, InvalidDistribution, ParseError, check_shape
@@ -104,107 +105,92 @@ def trace_stats(tree: AtomicTree) -> TraceStats:
 
 # --- record serialization ------------------------------------------------------------
 
-@functools.cache
-def _fields(cls: type, keyed: bool) -> dict:
-    """The JSON fields of the dataclass ``cls`` and their types; a keyed
-    object (a node or chain) is keyed by its id and does not repeat it."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if not (keyed and f.name == "id")}
+class _Codec(NamedTuple):
+    shape: object  # the ``check_shape`` shape of the JSON
+    write: Callable  # value -> JSON
+    read: Callable  # (JSON of that shape, where, path in the record[, key]) -> value
 
 
 @functools.cache
-def _kinds(tp) -> Optional[dict]:
-    """Each member of ``tp`` by its ``kind`` when ``tp`` is a union of
-    dataclasses, else None."""
-    args = get_args(tp)
-    if get_origin(tp) is Union and all(is_dataclass(arg) for arg in args):
-        return {cls.kind: cls for cls in args}
-    return None
-
-
-# Types whose values are written as they are.
-_PLAIN = {str, int, float, bool, type(None)}
-
-
-@functools.cache
-def _shape(tp, keyed: bool = False):
-    """The ``check_shape`` shape of a ``tp`` value as ``to_json`` writes it."""
-    if _kinds(tp):
-        return {"kind": str}  # ``from_json`` checks the member's own fields
-    if is_dataclass(tp):
-        return {name: _shape(hint) for name, hint in _fields(tp, keyed).items()}
+def _codec(tp, keyed: bool = False) -> _Codec:
+    """The JSON form of the type ``tp``, built once, in one dispatch on it.
+    A dataclass is an object of its fields; a field its class names in
+    ``optional`` is written only when set (truthy) and read as its default
+    when absent; a keyed dataclass (a node or chain, in an object keyed by
+    its id) does not repeat its id.  A member of a union of dataclasses is
+    its own object with a leading ``"kind"``, an enum member its value, a
+    tuple a list."""
     origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:
-        return tuple(_shape(arg) for arg in args)
-    if origin is list or args[1:] == (...,):
-        return [_shape(args[0])]
-    if origin is tuple:
-        return [_shape(arg) for arg in args]
-    if origin is dict:
-        return {str: _shape(args[1], keyed=True)}
-    if tp is type(None):
-        return None
-    return str if issubclass(tp, enum.Enum) else tp
+    if origin is Union and all(is_dataclass(arg) for arg in args):
+        members = {cls.kind: _codec(cls) for cls in args}
 
+        def read(data, where, path, *_):
+            if data["kind"] not in members:
+                prefix = f"{path}." if path else ""
+                raise ParseError(f"{prefix}kind {data['kind']!r} is unknown", where)
+            member = members[data["kind"]]
+            check_shape(data, member.shape, where, path)  # the member's own fields
+            return member.read(data, where, path)
 
-def to_json(tp, value, keyed: bool = False):
-    """The ``tp`` value ``value`` as JSON: a dataclass as an object of its
-    fields, a member of a union of dataclasses as its own object with a
-    leading ``"kind"``, an enum member as its value, a tuple as a list."""
-    if tp in _PLAIN:
-        return value
+        return _Codec({"kind": str}, lambda value: {"kind": value.kind, **members[value.kind].write(value)}, read)
     if is_dataclass(tp):
-        return {name: to_json(hint, getattr(value, name)) for name, hint in _fields(tp, keyed).items()}
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:
-        if value is None:
-            return None
-        if _kinds(tp):
-            return {"kind": value.kind, **to_json(type(value), value)}
-        return to_json(args[0], value)  # Optional[X]
-    if origin is list or args[1:] == (...,):
-        return [to_json(args[0], item) for item in value]
-    if origin is tuple:
-        return [to_json(arg, item) for arg, item in zip(args, value)]
+        hints, optional = get_type_hints(tp), getattr(tp, "optional", ())
+        items = [(f.name, _codec(hints[f.name])) for f in fields(tp) if not (keyed and f.name == "id")]
+
+        def write(value):
+            return {
+                name: item.write(v) for name, item in items if (v := getattr(value, name)) or name not in optional
+            }
+
+        def read(data, where, path, key=None):
+            prefix = f"{path}." if path else ""
+            values = {
+                name: item.read(data[name], where, prefix + name) for name, item in items if name in data
+            }
+            return tp(**values) if key is None else tp(id=key, **values)
+
+        return _Codec({name + "?" * (name in optional): item.shape for name, item in items}, write, read)
+    if origin is Union:  # Optional[X], or a union of plain types
+        item = _codec(args[0])
+        return _Codec(
+            tuple(_codec(arg).shape for arg in args),
+            lambda value: None if value is None else item.write(value),
+            lambda data, where, path, *_: None if data is None else item.read(data, where, path),
+        )
+    if origin in (list, tuple):  # one type for every item (list[X], tuple[X, ...]) or one per place
+        items = [_codec(arg) for arg in args if arg is not ...]
+        return _Codec(
+            [item.shape for item in items],
+            lambda value: [item.write(v) for item, v in zip(cycle(items), value)],
+            lambda data, where, path, *_: origin(
+                item.read(v, where, f"{path}[{i}]") for i, (item, v) in enumerate(zip(cycle(items), data))
+            ),
+        )
     if origin is dict:
-        return {key: to_json(args[1], item, keyed=True) for key, item in value.items()}
-    return value.value if isinstance(value, enum.Enum) else value
+        item = _codec(args[1], keyed=True)
+        return _Codec(
+            {str: item.shape},
+            lambda value: {key: item.write(v) for key, v in value.items()},
+            lambda data, where, path, *_: {
+                key: item.read(v, where, f"{path}.{key}" if path else key, key) for key, v in data.items()
+            },
+        )
+    if issubclass(tp, enum.Enum):
+        return _Codec(str, lambda value: value.value, lambda data, *_: tp(data))
+    return _Codec(None if tp is type(None) else tp, lambda value: value, lambda data, *_: data)
+
+
+def to_json(tp, value):
+    """The ``tp`` value ``value`` as JSON."""
+    return _codec(tp).write(value)
 
 
 def from_json(tp, data, where: str):
     """The ``tp`` value ``to_json`` wrote as ``data``.  Raises ``ParseError``
     from ``where`` unless ``data`` has that shape and names known kinds."""
-    check_shape(data, _shape(tp), where)
-    return _from_json(tp, data, where)
-
-
-def _from_json(tp, data, where: str, path: str = "", key: Optional[str] = None):
-    """``from_json`` of ``data``, which has ``_shape(tp)``, at ``path`` in
-    its record; ``key`` is a keyed object's id."""
-    if tp in _PLAIN:
-        return data
-    prefix = f"{path}." if path else ""
-    kinds = _kinds(tp)
-    if kinds:
-        if data["kind"] not in kinds:
-            raise ParseError(f"{prefix}kind {data['kind']!r} is unknown", where)
-        tp = kinds[data["kind"]]
-        check_shape(data, _shape(tp), where, path)
-    if is_dataclass(tp):
-        hints = _fields(tp, key is not None)
-        values = {name: _from_json(hint, data[name], where, prefix + name) for name, hint in hints.items()}
-        return tp(**values) if key is None else tp(id=key, **values)
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:  # Optional[X]
-        return None if data is None else _from_json(args[0], data, where, path)
-    if origin is list or args[1:] == (...,):
-        items = [_from_json(args[0], item, where, f"{path}[{i}]") for i, item in enumerate(data)]
-        return items if origin is list else tuple(items)
-    if origin is tuple:
-        return tuple(_from_json(arg, item, where, f"{path}[{i}]") for i, (arg, item) in enumerate(zip(args, data)))
-    if origin is dict:
-        return {name: _from_json(args[1], item, where, prefix + name, name) for name, item in data.items()}
-    return tp(data)  # an enum member by its value
+    codec = _codec(tp)
+    check_shape(data, codec.shape, where)
+    return codec.read(data, where, "")
 
 
 def _document(tree_fields: dict, format_version, chain_order) -> dict:
@@ -216,7 +202,7 @@ def _document(tree_fields: dict, format_version, chain_order) -> dict:
 
 
 # What every trace document holds.
-TRACE_SHAPE = _document(_shape(AtomicTree), int, [str])
+TRACE_SHAPE = _document(_codec(AtomicTree).shape, int, [str])
 
 
 def tree_to_json(tree: AtomicTree) -> dict:
@@ -247,7 +233,7 @@ def deserialize_trace(document: str, source: str = "trace") -> AtomicTree:
     data["chains"] = {cid: data["chains"][cid] for cid in data["chain_order"]}
     data["active_chain_id"] = data["active_chain"]
     try:
-        tree = _from_json(AtomicTree, data, source)
+        tree = _codec(AtomicTree).read(data, source, "")
     except ValueError as exc:
         raise ParseError(f"malformed trace document: {exc}", source) from exc
     earlier: set[str] = set()

@@ -120,6 +120,9 @@ class TestNumeric:
             pytest.param("so the total is 2.5e-3", "1/400", id="plain"),
             pytest.param("1e5", "100000", id="bare"),
             pytest.param("\\boxed{\u22127}", "-7", id="boxed"),
+            pytest.param("x is -+5", "-5", id="plain-minus-plus"),
+            pytest.param("-+5", "-5", id="bare-minus-plus"),
+            pytest.param("\\boxed{-+5}", "-5", id="boxed-minus-plus"),
         ],
     )
     def test_exponents_and_unicode_minus_read_alike_in_every_form(self, text, expected):

@@ -104,8 +104,12 @@ class TestLoadTasks:
                 "schema": {"houses": 2, "attributes": [["n", [1, 2]]]},
                 "gold": {"1": {"n": 1}, "2": {"n": 2}},
             },
+            {
+                "schema": {"houses": 2, "attributes": [["name", ["A", "A"]]]},
+                "gold": {"1": {"name": "A"}, "2": {"name": "A"}},
+            },
         ],
-        ids=["list-gold", "string-clue", "string-values", "numeric-values"],
+        ids=["list-gold", "string-clue", "string-values", "numeric-values", "repeated-values-without-clues"],
     )
     def test_malformed_grid_record_becomes_reject(self, tmp_path, change):
         record = {**grid_record(), **change}
@@ -117,17 +121,46 @@ class TestLoadTasks:
         assert rejects[0].reason.startswith("SchemaMismatch: ")
 
     @pytest.mark.parametrize(
-        "task, format",
+        "task, format, text",
         [
             (bench.Task(id="m", statement="Pick.", schema=MultipleChoice(("(A) x", "(B) y")), gold="B",
-                        split="hard", suite="s"), "mcq"),
-            (bench.Task(id="n", statement="Add.", schema=Numeric(), gold="7/2", split="easy"), "numeric"),
+                        split="hard", suite="s"), "mcq",
+             '{"id": "m", "statement": "Pick.", "split": "hard", "suite": "s", "options": ["(A) x", "(B) y"], '
+             '"gold": "B"}'),
+            (bench.Task(id="n", statement="Add.", schema=Numeric(), gold="7/2", split="easy"), "numeric",
+             '{"id": "n", "statement": "Add.", "split": "easy", "gold": "7/2"}'),
+            (bench.Task(id="", statement="Add.", schema=Numeric(), gold="7/2"), "numeric",
+             '{"statement": "Add.", "gold": "7/2"}'),
         ],
-        ids=["mcq", "numeric"],
+        ids=["mcq", "numeric", "numeric-without-id"],
     )
-    def test_task_round_trips_through_records(self, tmp_path, task, format):
-        tasks, rejects = bench.load_tasks(write_suite(tmp_path, [bench.task_to_record(task, format)]), format)
+    def test_task_round_trips_through_records(self, tmp_path, task, format, text):
+        record = bench.task_to_record(task, format)
+        assert json.dumps(record) == text
+        tasks, rejects = bench.load_tasks(write_suite(tmp_path, [record]), format)
         assert rejects == [] and tasks == [task]
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"schema": {"houses": 3, "attributes": [["name", "ABC"]]}},
+             "task record: schema.attributes[0][1] is not a list"),
+            ({"clues": grid_record()["clues"] + [{"kind": "Telepathy"}]},
+             "task record: clues[4].kind 'Telepathy' is unknown"),
+            ({"clues": [{"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": "1"}]},
+             "task record: clues[0].house is not an integer"),
+        ],
+        ids=["schema-values", "clue-kind", "clue-house"],
+    )
+    def test_reject_names_the_path_in_the_record(self, tmp_path, change, reason):
+        tasks, rejects = bench.load_tasks(write_suite(tmp_path, [{**grid_record(), **change}]), "grid")
+        assert tasks == [] and [r.reason for r in rejects] == [f"SchemaMismatch: {reason}"]
+
+    def test_byte_order_mark_is_not_part_of_the_first_record(self, tmp_path):
+        path = tmp_path / "suite.jsonl"
+        path.write_text("\ufeff" + json.dumps(mcq_record()) + "\n", encoding="utf-8")
+        tasks, rejects = bench.load_tasks(path, "mcq")
+        assert [task.id for task in tasks] == ["t1"] and rejects == []
 
     def test_grid_round_trips_through_records(self, tmp_path):
         record = grid_record()

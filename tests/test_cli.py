@@ -307,6 +307,13 @@ class TestSolve:
         answer = (out / "answer.txt").read_text(encoding="utf-8")
         assert answer.rstrip().endswith("second from the right.")
 
+    def test_task_and_script_files_may_start_with_a_byte_order_mark(self, case_files, tmp_path):
+        task_path, script_path = case_files("case1")
+        for path in (task_path, script_path):
+            path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        code = run_cli(["solve", str(task_path), "--script", str(script_path), "--out", str(tmp_path / "run")])
+        assert code == 0
+
     @pytest.mark.parametrize("as_task", [True, False])
     def test_backend_failure_keeps_the_partial_trace(self, case_files, tmp_path, capsys, as_task):
         from atomic_reasoner import metrics

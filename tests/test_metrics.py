@@ -271,6 +271,16 @@ class TestRecordCodec:
         with pytest.raises(ParseError, match="^clue: house is not an integer$"):
             metrics.from_json(puzzles.Clue, data, "clue")
 
+    def test_each_type_is_mapped_once(self, monkeypatch):
+        clues = [puzzles.FixedPosition("name", "Eric", 2), puzzles.LeftOf("name", "Arnold", "pet", "dog")]
+        document = metrics.serialize_trace(branched_tree())
+        for tp, value in [(list[puzzles.Clue], clues), (model.AtomicTree, metrics.deserialize_trace(document))]:
+            metrics.from_json(tp, metrics.to_json(tp, value), "record")
+        for name in ("get_origin", "get_args", "is_dataclass"):
+            monkeypatch.setattr(metrics, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        assert metrics.from_json(list[puzzles.Clue], metrics.to_json(list[puzzles.Clue], clues), "record") == clues
+        assert metrics.serialize_trace(metrics.deserialize_trace(document)) == document
+
     def test_member_error_in_a_trace_names_the_file_and_the_path(self):
         tree = model.new_tree(Problem(id="m", statement="s", answer_schema=MultipleChoice(("(A) x", "(B) y"))))
         data = json.loads(metrics.serialize_trace(tree))

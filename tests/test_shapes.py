@@ -3,12 +3,14 @@ of the CLI's readers: each field of a trace, of a grid, an mcq and a
 numeric task record, and of a meta sidecar, is set in turn to each of six
 JSON values, and every command that reads the record must exit 0, 1 or 3."""
 
+import ast
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import bench, cli
+from atomic_reasoner import bench, cli, errors
 from atomic_reasoner.errors import ParseError, check_shape
 
 WRONG_VALUES = [5, None, [], {}, "x", True]
@@ -180,3 +182,27 @@ def test_every_wrongly_typed_task_field_exits_cleanly(tmp_path, capsys, format, 
         run(["bench", suite, "--format", format, "--strategy", "single-pass", "--trials", "1",
              "--script", script, "--out", tmp_path / "o"])
     capsys.readouterr()
+
+
+# Where ``check_shape(`` may be called, as (module, top-level def): the record
+# codec and the trace's version check, the ``format`` a ``solve`` task record
+# names, the hand-declared sidecar shape, and ``check_shape`` itself.
+CHECK_SHAPE_CALLERS = {
+    ("metrics", "_codec"),
+    ("metrics", "from_json"),
+    ("metrics", "deserialize_trace"),
+    ("bench", "task_from_record"),
+    ("cli", "cmd_synth"),
+    ("errors", "check_shape"),
+}
+
+
+def test_every_record_is_checked_through_the_codec():
+    callers = set()
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "check_shape":
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == CHECK_SHAPE_CALLERS
