@@ -13,7 +13,7 @@ from typing import Callable, ClassVar, Optional, Union
 from . import answers, metrics, puzzles
 from . import model, prompts, router
 from .backends import ScriptedBackend, TallyBackend, ask
-from .errors import BackendFailure, EmptySuite, ParseError, check_shape
+from .errors import BackendFailure, EmptySuite, ParseError
 from .model import GridSchema, MultipleChoice, Numeric, Problem
 
 
@@ -84,6 +84,14 @@ class NumericRecord(TaskRecord):
 TASK_RECORDS = {"mcq": McqRecord, "grid": GridRecord, "numeric": NumericRecord}
 
 
+@dataclass
+class _Format:
+    """What a task record that names its format (``solve``'s) holds beside
+    its format's fields."""
+
+    format: str
+
+
 def _task_from_record(data: dict, format: str) -> Task:
     record = metrics.from_json(TASK_RECORDS[format], data, "task record")
     if not record.statement.strip():
@@ -95,14 +103,18 @@ def _task_from_record(data: dict, format: str) -> Task:
             raise ValueError(f"gold {gold!r} not among option letters")
     elif format == "grid":
         schema = record.schema
-        gold = {int(h): cells for h, cells in record.gold.items()}
-        for house in range(1, schema.houses + 1):
-            cells = gold.get(house)
+        houses = {str(house): house for house in range(1, schema.houses + 1)}
+        for key in record.gold:
+            if key not in houses:
+                raise ValueError(f"gold key {key!r} is not a house number from 1 to {schema.houses}")
+        for key, house in houses.items():
+            cells = record.gold.get(key)
             if cells is None:
                 raise ValueError(f"gold missing house {house}")
             for attr, values in schema.attributes:
                 if cells.get(attr) not in values:
                     raise ValueError(f"gold house {house} has bad {attr!r} cell")
+        gold = {house: record.gold[key] for key, house in houses.items()}
         puzzles.validate_clues(schema, record.clues)
     else:
         schema = Numeric()
@@ -123,10 +135,10 @@ def _task_from_record(data: dict, format: str) -> Task:
 def task_from_record(record) -> Task:
     """The task a record that names its ``format`` holds: a ``solve`` task
     file or a shipped case."""
-    check_shape(record, {"format": str}, "task record")
-    if record["format"] not in TASK_RECORDS:
-        raise ParseError(f"unknown format {record['format']!r}", "task record")
-    return _task_from_record(record, record["format"])
+    format = metrics.from_json(_Format, record, "task record").format
+    if format not in TASK_RECORDS:
+        raise ParseError(f"unknown format {format!r}", "task record")
+    return _task_from_record(record, format)
 
 
 def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Reject]]:

@@ -32,7 +32,7 @@ def load_case(name: str) -> CaseFixture:
     raw = (
         resources.files("atomic_reasoner")
         .joinpath(f"data/cases/{name}.json")
-        .read_text(encoding="utf-8")
+        .read_text(encoding="utf-8-sig")
     )
     record = json.loads(raw)
     return CaseFixture(name=name, task=bench_mod.task_from_record(record), script=record["script"])

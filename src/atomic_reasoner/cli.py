@@ -11,8 +11,9 @@ import json
 import os
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import bench as bench_mod
 from . import metrics, model, router, sop as sop_mod
@@ -23,7 +24,7 @@ from .backends import (
     HttpConfig,
     ScriptedBackend,
 )
-from .errors import AtomicReasonerError, BackendFailure, ParseError, check_shape
+from .errors import AtomicReasonerError, BackendFailure, ParseError
 from .model import FreeText, Problem
 
 EXIT_OK = 0
@@ -182,12 +183,18 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
             reason = exc.message if isinstance(exc, ParseError) else exc  # the file stands for "task record"
             raise ParseError(f"not a task record: {reason}", source=args.problem) from exc
         return task.to_problem(), task
-    raw = Path(args.problem).read_text(encoding="utf-8")
+    raw = Path(args.problem).read_text(encoding="utf-8-sig")
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 
 
-# The .meta.json sidecar beside each trace.
-META_SHAPE = {"suite?": str}
+@dataclass
+class _Sidecar:
+    """The .meta.json sidecar beside each trace, as ``synth`` reads it: its
+    ``correct`` may be any JSON value, and only a JSON true counts."""
+
+    optional: ClassVar[tuple[str, ...]] = ("suite",)
+    suite: str = ""
+
 
 _UNSAFE_NAME_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -280,14 +287,13 @@ def cmd_synth(args) -> int:
         raise FileNotFoundError(f"not a directory: {traces_dir}")
     scored = []
     for trace_path in sorted(traces_dir.glob("*.trace.json")):
-        tree = metrics.deserialize_trace(trace_path.read_text(encoding="utf-8"), str(trace_path))
+        tree = metrics.deserialize_trace(trace_path.read_text(encoding="utf-8-sig"), str(trace_path))
         meta_path = trace_path.with_name(trace_path.name.replace(".trace.json", ".meta.json"))
         correct, suite = False, ""
         if meta_path.exists():
             meta = _read_json(meta_path)
-            check_shape(meta, META_SHAPE, str(meta_path))
-            correct = meta.get("correct") is True  # only a JSON true, not "false"
-            suite = meta.get("suite", "")
+            suite = metrics.from_json(_Sidecar, meta, str(meta_path)).suite
+            correct = meta.get("correct") is True  # not "false"
         scored.append(metrics.ScoredTrace(tree=tree, correct=correct, suite=suite))
     records = metrics.to_sft_records(scored, filter=args.filter)
     out = _out_dir(args)
@@ -298,7 +304,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    tree = metrics.deserialize_trace(Path(args.trace).read_text(encoding="utf-8"), args.trace)
+    tree = metrics.deserialize_trace(Path(args.trace).read_text(encoding="utf-8-sig"), args.trace)
     print(f"Problem: {tree.problem.statement}")
     print()
     print(model.render_tree(tree))

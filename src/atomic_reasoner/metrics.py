@@ -1,6 +1,7 @@
 """Record serialization (traces, task records, clues and answer schemas)
-through one codec compiled once per type, run statistics, SFT-corpus export,
-and discrete entropy diagnostics over action selection."""
+through one codec compiled once per type, whose reader checks each JSON value
+as it reads it; run statistics, SFT-corpus export, and discrete entropy
+diagnostics over action selection."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from itertools import cycle
 from typing import Callable, Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import model
-from .errors import DimensionMismatch, InvalidDistribution, ParseError, check_shape
+from .errors import DimensionMismatch, InvalidDistribution, ParseError
 from .model import AtomicAction, AtomicTree
 
 PROB_TOLERANCE = 1e-9
@@ -105,10 +106,27 @@ def trace_stats(tree: AtomicTree) -> TraceStats:
 
 # --- record serialization ------------------------------------------------------------
 
+# What a reader's message calls each JSON type.
+_JSON_NAMES = {
+    str: "a string", int: "an integer", bool: "true or false",
+    type(None): "null", list: "a list", dict: "an object",
+}
+
+
 class _Codec(NamedTuple):
-    shape: object  # the ``check_shape`` shape of the JSON
     write: Callable  # value -> JSON
-    read: Callable  # (JSON of that shape, where, path in the record[, key]) -> value
+    reads: dict  # JSON type -> reader: (JSON of that type, where, path in the record[, key]) -> value
+
+
+def _read(codec: _Codec, data, where: str, path: str, *key):
+    """The value ``codec`` reads from the JSON ``data`` at ``path``, by the
+    reader for its JSON type (a bool is no int).  Raises ``ParseError`` from
+    ``where`` if it has none."""
+    read = codec.reads.get(type(data))
+    if read is None:
+        expected = " or ".join(_JSON_NAMES[kind] for kind in codec.reads)
+        raise ParseError(f"{path} is not {expected}" if path else f"not {expected}", where)
+    return read(data, where, path, *key)
 
 
 @functools.cache
@@ -119,20 +137,21 @@ def _codec(tp, keyed: bool = False) -> _Codec:
     when absent; a keyed dataclass (a node or chain, in an object keyed by
     its id) does not repeat its id.  A member of a union of dataclasses is
     its own object with a leading ``"kind"``, an enum member its value, a
-    tuple a list."""
+    tuple a list: ``tuple[X, ...]`` of any length, ``tuple[X, Y]`` of two."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union and all(is_dataclass(arg) for arg in args):
-        members = {cls.kind: _codec(cls) for cls in args}
+        members, text = {cls.kind: _codec(cls) for cls in args}, _codec(str)
 
         def read(data, where, path, *_):
-            if data["kind"] not in members:
-                prefix = f"{path}." if path else ""
-                raise ParseError(f"{prefix}kind {data['kind']!r} is unknown", where)
-            member = members[data["kind"]]
-            check_shape(data, member.shape, where, path)  # the member's own fields
-            return member.read(data, where, path)
+            prefix = f"{path}." if path else ""
+            if "kind" not in data:
+                raise ParseError(f"{prefix}kind is missing", where)
+            kind = _read(text, data["kind"], where, prefix + "kind")
+            if kind not in members:
+                raise ParseError(f"{prefix}kind {kind!r} is unknown", where)
+            return members[kind].reads[dict](data, where, path)
 
-        return _Codec({"kind": str}, lambda value: {"kind": value.kind, **members[value.kind].write(value)}, read)
+        return _Codec(lambda value: {"kind": value.kind, **members[value.kind].write(value)}, {dict: read})
     if is_dataclass(tp):
         hints, optional = get_type_hints(tp), getattr(tp, "optional", ())
         items = [(f.name, _codec(hints[f.name])) for f in fields(tp) if not (keyed and f.name == "id")]
@@ -144,40 +163,40 @@ def _codec(tp, keyed: bool = False) -> _Codec:
 
         def read(data, where, path, key=None):
             prefix = f"{path}." if path else ""
-            values = {
-                name: item.read(data[name], where, prefix + name) for name, item in items if name in data
-            }
+            values = {}
+            for name, item in items:
+                if name in data:
+                    values[name] = _read(item, data[name], where, prefix + name)
+                elif name not in optional:
+                    raise ParseError(f"{prefix}{name} is missing", where)
             return tp(**values) if key is None else tp(id=key, **values)
 
-        return _Codec({name + "?" * (name in optional): item.shape for name, item in items}, write, read)
-    if origin is Union:  # Optional[X], or a union of plain types
+        return _Codec(write, {dict: read})
+    if origin is Union:  # Optional[X], or a union of plain types: read by the member of the value's JSON type
         item = _codec(args[0])
         return _Codec(
-            tuple(_codec(arg).shape for arg in args),
             lambda value: None if value is None else item.write(value),
-            lambda data, where, path, *_: None if data is None else item.read(data, where, path),
+            {kind: read for arg in args for kind, read in _codec(arg).reads.items()},
         )
     if origin in (list, tuple):  # one type for every item (list[X], tuple[X, ...]) or one per place
         items = [_codec(arg) for arg in args if arg is not ...]
-        return _Codec(
-            [item.shape for item in items],
-            lambda value: [item.write(v) for item, v in zip(cycle(items), value)],
-            lambda data, where, path, *_: origin(
-                item.read(v, where, f"{path}[{i}]") for i, (item, v) in enumerate(zip(cycle(items), data))
-            ),
-        )
+
+        def read(data, where, path, *_):
+            if len(items) != 1 and len(data) != len(items):
+                raise ParseError(f"{path or 'value'} does not hold {len(items)} items", where)
+            return origin(_read(item, v, where, f"{path}[{i}]") for i, (item, v) in enumerate(zip(cycle(items), data)))
+
+        return _Codec(lambda value: [item.write(v) for item, v in zip(cycle(items), value)], {list: read})
     if origin is dict:
         item = _codec(args[1], keyed=True)
-        return _Codec(
-            {str: item.shape},
-            lambda value: {key: item.write(v) for key, v in value.items()},
-            lambda data, where, path, *_: {
-                key: item.read(v, where, f"{path}.{key}" if path else key, key) for key, v in data.items()
-            },
-        )
+
+        def read(data, where, path, *_):
+            return {key: _read(item, v, where, f"{path}.{key}" if path else key, key) for key, v in data.items()}
+
+        return _Codec(lambda value: {key: item.write(v) for key, v in value.items()}, {dict: read})
     if issubclass(tp, enum.Enum):
-        return _Codec(str, lambda value: value.value, lambda data, *_: tp(data))
-    return _Codec(None if tp is type(None) else tp, lambda value: value, lambda data, *_: data)
+        return _Codec(lambda value: value.value, {str: lambda data, *_: tp(data)})
+    return _Codec(lambda value: value, {tp: lambda data, *_: data})
 
 
 def to_json(tp, value):
@@ -187,26 +206,29 @@ def to_json(tp, value):
 
 def from_json(tp, data, where: str):
     """The ``tp`` value ``to_json`` wrote as ``data``.  Raises ``ParseError``
-    from ``where`` unless ``data`` has that shape and names known kinds."""
-    codec = _codec(tp)
-    check_shape(data, codec.shape, where)
-    return codec.read(data, where, "")
+    from ``where`` unless ``data`` has that form and names known kinds."""
+    return _read(_codec(tp), data, where, "")
 
 
-def _document(tree_fields: dict, format_version, chain_order) -> dict:
-    """A trace document's top level: the tree's fields, ``active_chain_id``
-    named ``active_chain``, beside ``format_version`` and ``chain_order``."""
-    document = dict(tree_fields, format_version=format_version, chain_order=chain_order)
-    document["active_chain"] = document.pop("active_chain_id")
-    return document
+# A trace document's fields beside its tree's, read before the tree:
+# ``format_version`` first, so a document of another version says so.
+@dataclass
+class _Version:
+    format_version: int
 
 
-# What every trace document holds.
-TRACE_SHAPE = _document(_codec(AtomicTree).shape, int, [str])
+@dataclass
+class _ChainOrder:
+    chain_order: list[str]
+    active_chain: str
 
 
 def tree_to_json(tree: AtomicTree) -> dict:
-    return _document(to_json(AtomicTree, tree), TRACE_FORMAT_VERSION, list(tree.chains))
+    """A trace document: the tree's fields, ``active_chain_id`` named
+    ``active_chain``, beside ``format_version`` and ``chain_order``."""
+    document = dict(to_json(AtomicTree, tree), format_version=TRACE_FORMAT_VERSION, chain_order=list(tree.chains))
+    document["active_chain"] = document.pop("active_chain_id")
+    return document
 
 
 def serialize_trace(tree: AtomicTree) -> str:
@@ -217,25 +239,25 @@ def serialize_trace(tree: AtomicTree) -> str:
 
 def deserialize_trace(document: str, source: str = "trace") -> AtomicTree:
     """The tree a trace document holds.  Raises ``ParseError`` from
-    ``source`` unless the document has this ``format_version`` and
-    ``TRACE_SHAPE``, and every chain's nodes, parent step and the active
-    chain exist, so no reader of the tree can fail on it."""
+    ``source`` unless the document has this ``format_version`` (read first)
+    and the form ``tree_to_json`` writes, and every chain's nodes, parent
+    step and the active chain exist, so no reader of the tree can fail on it."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid trace document: {exc.msg}", source, exc.lineno)
-    check_shape(data, {"format_version": int}, source)
-    if data["format_version"] != TRACE_FORMAT_VERSION:
-        raise ParseError(f"unknown format_version {data['format_version']}", source)
-    check_shape(data, TRACE_SHAPE, source)
-    if sorted(data["chain_order"]) != sorted(data["chains"]):
-        raise ParseError("chain_order does not name each chain once", source)
-    data["chains"] = {cid: data["chains"][cid] for cid in data["chain_order"]}
-    data["active_chain_id"] = data["active_chain"]
+    version = from_json(_Version, data, source).format_version
+    if version != TRACE_FORMAT_VERSION:
+        raise ParseError(f"unknown format_version {version}", source)
+    order = from_json(_ChainOrder, data, source)
+    data["active_chain_id"] = order.active_chain
     try:
-        tree = _codec(AtomicTree).read(data, source, "")
+        tree = from_json(AtomicTree, data, source)
     except ValueError as exc:
         raise ParseError(f"malformed trace document: {exc}", source) from exc
+    if sorted(order.chain_order) != sorted(tree.chains):
+        raise ParseError("chain_order does not name each chain once", source)
+    tree.chains = {cid: tree.chains[cid] for cid in order.chain_order}
     earlier: set[str] = set()
     for cid, chain in tree.chains.items():
         if not all(nid in tree.nodes for nid in chain.node_ids):

@@ -42,7 +42,7 @@ def load_template(name: str) -> str:
         resources.files("atomic_reasoner")
         .joinpath("templates")
         .joinpath(f"{name}.txt")
-        .read_text(encoding="utf-8")
+        .read_text(encoding="utf-8-sig")
     )
 
 

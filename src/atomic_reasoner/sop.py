@@ -132,7 +132,7 @@ def load_sops(path: Union[str, Path]) -> SopRegistry:
     root = Path(path)
     sops: dict[str, Sop] = {}
     for file in sorted(root.glob("*.sop")):
-        sop = parse_sop(file.read_text(encoding="utf-8"), source=str(file))
+        sop = parse_sop(file.read_text(encoding="utf-8-sig"), source=str(file))
         if sop.domain in sops:
             log.warning("duplicate SOP domain %s in %s: last wins", sop.domain, file)
         sops[sop.domain] = sop

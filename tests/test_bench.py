@@ -25,6 +25,13 @@ def grid_record():
     return bench.task_to_record(task, "grid")
 
 
+def gold_with(key, house):
+    """A change to ``grid_record`` that adds the gold key ``key`` holding
+    house ``house``'s cells."""
+    gold = grid_record()["gold"]
+    return {"gold": {**gold, key: gold[house]}}
+
+
 def write_suite(tmp_path, records, name="suite.jsonl"):
     path = tmp_path / name
     path.write_text(
@@ -108,8 +115,15 @@ class TestLoadTasks:
                 "schema": {"houses": 2, "attributes": [["name", ["A", "A"]]]},
                 "gold": {"1": {"name": "A"}, "2": {"name": "A"}},
             },
+            gold_with("01", "2"),
+            gold_with("9", "1"),
+            gold_with("\u0663", "1"),
+            gold_with("x", "1"),
         ],
-        ids=["list-gold", "string-clue", "string-values", "numeric-values", "repeated-values-without-clues"],
+        ids=[
+            "list-gold", "string-clue", "string-values", "numeric-values", "repeated-values-without-clues",
+            "zero-padded-gold-key", "gold-key-past-the-houses", "arabic-indic-digit-gold-key", "non-numeric-gold-key",
+        ],
     )
     def test_malformed_grid_record_becomes_reject(self, tmp_path, change):
         record = {**grid_record(), **change}
@@ -149,8 +163,9 @@ class TestLoadTasks:
              "task record: clues[4].kind 'Telepathy' is unknown"),
             ({"clues": [{"kind": "FixedPosition", "attribute": "name", "value": "Eric", "house": "1"}]},
              "task record: clues[0].house is not an integer"),
+            (gold_with("x", "1"), "gold key 'x' is not a house number from 1 to 3"),
         ],
-        ids=["schema-values", "clue-kind", "clue-house"],
+        ids=["schema-values", "clue-kind", "clue-house", "gold-key"],
     )
     def test_reject_names_the_path_in_the_record(self, tmp_path, change, reason):
         tasks, rejects = bench.load_tasks(write_suite(tmp_path, [{**grid_record(), **change}]), "grid")

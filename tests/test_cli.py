@@ -314,6 +314,30 @@ class TestSolve:
         code = run_cli(["solve", str(task_path), "--script", str(script_path), "--out", str(tmp_path / "run")])
         assert code == 0
 
+    @pytest.mark.parametrize("site", ["problem-text", "sop-files", "inspect-trace", "synth-trace"])
+    def test_every_text_file_may_start_with_a_byte_order_mark(self, case_files, tmp_path, capsys, site):
+        _, script_path = case_files("case1")
+        problem = tmp_path / "p.txt"
+        problem.write_text("Which bird is second from the right?", encoding="utf-8")
+        sops = tmp_path / "sops"
+        sops.mkdir()
+        for file in (resources.files("atomic_reasoner") / "data" / "sops").iterdir():
+            (sops / file.name).write_text(file.read_text(encoding="utf-8"), encoding="utf-8")
+        for path in {"problem-text": [problem], "sop-files": sorted(sops.glob("*.sop"))}.get(site, []):
+            path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "run"
+        argv = ["solve", str(problem), "--script", str(script_path), "--sop-dir", str(sops), "--out", str(out)]
+        assert run_cli(argv) == 0
+        trace = out / "p.trace.json"
+        tree = metrics.deserialize_trace(trace.read_text(encoding="utf-8"))
+        assert tree.problem.statement == "Which bird is second from the right?"
+        trace.write_text("\ufeff" + trace.read_text(encoding="utf-8"), encoding="utf-8")
+        if site == "inspect-trace":
+            assert run_cli(["inspect", str(trace)]) == 0
+        elif site == "synth-trace":
+            assert run_cli(["synth", str(out), "--filter", "all", "--out", str(tmp_path / "sft")]) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("as_task", [True, False])
     def test_backend_failure_keeps_the_partial_trace(self, case_files, tmp_path, capsys, as_task):
         from atomic_reasoner import metrics

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import metrics, model, puzzles
+from atomic_reasoner import bench, metrics, model, puzzles
 from atomic_reasoner.errors import DimensionMismatch, InvalidDistribution, ParseError
 from atomic_reasoner.metrics import (
     DiscreteDistribution,
@@ -23,6 +23,7 @@ from atomic_reasoner.model import (
     Problem,
     TerminationMode,
 )
+from test_shapes import mutations, task_records
 
 
 def random_tree(rng: random.Random):
@@ -290,42 +291,44 @@ class TestRecordCodec:
 
 
 DATA = Path(__file__).parent / "data"
+MUTATION_OUTCOMES = DATA / "mutation_outcomes.json"
 
-# The trace format as it was written out by hand before ``TRACE_SHAPE`` was
-# derived from the model's dataclasses: the derived shape must not drift.
-TRACE_SHAPE_REFERENCE = {
-    "format_version": int,
-    "problem": {"id": str, "statement": str, "domain_hint": (str, None), "answer_schema": {"kind": str}},
-    "nodes": {
-        str: {
-            "action": str,
-            "guidance": str,
-            "content": str,
-            "created_round": int,
-            "revised": bool,
-            "flagged": bool,
-            "check_reports": [
-                {"verdict": str, "kinds": [str], "rationale": str, "suggestion": (str, None)}
-            ],
-        }
-    },
-    "chains": {
-        str: {"parent": ([str, int], None), "node_ids": [str], "status": str, "summary": (str, None)}
-    },
-    "chain_order": [str],
-    "active_chain": str,
-    "terminated": ({"mode": str, "final_answer": str}, None),
-    "next_node_seq": int,
-    "next_chain_seq": int,
-}
+
+def outcome(read, *args) -> str:
+    """What ``read(*args)`` does with a record: "ok", or the error it raises."""
+    try:
+        read(*args)
+    except (ValueError, ParseError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def mutation_outcomes() -> dict:
+    """The outcome of every one-field wrong-type mutation (``test_shapes.
+    mutations``): of the recorded traces through ``deserialize_trace``, and
+    of ``test_shapes``' task records through ``task_from_record`` (``solve``)
+    and through ``load_tasks``' reader (``bench``)."""
+    outcomes = {}
+    for name in ("case1", "case2"):
+        trace = json.loads((DATA / f"{name}.trace.json").read_text(encoding="utf-8"))
+        outcomes[name] = [outcome(metrics.deserialize_trace, json.dumps(doc)) for doc in mutations(trace)]
+    for format, record in task_records():
+        outcomes[format] = [
+            [outcome(bench.task_from_record, doc), outcome(bench._task_from_record, doc, format)]
+            for doc in mutations(record)
+        ]
+    return outcomes
 
 
 class TestTraceFormat:
     """The format derived from the dataclasses against traces recorded
     before it was derived."""
 
-    def test_derived_shape_equals_the_reference(self):
-        assert metrics.TRACE_SHAPE == TRACE_SHAPE_REFERENCE
+    def test_every_one_field_mutation_reads_as_recorded(self):
+        """Recorded when every record was checked against a shape and then
+        read, in two walks: reading and checking in one walk reports each
+        single fault with the same message."""
+        assert mutation_outcomes() == json.loads(MUTATION_OUTCOMES.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("name", ["case1", "case2"])
     def test_recorded_trace_reserializes_byte_identically(self, name):

@@ -1,17 +1,20 @@
-"""The shape check every record read from disk passes, and a wrong-type fuzz
-of the CLI's readers: each field of a trace, of a grid, an mcq and a
-numeric task record, and of a meta sidecar, is set in turn to each of six
-JSON values, and every command that reads the record must exit 0, 1 or 3."""
+"""The record codec's reader, which checks every record read from disk as
+it reads it, and a wrong-type fuzz of the CLI's readers: each field of a
+trace, of a grid, an mcq and a numeric task record, and of a meta sidecar,
+is set in turn to each of six JSON values, and every command that reads the
+record must exit 0, 1 or 3."""
 
 import ast
 import json
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar, Optional
 
 import pytest
 
-from atomic_reasoner import bench, cli, errors
-from atomic_reasoner.errors import ParseError, check_shape
+from atomic_reasoner import bench, cli, metrics
+from atomic_reasoner.errors import ParseError
 
 WRONG_VALUES = [5, None, [], {}, "x", True]
 
@@ -24,40 +27,61 @@ SCRIPT = {
 }
 
 
-class TestCheckShape:
-    @pytest.mark.parametrize(
-        "value, shape",
-        [
-            (5, int),
-            (True, bool),
-            (None, None),
-            (["a", "b"], [str]),
-            (["a", 1], [str, int]),
-            ({"x": [1], "y": []}, {str: [int]}),
-            ({"a": "t", "extra": 5}, {"a": str, "b?": int}),
-            (None, (str, None)),
-            ({"k": 1}, ({"k": int}, None)),
-        ],
-    )
-    def test_a_value_of_the_shape_passes(self, value, shape):
-        check_shape(value, shape, "record")
+# Small record types for the reader's cases.
+@dataclass
+class Record:
+    optional: ClassVar[tuple[str, ...]] = ("b",)
+    a: str
+    b: int = 0
+
+
+@dataclass
+class Ints:
+    a: list[int]
+
+
+@dataclass
+class Texts:
+    a: dict[str, str]
+
+
+class TestFromJson:
+    """``metrics.from_json`` reads a value of a type only from JSON of that
+    type's form, and names the first place that has another."""
 
     @pytest.mark.parametrize(
-        "value, shape, message",
+        "tp, data, value",
         [
-            (True, int, "record: not an integer"),
-            (5, bool, "record: not true or false"),
-            ({"a": [1, "2"]}, {"a": [int]}, "record: a[1] is not an integer"),
-            ({"a": {"b": None}}, {"a": {str: str}}, "record: a.b is not a string"),
-            ({}, {"a": str}, "record: a is missing"),
-            ({"b": None}, {"b?": int}, "record: b is not an integer"),
-            (["a"], [str, int], "record: value does not hold 2 items"),
-            ([], (str, None), "record: not a string or null"),
+            (int, 5, 5),
+            (bool, True, True),
+            (type(None), None, None),
+            (list[str], ["a", "b"], ["a", "b"]),
+            (tuple[str, int], ["a", 1], ("a", 1)),
+            (dict[str, list[int]], {"x": [1], "y": []}, {"x": [1], "y": []}),
+            (Record, {"a": "t", "extra": 5}, Record("t")),
+            (Optional[str], None, None),
+            (Optional[Record], {"a": "t", "b": 1}, Record("t", 1)),
         ],
     )
-    def test_a_value_of_another_shape_is_a_parse_error(self, value, shape, message):
+    def test_json_of_the_type_reads(self, tp, data, value):
+        assert metrics.from_json(tp, data, "record") == value
+
+    @pytest.mark.parametrize(
+        "tp, data, message",
+        [
+            (int, True, "record: not an integer"),
+            (bool, 5, "record: not true or false"),
+            (Ints, {"a": [1, "2"]}, "record: a[1] is not an integer"),
+            (Texts, {"a": {"b": None}}, "record: a.b is not a string"),
+            (Record, {}, "record: a is missing"),
+            (Record, {"a": "t", "b": None}, "record: b is not an integer"),
+            (tuple[str, int], ["a"], "record: value does not hold 2 items"),
+            (Optional[str], [], "record: not a string or null"),
+        ],
+    )
+    def test_json_of_another_form_is_a_parse_error(self, tp, data, message):
         with pytest.raises(ParseError) as info:
-            check_shape(value, shape, "record")
+            metrics.from_json(tp, data, "record")
         assert str(info.value) == message
 
 
@@ -184,25 +208,13 @@ def test_every_wrongly_typed_task_field_exits_cleanly(tmp_path, capsys, format, 
     capsys.readouterr()
 
 
-# Where ``check_shape(`` may be called, as (module, top-level def): the record
-# codec and the trace's version check, the ``format`` a ``solve`` task record
-# names, the hand-declared sidecar shape, and ``check_shape`` itself.
-CHECK_SHAPE_CALLERS = {
-    ("metrics", "_codec"),
-    ("metrics", "from_json"),
-    ("metrics", "deserialize_trace"),
-    ("bench", "task_from_record"),
-    ("cli", "cmd_synth"),
-    ("errors", "check_shape"),
-}
-
-
-def test_every_record_is_checked_through_the_codec():
-    callers = set()
-    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                func = getattr(node, "func", None)
-                if getattr(func, "id", getattr(func, "attr", None)) == "check_shape":
-                    callers.add((path.stem, getattr(top, "name", None)))
-    assert callers == CHECK_SHAPE_CALLERS
+def test_every_file_is_read_as_utf8_with_an_optional_byte_order_mark():
+    """Each ``read_text`` in the package decodes ``utf-8-sig``: a file saved
+    with a byte-order mark reads as the same text as one without."""
+    calls = []
+    for path in sorted(Path(metrics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(getattr(node, "func", None), "attr", None) == "read_text":
+                encoding = {kw.arg: getattr(kw.value, "value", None) for kw in node.keywords}.get("encoding")
+                calls.append((path.stem, node.lineno, encoding))
+    assert calls and all(encoding == "utf-8-sig" for _, _, encoding in calls), calls
