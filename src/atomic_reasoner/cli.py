@@ -171,7 +171,8 @@ def _sop_registry(args) -> sop_mod.SopRegistry:
 
 def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
     if args.stdin:
-        text = sys.stdin.read()
+        # a piped byte-order mark, which the file readers drop by reading utf-8-sig
+        text = sys.stdin.read().removeprefix("\ufeff")
         return Problem(id="stdin", statement=text, answer_schema=FreeText()), None
     if not args.problem:
         raise UsageError("solve needs a problem file or --stdin")

@@ -15,8 +15,11 @@ The generator shuffles the clues that hold for a planted solution and finds
 the shortest unique prefix of them by galloping (prefix lengths 1, 2, 4, ...)
 and then bisecting, which works because a longer prefix never has more
 solutions.  It then prunes that prefix greedily, skipping the trial without
-its last clue, which the search already found not unique.  Every uniqueness
-test goes through the module's ``brute_solve``.
+its last clue, which the search already found not unique.  A clue list that
+leaves two values of one attribute unnamed is found not unique without a
+search, since those two values can trade houses in any solution; every other
+uniqueness test, and so every "unique" verdict on an accepted puzzle, goes
+through the module's ``brute_solve``.
 """
 
 from __future__ import annotations
@@ -234,8 +237,10 @@ def brute_solve(
     pairs its test accepts; the set bits, lowest first, are the candidates
     in ``itertools.permutations`` order.  Every other clue compares the
     house indices of its two sides once the later of its attributes is
-    placed.  Raises ``ValueError`` for a clue that does not fit the schema
-    (see ``validate_clues``)."""
+    placed.  Raises ``ValueError`` for a ``limit`` below 1 and for a clue
+    that does not fit the schema (see ``validate_clues``)."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
     if schema.houses > MAX_HOUSES:
         raise TooLarge(f"brute force capped at {MAX_HOUSES} houses")
     validate_clues(schema, clues)
@@ -351,6 +356,23 @@ def _candidate_clues(schema: GridSchema, solution: Assignment, rng: random.Rando
 
 
 def _is_unique(schema: GridSchema, clues: list[Clue]) -> bool:
+    """Whether ``clues`` has exactly one solution.
+
+    False with no search when some attribute has two values that no clue
+    names (a ``FixedPosition`` names one value, the other kinds two): those
+    two values can trade houses in any solution, so there are none or at
+    least two.  Otherwise ``brute_solve`` decides.  For every clue list that
+    fits the schema this equals ``len(brute_solve(schema, clues, limit=2)) == 1``."""
+    named = set()
+    for clue in clues:
+        if isinstance(clue, FixedPosition):
+            named.add((clue.attribute, clue.value))
+        else:
+            named.add((clue.attribute_a, clue.value_a))
+            named.add((clue.attribute_b, clue.value_b))
+    for attr, pool in schema.attributes:
+        if sum((attr, value) not in named for value in pool) >= 2:
+            return False
     return len(brute_solve(schema, clues, limit=2)) == 1
 
 
@@ -363,8 +385,10 @@ def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue]) -> Optio
     gallops (k = 1, 2, 4, ..., capped at the list's length) to the first
     unique prefix, then bisects between it and the last prefix found not
     unique: about 2*log2(k) oracle calls where adding one clue at a time
-    takes k.  The empty prefix is never unique, since at least two houses
-    admit more than one assignment."""
+    takes k.  The empty prefix is never unique, so the search starts at
+    k = 1: with at least two houses it leaves two values of every attribute
+    unnamed, and ``_is_unique`` finds every such prefix not unique without
+    calling ``brute_solve``, which decides all others."""
     low, high = 0, 1  # candidates[:low] is not unique; candidates[:high] is tried next
     while not _is_unique(schema, candidates[:high]):
         if high >= len(candidates):

@@ -1,3 +1,4 @@
+import io
 import json
 from importlib import resources
 from pathlib import Path
@@ -10,6 +11,28 @@ from atomic_reasoner.model import FreeText, Problem
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def stdin_script(tmp_path):
+    """A script file for a four-round session that answers 4."""
+    script = tmp_path / "s.json"
+    script.write_text(
+        json.dumps(
+            {
+                "routing": [
+                    "ACTION: PremiseDiscovery\nGUIDANCE: list facts",
+                    "ACTION: HypothesisGeneration\nGUIDANCE: propose the sum",
+                    "GUIDANCE: verify the sum",
+                    "ACTION: TERMINATE",
+                ],
+                "solve": "Hypothesis 1: the answer is 4.",
+                "check": "Check Result: No error.",
+                "summarize": "The answer is 4.",
+            }
+        ),
+        encoding="utf-8",
+    )
+    return script
 
 
 @pytest.fixture()
@@ -425,29 +448,19 @@ class TestSolve:
         assert meta["correct"] is True
 
     def test_stdin_problem(self, tmp_path, capsys, monkeypatch):
-        import io
-
-        script = tmp_path / "s.json"
-        script.write_text(
-            json.dumps(
-                {
-                    "routing": [
-                        "ACTION: PremiseDiscovery\nGUIDANCE: list facts",
-                        "ACTION: HypothesisGeneration\nGUIDANCE: propose the sum",
-                        "GUIDANCE: verify the sum",
-                        "ACTION: TERMINATE",
-                    ],
-                    "solve": "Hypothesis 1: the answer is 4.",
-                    "check": "Check Result: No error.",
-                    "summarize": "The answer is 4.",
-                }
-            ),
-            encoding="utf-8",
-        )
         monkeypatch.setattr("sys.stdin", io.StringIO("what is 2+2?"))
-        code = run_cli(["solve", "--stdin", "--script", str(script), "--out", str(tmp_path / "o")])
+        code = run_cli(["solve", "--stdin", "--script", str(stdin_script(tmp_path)), "--out", str(tmp_path / "o")])
         assert code == 0
         assert capsys.readouterr().out.rstrip().endswith("The answer is 4.")
+
+    def test_stdin_problem_drops_a_piped_byte_order_mark(self, tmp_path, capsys, monkeypatch):
+        # how a pipe reaches sys.stdin under a UTF-8 locale: decoded as utf-8, BOM kept
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbfWhat is 2+2?"), encoding="utf-8"))
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--stdin", "--script", str(stdin_script(tmp_path)), "--out", str(out)]) == 0
+        tree = metrics.deserialize_trace((out / "stdin.trace.json").read_text(encoding="utf-8"))
+        assert tree.problem.statement == "What is 2+2?"
+        capsys.readouterr()
 
 
 class TestBench:

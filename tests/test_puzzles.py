@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -146,15 +147,21 @@ def cross_check_cases(seed, count):
         size = houses * attributes
         fewest = size if math.factorial(houses) ** attributes > 20_000 else size // 3
         clues = [random_clue(rng, schema, solution, true=True) for _ in range(rng.randint(fewest, 2 * size))]
-        style = rng.choice(("true", "blind", "contradiction"))
-        if style == "blind":
-            clues += [random_clue(rng, schema, solution, true=False) for _ in range(rng.randint(1, 3))]
-        elif style == "contradiction":  # two clues that cannot both hold
-            attr_a, attr_b = rng.choice(schema.attribute_names), rng.choice(schema.attribute_names)
-            value_a, value_b = rng.choice(schema.values_for(attr_a)), rng.choice(schema.values_for(attr_b))
-            clues += [SameHouse(attr_a, value_a, attr_b, value_b), LeftOf(attr_a, value_a, attr_b, value_b)]
+        clues += other_clues(rng, schema, solution)
         rng.shuffle(clues)
         yield schema, clues
+
+
+def other_clues(rng, schema, solution):
+    """At random: no clue, 1-3 blind clues, or two clues that cannot both hold."""
+    style = rng.choice(("true", "blind", "contradiction"))
+    if style == "blind":
+        return [random_clue(rng, schema, solution, true=False) for _ in range(rng.randint(1, 3))]
+    if style == "contradiction":
+        attr_a, attr_b = rng.choice(schema.attribute_names), rng.choice(schema.attribute_names)
+        value_a, value_b = rng.choice(schema.values_for(attr_a)), rng.choice(schema.values_for(attr_b))
+        return [SameHouse(attr_a, value_a, attr_b, value_b), LeftOf(attr_a, value_a, attr_b, value_b)]
+    return []
 
 
 class TestClues:
@@ -269,6 +276,11 @@ class TestBruteSolve:
                     clues.append(clue)
             assert puzzles.brute_solve(schema, clues, limit=limit) == reference_solve(schema, clues, limit=limit), clues
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            puzzles.brute_solve(GridSchema(2, (("name", ("a", "b")),)), [], limit=limit)
+
     def test_matches_reference_without_clues(self):
         for houses in range(2, 5):
             schema = grid_schema(houses, 2)
@@ -324,7 +336,38 @@ class TestGeneration:
         puzzle, calls = count_oracle_calls(puzzles.generate_puzzle, 1, 4, 3)
         reference, reference_calls = count_oracle_calls(reference_generate, 1, 4, 3)
         assert puzzle == reference
-        assert (calls, reference_calls) == (31, 44)
+        assert (calls, reference_calls) == (26, 44)
+
+    def test_is_unique_matches_the_oracle(self):
+        """``_is_unique``'s verdict without a search, for a list that leaves
+        two values of one attribute unnamed, is always the oracle's.  Random
+        subsets of a planted solution's candidate clues, some with blind or
+        contradictory clues added, the empty list among them."""
+        rng = random.Random(3305)
+        outcomes = collections.Counter()  # (verdict, oracle calls)
+        for _ in range(300):
+            houses, attributes = rng.randint(2, 5), rng.randint(1, 4)
+            schema = grid_schema(houses, attributes)
+            solution = {a: tuple(rng.sample(schema.values_for(a), houses)) for a in schema.attribute_names}
+            candidates = puzzles._candidate_clues(schema, solution, rng)
+            clues = rng.sample(candidates, rng.randint(0, min(len(candidates), 4 * houses * attributes)))
+            clues += other_clues(rng, schema, solution)
+            for case in (clues, []):
+                verdict, calls = count_oracle_calls(puzzles._is_unique, schema, case)
+                assert verdict == (len(puzzles.brute_solve(schema, case, limit=2)) == 1), (schema, case)
+                outcomes[verdict, calls] += 1
+        assert outcomes[False, 0] > 200 and outcomes[False, 1] > 100 and outcomes[True, 1] > 50
+
+    def test_two_unnamed_values_need_no_oracle_call(self):
+        schema = grid_schema(3, 2)
+        clues = [
+            FixedPosition("name", "Arnold", 1),
+            FixedPosition("name", "Eric", 2),
+            SameHouse("name", "Arnold", "book genre", "romance"),
+        ]  # "mystery" and "science fiction" may trade houses
+        assert count_oracle_calls(puzzles._is_unique, schema, clues) == (False, 0)
+        clues.append(SameHouse("name", "Eric", "book genre", "mystery"))
+        assert count_oracle_calls(puzzles._is_unique, schema, clues) == (True, 1)
 
     def test_uniqueness_is_monotone_in_the_candidate_prefix(self):
         """Once a prefix of shuffled candidates is unique every longer one is,
