@@ -76,10 +76,14 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
     grid: dict[int, dict[str, Optional[str]]] = {
         house: dict.fromkeys(attrs) for house in range(1, schema.houses + 1)
     }
-    # The last "solution:" in any ASCII case.  The encoded copy has one byte
-    # per character, so its index is one into ``text``; ``text.lower()`` can
-    # be longer ("İ" lowers to two characters).
-    idx = text.encode("ascii", "replace").lower().rfind(b"solution:")
+    # The last "solution:" in any ASCII case that no letter precedes
+    # ("Final solution:", "**Solution:**"; not "resolution:").  The encoded
+    # copy has one byte per character, so its index is one into ``text``;
+    # ``text.lower()`` can be longer ("İ" lowers to two characters).
+    lowered = text.encode("ascii", "replace").lower()
+    idx = lowered.rfind(b"solution:")
+    while idx > 0 and text[idx - 1].isalpha():
+        idx = lowered.rfind(b"solution:", 0, idx)
     if idx < 0:
         return grid
     block = text[idx + len("solution:"):]
@@ -137,46 +141,39 @@ _OPERAND = rf"{_DIGITS}(?:\.\d+)?(?:[eE][+\-]?\d+)?"
 _MAGNITUDE = rf"{_OPERAND}(?:/{_OPERAND})?"
 # A sign is "-", "+" or "-+", which reads as "-".
 _NUMBER = re.compile(rf"-?\+?{_MAGNITUDE}")
+# An exponent as ``Fraction`` reads it, once "_" groupings are dropped.  One
+# past MAX_EXPONENT, in either direction, states no number: its power of ten
+# would take longer to build than any reply is worth.
+_EXPONENT = re.compile(r"[eE][+\-]?0*(\d+)")
+MAX_EXPONENT = 4300
 
 
-def normalize_numeric(text: str) -> Optional[str]:
-    """Normalize a numeric answer: read U+2212 as '-', strip whitespace/boxed
-    markers/leading '+' and thousands separators, drop trailing zeros.
-    Returns None when nothing numeric is present, a box included:
-    ``\\boxed{x 5}`` states no number."""
-    candidate = text.strip().replace("\u2212", "-")
+def read_number(text: str) -> Optional[Fraction]:
+    """The number ``text`` states, as an exact rational: the last
+    ``\\boxed{...}``, else the last number, with U+2212 read as '-' and a
+    leading '+' and thousands separators dropped; a ratio is the quotient of
+    its two parts.  None when nothing numeric is present, a box included
+    (``\\boxed{x 5}`` states no number), and past MAX_EXPONENT."""
+    candidate = text.replace("\u2212", "-")
     boxed = _BOXED.findall(candidate)
     if boxed:
         candidate = boxed[-1].strip()
     else:
         numbers = _NUMBER.findall(candidate)
-        if candidate and _NUMBER.fullmatch(candidate):
-            numbers = [candidate]
         if not numbers:
             return None
         candidate = numbers[-1]
     candidate = re.sub(r"^(-?)\++", r"\1", candidate).strip()
     if _NUMBER.fullmatch(candidate):
         candidate = candidate.replace(",", "")
-    value = parse_rational(candidate)
-    return None if value is None else str(value)  # "7/2", or "4" for 4/1
-
-
-def parse_rational(text: str) -> Optional[Fraction]:
-    """The number ``text`` states; a ratio is the quotient of its two parts."""
+    exponents = _EXPONENT.findall(candidate.replace("_", ""))
+    if any(len(exp) > 4 or int(exp) > MAX_EXPONENT for exp in exponents):  # no int() of a long one
+        return None
     try:
-        numerator, denominator = text.split("/") if "/" in text else (text, "1")
+        numerator, denominator = candidate.split("/") if "/" in candidate else (candidate, "1")
         return Fraction(numerator) / Fraction(denominator)
     except (ValueError, ZeroDivisionError):
         return None
-
-
-def numeric_equal(left: str, right: str) -> bool:
-    """Exact comparison, rational arithmetic where both sides parse."""
-    lf, rf = parse_rational(left), parse_rational(right)
-    if lf is not None and rf is not None:
-        return lf == rf
-    return left.strip() == right.strip()
 
 
 def format_instruction(schema) -> str:
@@ -201,14 +198,14 @@ def format_instruction(schema) -> str:
 def extract(schema, text: str):
     """What the final-answer ``text`` states under ``schema``: the option
     letter (mcq), the grid with ``None`` in each cell that does not parse,
-    the normalized number (numeric) or the stripped text (free text).  None
-    when no letter or number is found."""
+    the number as a ``Fraction`` (numeric) or the stripped text (free text).
+    None when no letter or number is found."""
     if isinstance(schema, MultipleChoice):
         return extract_mcq(text, option_letters(schema))
     if isinstance(schema, GridSchema):
         return parse_grid(text, schema)
     if isinstance(schema, Numeric):
-        return normalize_numeric(text)
+        return read_number(text)
     return text.strip()
 
 

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 import threading
 import time
@@ -199,6 +200,16 @@ class HttpConfig:
     backoff_base: float = 1.0
     max_concurrent: int = 4
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not self.backoff_base >= 0:
+            raise ValueError("backoff_base must be >= 0")
+        if self.max_concurrent < 1:
+            raise ValueError("max_concurrent must be >= 1")
+
 
 class HttpBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
@@ -208,7 +219,9 @@ class HttpBackend:
     backoff's floor; one longer than ``timeout`` is not waited for, and that
     attempt's error is raised at once.  At most
     ``max_concurrent`` requests are in flight; a caller sleeping through a
-    backoff holds no slot.  API keys are read from the environment only.
+    backoff holds no slot.  An unpaired surrogate in a reply's text becomes
+    U+FFFD, so every reply encodes as UTF-8.  API keys are read from the
+    environment only.
     ``close()`` closes the ``requests.Session`` the backend made itself; one
     passed in stays open.
     """
@@ -313,12 +326,17 @@ class HttpBackend:
             raise MalformedResponse("completion content is not text", excerpt=response.text[:200])
         usage = payload.get("usage")
         return CompletionResult(
-            text=text,
+            text=_UNPAIRED_SURROGATE.sub("\ufffd", text),
             prompt_tokens=_token_count(usage, "prompt_tokens"),
             completion_tokens=_token_count(usage, "completion_tokens"),
             latency_ms=latency_ms,
             source=ResultSource.NETWORK,
         )
+
+
+# A surrogate code point left in decoded JSON text is unpaired (``json``
+# joins an escaped pair into one character), and UTF-8 cannot encode it.
+_UNPAIRED_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _token_count(usage, name: str) -> int:

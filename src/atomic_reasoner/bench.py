@@ -119,7 +119,7 @@ def _task_from_record(data: dict, format: str) -> Task:
     else:
         schema = Numeric()
         gold = str(record.gold)
-        if answers.normalize_numeric(gold) is None:
+        if answers.read_number(gold) is None:
             raise ValueError(f"gold {gold!r} is not a number")
     return Task(
         id=str(record.id),
@@ -189,7 +189,7 @@ def score(task: Task, final_text: str) -> Verdict:
     if answer is None:
         return Verdict(correct=False, partial=0.0, failure="NoAnswerFound")
     if isinstance(schema, Numeric):
-        correct = answers.numeric_equal(answer, answers.normalize_numeric(str(task.gold)) or str(task.gold))
+        correct = answer == answers.read_number(str(task.gold))
     elif isinstance(schema, MultipleChoice):
         correct = answer == task.gold
     else:  # free text, matched after stripping whitespace
@@ -272,6 +272,7 @@ class TrialResult:
     task_id: str
     trial: int
     verdict: Verdict
+    split: Optional[str] = None
     rounds: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -287,10 +288,10 @@ class BenchReport:
     completion_tokens: int = 0
     wall_time_s: float = 0.0
 
-    def mean_success(self, split: Optional[str] = None, task_splits: Optional[dict] = None) -> float:
+    def mean_success(self, split: Optional[str] = None) -> float:
         selected = self.results
-        if split is not None and task_splits is not None:
-            selected = [r for r in selected if task_splits.get(r.task_id) == split]
+        if split is not None:
+            selected = [r for r in selected if r.split == split]
         if not selected:
             return 0.0
         return sum(1.0 if r.verdict.correct else 0.0 for r in selected) / len(selected)
@@ -300,11 +301,10 @@ class BenchReport:
             return 0.0
         return sum(r.verdict.partial for r in self.results) / len(self.results)
 
-    def to_json(self, tasks: Optional[list[Task]] = None) -> dict:
-        task_splits = {t.id: t.split for t in tasks} if tasks else {}
+    def to_json(self) -> dict:
         aggregates = {"overall": self.mean_success(), "mean_partial": self.mean_partial()}
-        for split in sorted({s for s in task_splits.values() if s}):
-            aggregates[split] = self.mean_success(split, task_splits)
+        for split in sorted({r.split for r in self.results if r.split}):
+            aggregates[split] = self.mean_success(split)
         return {
             "suite": self.suite,
             "strategy": self.strategy,
@@ -395,6 +395,7 @@ def run_benchmark(
             task_id=task.id,
             trial=trial,
             verdict=verdict,
+            split=task.split,
             rounds=rounds,
             prompt_tokens=tally.prompt_tokens,
             completion_tokens=tally.completion_tokens,

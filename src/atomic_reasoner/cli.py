@@ -131,6 +131,8 @@ def _build_backend(args, script=None):
     """The backend chain the flags name; ``script`` is the parsed --script
     file, read here when not given."""
     if args.backend == "replay":  # serve recorded responses only, no inner backend
+        if args.cache == "record":
+            raise UsageError("--backend replay records nothing: drop --cache record or pick another --backend")
         backend = CacheBackend(None, CacheMode.REPLAY, args.cache_dir)
     else:
         if args.backend == "scripted":
@@ -275,7 +277,7 @@ def cmd_bench(args) -> int:
         )
     finally:
         _close_http(backend)
-    payload = report.to_json(tasks)
+    payload = report.to_json()
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     for name, value in payload["aggregates"].items():
         print(f"{name}: {value:.3f}")

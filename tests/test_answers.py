@@ -1,3 +1,6 @@
+import time
+from fractions import Fraction
+
 import pytest
 
 from atomic_reasoner import answers
@@ -72,6 +75,23 @@ class TestGrid:
         grid = answers.parse_grid("İİİİİİİİİİİİ Solution:\n- House 1: Ann", schema)
         assert grid == {1: {"name": "Ann"}}
 
+    @pytest.mark.parametrize(
+        "marker",
+        ["Final solution:", "**Solution:**", "SOLUTION:", "1. solution:"],
+    )
+    def test_a_marker_after_no_letter_opens_the_block(self, marker):
+        grid = answers.parse_grid(f"Reasoning.\n{marker}\n- House 1: Peter (pizza)", SCHEMA)
+        assert grid[1] == {"name": "Peter", "lunch": "pizza"}
+
+    @pytest.mark.parametrize("word", ["resolution:", "Conflict resolution: none.", "Résolution:", "dissolution:"])
+    def test_solution_inside_a_word_is_no_marker(self, word):
+        block = "Solution:\n- House 1: Peter (pizza)\n- House 2: Eric (spaghetti)\n- House 3: Arnold (grilled cheese)"
+        grid = answers.parse_grid(f"{block}\n{word}\n- House 1: Eric (pizza)", SCHEMA)
+        assert grid[1] == {"name": "Eric", "lunch": "pizza"}  # the block reads on past the word
+        assert grid[3] == {"name": "Arnold", "lunch": "grilled cheese"}
+        assert answers.is_complete(SCHEMA, f"{block}\n{word}")
+        assert answers.parse_grid(f"{word}\n- House 1: Peter (pizza)", SCHEMA)[1] == {"name": None, "lunch": None}
+
     def test_no_solution_block_all_missing(self):
         grid = answers.parse_grid("no structured answer here", SCHEMA)
         assert all(v is None for cells in grid.values() for v in cells.values())
@@ -79,66 +99,80 @@ class TestGrid:
 
 class TestNumeric:
     def test_plain_and_boxed(self):
-        assert answers.normalize_numeric("42") == "42"
-        assert answers.normalize_numeric("The answer is \\boxed{42}.") == "42"
+        assert answers.read_number("42") == 42
+        assert answers.read_number("The answer is \\boxed{42}.") == 42
 
     def test_trailing_zero_and_plus_normalization(self):
-        assert answers.normalize_numeric("+3.50") == "7/2"
-        assert answers.numeric_equal("3.5", "7/2")
+        assert answers.read_number("+3.50") == Fraction(7, 2)
+        assert answers.read_number("3.5") == answers.read_number("7/2")
 
     def test_fraction_equality(self):
-        assert answers.numeric_equal("2/4", "0.5")
-        assert not answers.numeric_equal("1/3", "0.3333")
+        assert answers.read_number("2/4") == answers.read_number("0.5")
+        assert answers.read_number("1/3") != answers.read_number("0.3333")
 
     def test_last_number_in_prose(self):
-        assert answers.normalize_numeric("First 12, then 17, so the total is 29.") == "29"
+        assert answers.read_number("First 12, then 17, so the total is 29.") == 29
 
     def test_nothing_numeric(self):
-        assert answers.normalize_numeric("no numbers here") is None
+        assert answers.read_number("no numbers here") is None
 
     @pytest.mark.parametrize("text", ["\\boxed{x 5}", "\\boxed{1 000}", "\\boxed{abc}", "ratio 5/0"])
     def test_a_box_or_fraction_that_is_no_number_reads_as_none(self, text):
-        assert answers.normalize_numeric(text) is None
+        assert answers.read_number(text) is None
         assert not answers.is_complete(Numeric(), text)
 
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("The answer is 1,000.", "1000"),
-            ("12,345 apples", "12345"),
-            ("\\boxed{1,000}", "1000"),
-            ("a total of 1,234,567.50", "2469135/2"),
-            ("-1,000", "-1000"),
+            ("The answer is 1,000.", 1000),
+            ("12,345 apples", 12345),
+            ("\\boxed{1,000}", 1000),
+            ("a total of 1,234,567.50", Fraction(2469135, 2)),
+            ("-1,000", -1000),
         ],
     )
     def test_thousands_separators_group_one_number(self, text, expected):
-        assert answers.normalize_numeric(text) == expected
+        assert answers.read_number(text) == expected
 
     @pytest.mark.parametrize(
         "text, expected",
         [
-            pytest.param("so the total is 2.5e-3", "1/400", id="plain"),
-            pytest.param("1e5", "100000", id="bare"),
-            pytest.param("\\boxed{\u22127}", "-7", id="boxed"),
-            pytest.param("x is -+5", "-5", id="plain-minus-plus"),
-            pytest.param("-+5", "-5", id="bare-minus-plus"),
-            pytest.param("\\boxed{-+5}", "-5", id="boxed-minus-plus"),
+            pytest.param("so the total is 2.5e-3", Fraction(1, 400), id="plain"),
+            pytest.param("1e5", 100000, id="bare"),
+            pytest.param("\\boxed{\u22127}", -7, id="boxed"),
+            pytest.param("x is -+5", -5, id="plain-minus-plus"),
+            pytest.param("-+5", -5, id="bare-minus-plus"),
+            pytest.param("\\boxed{-+5}", -5, id="boxed-minus-plus"),
         ],
     )
     def test_exponents_and_unicode_minus_read_alike_in_every_form(self, text, expected):
-        assert answers.normalize_numeric(text) == expected
+        assert answers.read_number(text) == expected
 
     @pytest.mark.parametrize(
         "text, expected",
         [
-            pytest.param("7.5/2", "15/4", id="decimal-numerator"),
-            pytest.param("1e5/2", "50000", id="exponent-numerator"),
-            pytest.param("\\boxed{7.5/2}", "15/4", id="boxed"),
-            pytest.param("0.5/0.25", "2", id="decimal-denominator"),
+            pytest.param("7.5/2", Fraction(15, 4), id="decimal-numerator"),
+            pytest.param("1e5/2", 50000, id="exponent-numerator"),
+            pytest.param("\\boxed{7.5/2}", Fraction(15, 4), id="boxed"),
+            pytest.param("0.5/0.25", 2, id="decimal-denominator"),
         ],
     )
     def test_ratio_of_decimals_reads_as_their_quotient(self, text, expected):
-        assert answers.normalize_numeric(text) == expected
+        assert answers.read_number(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e5000", "1e-5000", "\\boxed{1e999999999}", "It is 1e20000000.", "2/1e4301", "\\boxed{1e1_0000}"],
+    )
+    def test_an_exponent_past_the_limit_states_no_number_at_once(self, text):
+        started = time.perf_counter()
+        assert answers.read_number(text) is None
+        assert time.perf_counter() - started < 0.01
+
+    def test_the_largest_exponents_read_exactly(self):
+        assert answers.read_number("1e4300") == 10**4300
+        assert answers.read_number("1e-4300") == Fraction(1, 10**4300)
+        assert answers.read_number("9" * 4000 + "e4000") == (10**4000 - 1) * 10**4000
 
 
 class TestIsComplete:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import backends, bench, model, router, sop
+from atomic_reasoner import backends, bench, metrics, model, router, sop
 from atomic_reasoner.backends import (
     CacheBackend,
     CacheMode,
@@ -167,7 +167,58 @@ class TestRequestValidation:
             make_request(tag="divination")
 
 
+class TestHttpConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_concurrent", 0),
+            ("timeout", 0),
+            ("timeout", -1.0),
+            ("timeout", float("nan")),
+            ("backoff_base", -0.5),
+            ("max_retries", -1),
+        ],
+        ids=["max_concurrent-0", "timeout-0", "timeout-negative", "timeout-nan", "backoff_base-negative", "max_retries-negative"],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HttpConfig(base_url="http://127.0.0.1:9/v1", **{field: value})
+
+    def test_edge_values_accepted(self):
+        HttpConfig(base_url="http://127.0.0.1:9/v1", timeout=30, max_retries=0, backoff_base=0.0, max_concurrent=1)
+        HttpConfig(base_url="http://127.0.0.1:9/v1", timeout=30, backoff_base=0.004, max_concurrent=2)
+
+
+# A reply whose content holds an unpaired surrogate escape (half of a cut
+# emoji) beside a whole escaped pair.
+SURROGATE_BODY = '{"choices": [{"message": {"content": "cut \\ud83d, whole \\ud83d\\ude00, \\udc00"}}]}'
+SURROGATE_TEXT = "cut \ufffd, whole \U0001f600, \ufffd"
+
+
 class TestHttpBackend:
+    def test_unpaired_surrogate_becomes_replacement_character(self, stub_server):
+        stub_server.script = [("malformed", SURROGATE_BODY)]
+        backend, _ = make_http_backend(stub_server)
+        text = backend.complete(make_request()).text
+        assert text == SURROGATE_TEXT
+        text.encode("utf-8")
+
+    def test_unpaired_surrogate_records_and_replays(self, stub_server, tmp_path):
+        stub_server.script = [("malformed", SURROGATE_BODY)]
+        backend, _ = make_http_backend(stub_server)
+        assert CacheBackend(backend, CacheMode.RECORD, tmp_path).complete(make_request()).text == SURROGATE_TEXT
+        replayer = CacheBackend(None, CacheMode.REPLAY, tmp_path)
+        replayer.model = backend.model
+        assert replayer.complete(make_request()).text == SURROGATE_TEXT
+
+    def test_session_over_unpaired_surrogates_serializes_its_trace(self, stub_server):
+        stub_server.script = [("malformed", SURROGATE_BODY)] * 64
+        backend, _ = make_http_backend(stub_server)
+        problem = model.Problem(id="p", statement="A puzzle.", answer_schema=model.FreeText())
+        tree, final = router.run_session(problem, config=router.SessionConfig(max_rounds=2), backends=backend)
+        assert final.text == SURROGATE_TEXT
+        metrics.serialize_trace(tree).encode("utf-8")
+
     def test_ok_parses_text_and_usage(self, stub_server):
         stub_server.script = [("ok", ok_payload("answer text", 11, 7))]
         backend, _ = make_http_backend(stub_server)

@@ -450,7 +450,8 @@ class TestRunBenchmark:
             session_config=self.oracle_config(),
             sop_registry=sop.builtin_registry(),
         )
-        payload = report.to_json(tasks)
+        payload = report.to_json()
+        assert [r.split for r in report.results] == ["easy", "hard"]
         assert payload["aggregates"]["overall"] == 1.0
         assert payload["aggregates"]["easy"] == 1.0
         assert payload["aggregates"]["hard"] == 1.0
@@ -507,3 +508,79 @@ class TestRunBenchmark:
         backend = ScriptedBackend({"solve": "The correct answer is (A)"})
         with pytest.raises(ValueError, match="workers"):
             bench.run_benchmark([task], "single-pass", backend, trials=2, workers=workers)
+
+
+class TestHostileFinalAnswers:
+    """Final answers built to break the reader: numbers past the exponent
+    limit or the integer-string limit, a "Solution:" block followed by
+    "resolution:", and unpaired surrogates.  Each trial ends in a verdict."""
+
+    GRID_TASK, GRID_GOLD = bench.gen_puzzle(0, 3, 2)
+    NUMERIC = [
+        ("1e5000", None),
+        ("1e-5000", None),
+        ("\\boxed{1e999999999}", None),
+        ("1" * 5000, None),
+        ("9" * 4000 + "e4000", False),
+        ("It is 1e5000.", None),
+        ("the total is 1,000 \\boxed{-+1e5000}", None),
+    ]
+
+    def tasks_and_replies(self):
+        numeric = bench._task_from_record({"id": "n", "statement": "Add.", "gold": "1000"}, "numeric")
+        mcq = bench._task_from_record(mcq_record(id="m"), "mcq")
+        free = bench.Task(id="f", statement="Name it.", schema=FreeText(), gold="zebra \ud83d")
+        block = answers.format_grid_answer(self.GRID_TASK.schema, self.GRID_GOLD)
+        cases = [(numeric, text, correct) for text, correct in self.NUMERIC]
+        cases += [
+            (self.GRID_TASK, f"{block}\nConflict resolution: none.", True),
+            (self.GRID_TASK, f"{block}\nresolution:\n\ud800", True),
+            (mcq, "The correct answer is (A) \ud83d", True),
+            (mcq, "\udc00 (B) \ud800", False),
+            (free, "zebra \ud83d", True),
+            (free, "\ud800", False),
+        ]
+        return cases
+
+    def test_single_pass_trials_each_return_a_verdict(self):
+        started = time.monotonic()
+        for task, text, correct in self.tasks_and_replies():
+            report = bench.run_benchmark([task], "single-pass", ScriptedBackend({"solve": text}), trials=1)
+            verdict = report.results[0].verdict
+            if correct is None:
+                assert verdict.failure == "NoAnswerFound", text[:40]
+            else:
+                assert verdict.correct is correct and verdict.failure is None, text[:40]
+        assert time.monotonic() - started < 2
+
+    def test_sessions_ending_in_them_finish_and_score(self):
+        started = time.monotonic()
+        for task, text, correct in self.tasks_and_replies():
+            backend = ScriptedBackend(
+                {
+                    "routing": "ACTION: SUMMARY<FINISHED>\nGUIDANCE: State the answer.",
+                    "solve": text,
+                    "check": "Check Result: No error.",
+                    "summarize": text,
+                }
+            )
+            tree, final = router.run_session(task.to_problem(), backends=backend)
+            verdict = bench.score(task, final.text)
+            assert isinstance(verdict, bench.Verdict)
+            assert (verdict.failure == "NoAnswerFound") if correct is None else (verdict.correct is correct)
+        assert time.monotonic() - started < 2
+
+    def test_a_checked_ending_past_the_exponent_limit_goes_to_finalize(self):
+        task = bench._task_from_record({"id": "n", "statement": "Add.", "gold": "1000"}, "numeric")
+        backend = ScriptedBackend(
+            {
+                "routing": "ACTION: SUMMARY<FINISHED>\nGUIDANCE: State the answer.",
+                "solve": "So the total is 1e5000.",
+                "check": "Check Result: No error.",
+                "summarize": "The total is \\boxed{1000}.",
+            }
+        )
+        tree, final = router.run_session(task.to_problem(), backends=backend)
+        assert [call.tag for call in backend.calls][-1] == "summarize"
+        assert final.text == "The total is \\boxed{1000}."
+        assert bench.score(task, final.text).correct

@@ -290,6 +290,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_replay_backend_with_cache_record_is_usage_error(self, tmp_path, capsys, command):
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps({"id": "t", "statement": "what is 2+2?", "gold": "4"}) + "\n")
+        args = [str(suite), "--format", "numeric", "--trials", "1"] if command == "bench" else [str(suite)]
+        store = tmp_path / "cache"
+        code = run_cli(
+            [command, *args, "--backend", "replay", "--cache", "record", "--cache-dir", str(store),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--backend replay" in err and "--cache record" in err
+        assert not store.exists() and not (tmp_path / "o").exists()
+
+    def test_replay_backend_takes_cache_replay(self, tmp_path):
+        problem = tmp_path / "p.txt"
+        problem.write_text("what is 2+2?", encoding="utf-8")
+        code = run_cli(
+            ["solve", str(problem), "--backend", "replay", "--cache", "replay",
+             "--cache-dir", str(tmp_path / "empty-cache"), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2  # accepted, then a cache miss
+
     @pytest.mark.parametrize("cache", ["off", "record"])
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_http_backend_closed_when_the_command_ends(self, tmp_path, monkeypatch, command, cache):

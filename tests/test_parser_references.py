@@ -15,6 +15,7 @@ case-insensitively (``İ``, ``ſ``, ``K``).
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -159,9 +160,14 @@ def _reference_parse_grid(text, schema):
         house: {attr: None for attr in schema.attribute_names}
         for house in range(1, schema.houses + 1)
     }
-    # The last "solution:" spelt in ASCII letters of either case, found in
-    # ``text`` itself: no index from a transformed copy.
-    ends = [marker.end() for marker in _SOLUTION_MARKER.finditer(text)]
+    # The last "solution:" spelt in ASCII letters of either case that no
+    # letter precedes, found in ``text`` itself: no index from a transformed
+    # copy.
+    ends = [
+        marker.end()
+        for marker in _SOLUTION_MARKER.finditer(text)
+        if not text[marker.start() - 1 : marker.start()].isalpha()
+    ]
     if not ends:
         return grid
     block = text[ends[-1]:]
@@ -191,6 +197,40 @@ def _reference_parse_grid(text, schema):
             if hit is not None:
                 grid[house][attr] = hit
     return grid
+
+
+_REF_BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
+_REF_DIGITS = r"(?:\d{1,3}(?:,\d{3})+|\d+)"
+_REF_OPERAND = rf"{_REF_DIGITS}(?:\.\d+)?(?:[eE][+\-]?\d+)?"
+_REF_MAGNITUDE = rf"{_REF_OPERAND}(?:/{_REF_OPERAND})?"
+_REF_NUMBER = re.compile(rf"-?\+?{_REF_MAGNITUDE}")
+
+
+def _reference_normalize_numeric(text):
+    candidate = text.strip().replace("\u2212", "-")
+    boxed = _REF_BOXED.findall(candidate)
+    if boxed:
+        candidate = boxed[-1].strip()
+    else:
+        numbers = _REF_NUMBER.findall(candidate)
+        if candidate and _REF_NUMBER.fullmatch(candidate):
+            numbers = [candidate]
+        if not numbers:
+            return None
+        candidate = numbers[-1]
+    candidate = re.sub(r"^(-?)\++", r"\1", candidate).strip()
+    if _REF_NUMBER.fullmatch(candidate):
+        candidate = candidate.replace(",", "")
+    value = _reference_parse_rational(candidate)
+    return None if value is None else str(value)  # "7/2", or "4" for 4/1
+
+
+def _reference_parse_rational(text):
+    try:
+        numerator, denominator = text.split("/") if "/" in text else (text, "1")
+        return Fraction(numerator) / Fraction(denominator)
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 # --- fuzz ---------------------------------------------------------------------------
@@ -327,7 +367,9 @@ def test_parse_action_matches_reference():
 def _grid_text(rng, schema):
     lines = [rng.choice(_PROSE)]
     if rng.random() < 0.9:
-        lines.append(rng.choice(("Solution:", "solution:", "SOLUTION:", "Solution", "Final solution: ")))
+        lines.append(
+            rng.choice(("Solution:", "solution:", "SOLUTION:", "Solution", "Final solution: ", "**Solution:**"))
+        )
     for _ in range(rng.randrange(0, schema.houses + 3)):
         cells = []
         for _, values in schema.attributes:
@@ -344,6 +386,11 @@ def _grid_text(rng, schema):
             + rng.choice((":", " :", ": ", "-"))
             + " "
             + rest
+        )
+    if rng.random() < 0.3:
+        lines.insert(
+            rng.randrange(len(lines) + 1),
+            rng.choice(("Conflict resolution: none.", "resolution:", "Résolution: aucune.", "Dissolution:")),
         )
     return rng.choice(("\n", "\r\n")).join(lines)
 
@@ -372,3 +419,58 @@ def test_parse_grid_matches_reference():
         schema = rng.choice(schemas)
         text = _grid_text(rng, schema)
         assert answers.parse_grid(text, schema) == _reference_parse_grid(text, schema), text
+
+
+def _operand(rng):
+    digits = rng.choice((
+        str(rng.randrange(10)),
+        str(rng.randrange(10**6)),
+        f"{rng.randrange(1, 1000)},{rng.randrange(1000):03d}",
+        f"{rng.randrange(1, 1000)},{rng.randrange(1000):03d},{rng.randrange(1000):03d}",
+        f"{rng.randrange(1, 100)},{rng.randrange(100)}",  # no thousands group
+        "0" * rng.randrange(1, 4) + str(rng.randrange(100)),
+    ))
+    if rng.random() < 0.4:
+        digits += "." + str(rng.randrange(10**rng.randrange(1, 5))).rjust(rng.randrange(1, 4), "0")
+    if rng.random() < 0.3:
+        digits += rng.choice("eE") + rng.choice(("", "+", "-")) + str(rng.randrange(401))
+    return digits
+
+
+def _number_text(rng):
+    number = _operand(rng)
+    if rng.random() < 0.3:
+        number += rng.choice(("/", "/", " / ")) + rng.choice((_operand(rng), "0", "0.0"))
+    sign = rng.choice(("", "", "-", "+", "-+", "+-", "\u2212", "--", "++"))
+    return sign + number
+
+
+def _numeric_text(rng):
+    parts = []
+    for _ in range(rng.randrange(0, 4)):
+        kind = rng.random()
+        if kind < 0.35:
+            parts.append(_number_text(rng))
+        elif kind < 0.6:
+            inner = rng.choice((_number_text(rng), " " + _number_text(rng) + " ", "x 5", "1 000", "abc", "", "1/2/3"))
+            parts.append("\\boxed{" + inner + "}")
+        else:
+            parts.append(rng.choice(_PROSE + ("the total is", "so x =", "apples,", "step 3:", "{}", "\\boxed{")))
+    text = rng.choice((" ", "  ", ", ", "\n", "")).join(parts)
+    return rng.choice(("", " ", "\n")) + text + rng.choice(("", ".", " ", "\n", "$"))
+
+
+def test_read_number_matches_reference():
+    rng = random.Random(17)
+    texts = [_numeric_text(rng) for _ in range(4000)]
+    read = 0
+    for text in texts:
+        expected = _reference_normalize_numeric(text)
+        value = answers.read_number(text)
+        if expected is None:
+            assert value is None, text
+        else:
+            assert str(value) == expected, text
+            read += 1
+    # the fuzz reaches numbers and non-numbers alike
+    assert 1000 < read < 3500
