@@ -127,7 +127,11 @@ class TestNumeric:
             ("The answer is 1,000.", 1000),
             ("12,345 apples", 12345),
             ("\\boxed{1,000}", 1000),
-            ("a total of 1,234,567.50", Fraction(2469135, 2)),
+            pytest.param(
+                "a total of 1,234,567.50",
+                Fraction(2469135, 2),
+                id="a total of 1,234,567.50-2469135/2",
+            ),
             ("-1,000", -1000),
         ],
     )
