@@ -4,7 +4,9 @@
 ``extract`` reads what a text states under it; the parsers below it return
 ``None`` / empty structures instead of raising, so reading a reply never
 fails.  ``is_complete`` (does the checked ending step hold the whole answer?)
-and ``bench.score`` (is it the gold answer?) both read through ``extract``.
+and ``bench.score`` (is it the gold answer?) both judge what ``extract``
+read, and a session that read its answer hands it on
+(``executor.FinalAnswer.answer``), so a trial reads its answer once.
 """
 
 from __future__ import annotations
@@ -209,13 +211,12 @@ def extract(schema, text: str):
     return text.strip()
 
 
-def is_complete(schema, text: str) -> bool:
-    """Whether ``text`` states a whole answer under ``schema``: every grid
-    cell, the option letter or the number is there.  Free text is never
-    complete."""
+def is_complete(schema, answer) -> bool:
+    """Whether ``answer``, what ``extract`` read under ``schema``, is a whole
+    answer: every grid cell, the option letter or the number is there.  Free
+    text is never complete."""
     if isinstance(schema, FreeText):
         return False
-    answer = extract(schema, text)
     if isinstance(schema, GridSchema):
         return all(None not in cells.values() for cells in answer.values())
     return answer is not None

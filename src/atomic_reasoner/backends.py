@@ -326,7 +326,7 @@ class HttpBackend:
             raise MalformedResponse("completion content is not text", excerpt=response.text[:200])
         usage = payload.get("usage")
         return CompletionResult(
-            text=_UNPAIRED_SURROGATE.sub("\ufffd", text),
+            text=_encodable(text),
             prompt_tokens=_token_count(usage, "prompt_tokens"),
             completion_tokens=_token_count(usage, "completion_tokens"),
             latency_ms=latency_ms,
@@ -337,6 +337,25 @@ class HttpBackend:
 # A surrogate code point left in decoded JSON text is unpaired (``json``
 # joins an escaped pair into one character), and UTF-8 cannot encode it.
 _UNPAIRED_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _encodable(value):
+    """``value``, a string or a decoded JSON value, with each unpaired
+    surrogate in its strings (object keys too) replaced by U+FFFD, so that
+    it encodes as UTF-8."""
+    if isinstance(value, str):
+        return _UNPAIRED_SURROGATE.sub("\ufffd", value)
+    if isinstance(value, list):
+        return [_encodable(item) for item in value]
+    if isinstance(value, dict):
+        return {_encodable(key): _encodable(item) for key, item in value.items()}
+    return value
+
+
+def _loads(text: str):
+    """``json.loads(text)``, each unpaired surrogate escape read as U+FFFD."""
+    value = json.loads(text)
+    return _encodable(value) if "\\u" in text else value  # only an escape decodes to a surrogate
 
 
 def _token_count(usage, name: str) -> int:
@@ -409,8 +428,10 @@ def cache_key(request: CompletionRequest, model: str) -> str:
     state = _head_state(
         model, request.temperature, request.max_tokens, request.seed, first.role, first.content
     ).copy()
-    for message in request.messages[1:]:
-        _hash_fields(state, (message.role, message.content))
+    for message in request.messages[1:]:  # ``_hash_fields`` of role and content, in two updates
+        role, content = message.role.encode("utf-8"), message.content.encode("utf-8")
+        state.update(b"%d:%s%d:" % (len(role), role, len(content)))
+        state.update(content)
     return state.hexdigest()
 
 
@@ -525,18 +546,20 @@ class CacheBackend:
         except FileNotFoundError:
             return None
         try:
-            head = os.read(fd, _READ_SIZE)
-            header, newline, body = head.partition(b"\n")
+            entry = os.read(fd, _READ_SIZE)
+            end = entry.find(b"\n")
+            header = entry[:end] if end >= 0 else entry
             fields = header.split(b" ")
-            if not newline or len(fields) != 3 or not all(map(bytes.isdigit, fields)):
+            if end < 0 or len(fields) != 3 or not all(map(bytes.isdigit, fields)):
                 raise ValueError(f"bad header {header[:64]!r}")
             size, prompt_tokens, completion_tokens = map(int, fields)
-            if len(body) <= size and size < os.fstat(fd).st_size:
-                body += os.read(fd, size + 1 - len(body))
-            if len(body) <= size or body[size] != 0x0A:
+            start, stop = end + 1, end + 1 + size  # the text, sliced out of ``entry``
+            if len(entry) <= stop and size < os.fstat(fd).st_size:
+                entry += os.read(fd, stop + 1 - len(entry))
+            if len(entry) <= stop or entry[stop] != 0x0A:
                 raise ValueError(f"text is not {size} bytes and a newline")
             return CompletionResult(
-                text=body[:size].decode("utf-8"),
+                text=entry[start:stop].decode("utf-8"),
                 prompt_tokens=prompt_tokens,
                 completion_tokens=completion_tokens,
                 source=ResultSource.CACHE if self.mode is CacheMode.REPLAY else ResultSource.RECORDING,

@@ -3,7 +3,6 @@ single-pass baseline, and oracle helpers for generated puzzles."""
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -12,8 +11,8 @@ from typing import Callable, ClassVar, Optional, Union
 
 from . import answers, metrics, puzzles
 from . import model, prompts, router
-from .backends import ScriptedBackend, TallyBackend, ask
-from .errors import BackendFailure, EmptySuite, ParseError
+from .backends import ScriptedBackend, TallyBackend, _loads, ask
+from .errors import BackendFailure, EmptySuite, ParseError, _read_text
 from .model import GridSchema, MultipleChoice, Numeric, Problem
 
 
@@ -143,10 +142,11 @@ def task_from_record(record) -> Task:
 
 def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Reject]]:
     """Load a line-delimited task file; malformed lines become rejects, never
-    silent drops."""
+    silent drops.  An unpaired surrogate escape reads as U+FFFD; a file that
+    is not UTF-8 raises ``ParseError``."""
     if format not in TASK_RECORDS:
         raise ValueError(f"format must be one of {tuple(TASK_RECORDS)}")
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = _read_text(path)
     tasks: list[Task] = []
     rejects: list[Reject] = []
     # Not ``splitlines``: a record may hold a raw U+2028 or U+2029.
@@ -154,7 +154,7 @@ def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Re
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _loads(line)
             tasks.append(_task_from_record(record, format))
         except (ValueError, ParseError) as exc:
             rejects.append(Reject(line=line_no, reason=f"SchemaMismatch: {exc}"))
@@ -176,11 +176,14 @@ def task_to_record(task: Task, format: str) -> dict:
 
 # --- scoring ------------------------------------------------------------------------
 
-def score(task: Task, final_text: str) -> Verdict:
+def score(task: Task, final_text: str, answer: object = None) -> Verdict:
     """Total and deterministic scoring of a final-answer text against the
-    gold: what ``answers.extract`` reads, cell by cell for a grid."""
+    gold: what ``answers.extract`` reads, cell by cell for a grid.
+    ``answer`` is that reading when the caller holds it
+    (``FinalAnswer.answer``); None reads ``final_text`` here."""
     schema = task.schema
-    answer = answers.extract(schema, final_text)
+    if answer is None:
+        answer = answers.extract(schema, final_text)
     if isinstance(schema, GridSchema):
         cells = [(answer[h][a], task.gold[h][a]) for h in answer for a in schema.attribute_names]
         partial = sum(got is not None and got == gold for got, gold in cells) / len(cells)
@@ -384,7 +387,7 @@ def run_benchmark(
                     sop_registry=sop_registry,
                 )
                 rounds = model.round_count(tree)
-                verdict = score(task, final.text)
+                verdict = score(task, final.text, final.answer)
                 if trace_sink:
                     trace_sink(task, tree, verdict)
             else:

@@ -23,8 +23,9 @@ from .backends import (
     HttpBackend,
     HttpConfig,
     ScriptedBackend,
+    _loads,
 )
-from .errors import AtomicReasonerError, BackendFailure, ParseError
+from .errors import AtomicReasonerError, BackendFailure, ParseError, _read_text
 from .model import FreeText, Problem
 
 EXIT_OK = 0
@@ -108,10 +109,12 @@ def _out_dir(args) -> Path:
 
 
 def _read_json(path) -> object:
-    """The JSON value the file at ``path`` holds; a ``ParseError`` naming the
-    file when it holds none."""
+    """The JSON value the file at ``path`` holds, each unpaired surrogate
+    escape read as U+FFFD; a ``ParseError`` naming the file when it holds
+    none."""
+    text = _read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        return _loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", str(path), exc.lineno) from exc
 
@@ -186,7 +189,7 @@ def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
             reason = exc.message if isinstance(exc, ParseError) else exc  # the file stands for "task record"
             raise ParseError(f"not a task record: {reason}", source=args.problem) from exc
         return task.to_problem(), task
-    raw = Path(args.problem).read_text(encoding="utf-8-sig")
+    raw = _read_text(args.problem)
     return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
 
 
@@ -235,7 +238,7 @@ def cmd_solve(args) -> int:
         _close_http(backend)
     correct = None
     if task is not None:
-        correct = bench_mod.score(task, final.text).correct
+        correct = bench_mod.score(task, final.text, final.answer).correct
     _write_trace(out, problem.id, tree, correct, suite)
     (out / "answer.txt").write_text(final.text + "\n", encoding="utf-8")
     print(f"rounds: {model.round_count(tree)}  chains: {len(tree.chains)}")
@@ -290,7 +293,7 @@ def cmd_synth(args) -> int:
         raise FileNotFoundError(f"not a directory: {traces_dir}")
     scored = []
     for trace_path in sorted(traces_dir.glob("*.trace.json")):
-        tree = metrics.deserialize_trace(trace_path.read_text(encoding="utf-8-sig"), str(trace_path))
+        tree = metrics.deserialize_trace(_read_text(trace_path), str(trace_path))
         meta_path = trace_path.with_name(trace_path.name.replace(".trace.json", ".meta.json"))
         correct, suite = False, ""
         if meta_path.exists():
@@ -307,7 +310,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    tree = metrics.deserialize_trace(Path(args.trace).read_text(encoding="utf-8-sig"), args.trace)
+    tree = metrics.deserialize_trace(_read_text(args.trace), args.trace)
     print(f"Problem: {tree.problem.statement}")
     print()
     print(model.render_tree(tree))

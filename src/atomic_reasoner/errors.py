@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the engine."""
+"""Exception hierarchy shared across the engine, and the reader of outside
+files, which raises one of them."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class AtomicReasonerError(Exception):
@@ -80,6 +83,15 @@ class ParseError(AtomicReasonerError):
         self.message = message
         self.source = source
         self.line = line
+
+
+def _read_text(path) -> str:
+    """The text of the file at ``path``, read as UTF-8 with an optional
+    byte-order mark; a ``ParseError`` naming the file when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", str(path)) from exc
 
 
 class MissingDefault(AtomicReasonerError):

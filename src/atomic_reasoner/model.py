@@ -330,10 +330,9 @@ def _elide(
     """Fit ``lines`` into ``budget`` characters by dropping the indices of
     ``runs`` in order; one ELISION_MARKER stands where each run's first
     dropped line was.  Returns the text and whether it fits."""
-    text = "\n".join(lines)
-    size = len(text)
+    size = sum(map(len, lines)) + len(lines) - 1
     if budget is None or size <= budget:
-        return text, True
+        return "\n".join(lines), True
     kept: list[Optional[str]] = list(lines)
     for run in runs:
         first = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
+from typing import Optional
 
 from . import model
 from .backends import ChatMessage, CompletionRequest
@@ -51,6 +52,11 @@ def _budget(tree: model.AtomicTree) -> int:
     return RENDER_BUDGET - len(tree.problem.statement)
 
 
+def _outline(tree: model.AtomicTree) -> str:
+    """The tree as the routing, solver and summary prompts show it."""
+    return model.render_tree(tree, _budget(tree))
+
+
 _SLOT = re.compile(r"\{\{(\w+)\}\}")
 
 
@@ -73,12 +79,15 @@ def fill(template: str, **values: str) -> str:
     return "".join(out)
 
 
-def build_routing_prompt(tree: model.AtomicTree, sop_hints: str = "") -> CompletionRequest:
+def build_routing_prompt(
+    tree: model.AtomicTree, sop_hints: str = "", outline: Optional[str] = None
+) -> CompletionRequest:
+    """``outline`` is ``_outline(tree)`` when the caller has rendered it."""
     body = fill(
         load_template("routing_expansion"),
         sop=sop_hints,
         problem=tree.problem.statement,
-        tree=model.render_tree(tree, _budget(tree)),
+        tree=_outline(tree) if outline is None else outline,
     )
     return _request(
         "You are an expert routing agent for structured reasoning.",
@@ -93,15 +102,17 @@ def build_expansion_prompt(
     guidance: str,
     sop_guidance: str = "",
     answer_format: str = "",
+    outline: Optional[str] = None,
 ) -> CompletionRequest:
     """The solver's prompt for one step.  ``answer_format`` is for the ending
-    step: its own section, so the guidance stays the line after its header."""
+    step: its own section, so the guidance stays the line after its header.
+    ``outline`` is ``_outline(tree)`` when the caller has rendered it."""
     parts = [
         "# The problem that needs to be solved is:",
         tree.problem.statement,
         "",
         "# The reasoning steps up to the current point:",
-        model.render_tree(tree, _budget(tree)),
+        _outline(tree) if outline is None else outline,
         "",
         "# The expert's guidance for the current step:",
         guidance,
@@ -184,7 +195,7 @@ def build_summary_prompt(
     body = fill(
         load_template("summary"),
         problem=tree.problem.statement,
-        tree=model.render_tree(tree, _budget(tree)),
+        tree=_outline(tree),
         format_instruction=instruction,
     )
     return _request(

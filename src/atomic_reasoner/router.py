@@ -51,7 +51,7 @@ import contextlib
 import enum
 import re
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from . import checker as checker_mod
@@ -77,8 +77,14 @@ class BacktrackReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Extend:
+    """``outline`` is the tree as the routing request that led here rendered
+    it, which the step's solver prompt shows again (``executor.execute``);
+    None for an Extend made with no routing request.  It is no part of the
+    decision."""
+
     action: AtomicAction
     guidance: str
+    outline: Optional[str] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.guidance.strip():
@@ -251,33 +257,35 @@ def decide(
             return Terminate(TerminationMode.ACTIVE_SOLVED)
         return _leave_chain(tree, backend)
 
+    # Every Extend below follows the routing request, with the tree as it
+    # rendered it: the step's solver prompt shows the same outline.
+    outline = prompts._outline(tree)
+    request = prompts.build_routing_prompt(tree, sop_hints, outline)
+
     # R2: a fresh hypothesis is verified promptly; backend gives guidance only,
     # through a parser that never rejects, so it is asked once.
     if path and path[-1].action is AtomicAction.HYPOTHESIS_GENERATION:
         guidance = backends_mod.ask(
-            backend,
-            prompts.build_routing_prompt(tree, sop_hints),
-            lambda text: parse_guidance_only(text) or _verification_guidance(path),
+            backend, request, lambda text: parse_guidance_only(text) or _verification_guidance(path)
         )
-        return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, guidance)
+        return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, guidance, outline)
 
     # R4 envelope: parse the proposal, one re-ask, then safe fallback.
-    proposal = backends_mod.ask(
-        backend, prompts.build_routing_prompt(tree, sop_hints), parse_routing_response
-    )
+    proposal = backends_mod.ask(backend, request, parse_routing_response)
     if proposal is None:
-        return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE)
+        return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE, outline)
 
     if proposal.kind in ("finish", "terminate"):
         # R3: the first finish claim on an unverified path is not accepted.
         if not _has_verification(path):
             if _has_hypothesis(path):
-                return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, _verification_guidance(path))
+                return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, _verification_guidance(path), outline)
             # Nothing to verify yet: demand an explicit hypothesis first.
             return Extend(
                 AtomicAction.HYPOTHESIS_GENERATION,
                 "Before concluding, state the proposed solution explicitly as "
                 "'Hypothesis 1:' so it can be verified.",
+                outline,
             )
         if proposal.kind == "terminate":
             return Terminate(TerminationMode.ACTIVE_SOLVED)
@@ -287,7 +295,7 @@ def decide(
         if len(tree.chains) >= config.max_chains:
             return Terminate(TerminationMode.PASSIVE_LIMIT)
         if not path:
-            return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE)
+            return Extend(AtomicAction.PREMISE_SUMMARIZATION, FALLBACK_GUIDANCE, outline)
         return _leave_chain(tree, backend)
 
     action = proposal.action
@@ -297,8 +305,9 @@ def decide(
         return Extend(
             AtomicAction.HYPOTHESIS_GENERATION,
             proposal.guidance or "Propose explicit hypotheses for the current sub-problem.",
+            outline,
         )
-    return Extend(action, proposal.guidance or _default_guidance(action))
+    return Extend(action, proposal.guidance or _default_guidance(action), outline)
 
 
 def _default_guidance(action: AtomicAction) -> str:
@@ -469,13 +478,18 @@ def _checked_ending(tree: AtomicTree, mode: TerminationMode) -> Optional[FinalAn
     """The final answer a session already holds: the content of the ending
     step its active chain closed on, when the session ended ActiveSolved, the
     checker left that step unflagged and the content is a complete answer
-    under the schema.  None sends the session through ``finalize``."""
+    under the schema; it carries the answer read from that content.  None
+    sends the session through ``finalize``."""
     if mode is not TerminationMode.ACTIVE_SOLVED or not _chain_completed(tree):
         return None
     ending = tree.nodes[model.active_chain(tree).node_ids[-1]]
-    if ending.flagged or not answers.is_complete(tree.problem.answer_schema, ending.content):
+    if ending.flagged:
         return None
-    return FinalAnswer(ending.content)
+    schema = tree.problem.answer_schema
+    answer = answers.extract(schema, ending.content)
+    if not answers.is_complete(schema, answer):
+        return None
+    return FinalAnswer(ending.content, answer)
 
 
 def run_session(
@@ -528,7 +542,7 @@ def run_session(
 
             guidance_extra = active_sop.action_strategies.get(decision.action, "") if active_sop else ""
             node = executor_mod.execute(
-                tree, decision.action, decision.guidance, backends, guidance_extra
+                tree, decision.action, decision.guidance, backends, guidance_extra, decision.outline
             )
             if not _checker_applies(config.checker_mode, node.action):
                 continue

@@ -15,6 +15,11 @@ SCHEMA = GridSchema(
 )
 
 
+def states_whole_answer(schema, text):
+    """``answers.is_complete`` on what ``answers.extract`` reads from ``text``."""
+    return answers.is_complete(schema, answers.extract(schema, text))
+
+
 class TestMcq:
     OPTIONS = answers.option_letters(
         MultipleChoice(options=tuple(f"({c}) option {c}" for c in "ABCDEFG"))
@@ -89,7 +94,7 @@ class TestGrid:
         grid = answers.parse_grid(f"{block}\n{word}\n- House 1: Eric (pizza)", SCHEMA)
         assert grid[1] == {"name": "Eric", "lunch": "pizza"}  # the block reads on past the word
         assert grid[3] == {"name": "Arnold", "lunch": "grilled cheese"}
-        assert answers.is_complete(SCHEMA, f"{block}\n{word}")
+        assert states_whole_answer(SCHEMA, f"{block}\n{word}")
         assert answers.parse_grid(f"{word}\n- House 1: Peter (pizza)", SCHEMA)[1] == {"name": None, "lunch": None}
 
     def test_no_solution_block_all_missing(self):
@@ -119,7 +124,7 @@ class TestNumeric:
     @pytest.mark.parametrize("text", ["\\boxed{x 5}", "\\boxed{1 000}", "\\boxed{abc}", "ratio 5/0"])
     def test_a_box_or_fraction_that_is_no_number_reads_as_none(self, text):
         assert answers.read_number(text) is None
-        assert not answers.is_complete(Numeric(), text)
+        assert not states_whole_answer(Numeric(), text)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -189,20 +194,20 @@ class TestIsComplete:
                 3: {"name": "Arnold", "lunch": "pizza"},
             },
         )
-        assert answers.is_complete(SCHEMA, "Reasoning first.\n" + full)
-        assert not answers.is_complete(SCHEMA, full.replace(" (pizza)", ""))
-        assert not answers.is_complete(SCHEMA, full.replace("Arnold", "Zed"))
-        assert not answers.is_complete(SCHEMA, "no solution block")
+        assert states_whole_answer(SCHEMA, "Reasoning first.\n" + full)
+        assert not states_whole_answer(SCHEMA, full.replace(" (pizza)", ""))
+        assert not states_whole_answer(SCHEMA, full.replace("Arnold", "Zed"))
+        assert not states_whole_answer(SCHEMA, "no solution block")
 
     def test_mcq_needs_an_option_letter(self):
         schema = MultipleChoice(options=("(A) one", "(B) two"))
-        assert answers.is_complete(schema, "The correct answer is (B)")
-        assert not answers.is_complete(schema, "The correct answer is (Q)")
-        assert not answers.is_complete(schema, "undecided")
+        assert states_whole_answer(schema, "The correct answer is (B)")
+        assert not states_whole_answer(schema, "The correct answer is (Q)")
+        assert not states_whole_answer(schema, "undecided")
 
     def test_numeric_needs_a_number(self):
-        assert answers.is_complete(Numeric(), "so the total is \\boxed{29}")
-        assert not answers.is_complete(Numeric(), "no numbers here")
+        assert states_whole_answer(Numeric(), "so the total is \\boxed{29}")
+        assert not states_whole_answer(Numeric(), "no numbers here")
 
     def test_free_text_is_never_complete(self):
-        assert not answers.is_complete(FreeText(), "The answer is the zebra.")
+        assert not states_whole_answer(FreeText(), "The answer is the zebra.")

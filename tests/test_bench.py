@@ -288,7 +288,7 @@ class TestScore:
 
 
 class TestOneReader:
-    """``answers.is_complete`` and ``score`` read a text the same way: an
+    """``answers.is_complete`` and ``score`` judge one reading of a text: an
     answer complete enough to end a session scores correct against a gold
     that is its own reading."""
 
@@ -352,10 +352,10 @@ class TestOneReader:
         for schema, make in kinds:
             for _ in range(100):
                 text = make(rng, schema)
-                assert not answers.is_complete(FreeText(), text)
-                if answers.is_complete(schema, text):
+                assert not answers.is_complete(FreeText(), answers.extract(FreeText(), text))
+                gold = answers.extract(schema, text)
+                if answers.is_complete(schema, gold):
                     complete += 1
-                    gold = answers.extract(schema, text)
                     task = bench.Task(id="t", statement="s", schema=schema, gold=gold)
                     assert bench.score(task, text).correct, (schema, text)
         assert 50 < complete < 250
@@ -378,6 +378,51 @@ class TestOracle:
         task.clues = task.clues[:1]  # now under-constrained
         with pytest.raises(ValueError):
             bench.oracle_session_backend(task)
+
+
+class TestOneAnswerRead:
+    """A session that ends on its checked ending step carries the answer it
+    read there; one that asks ``finalize`` carries none, and its text is
+    read when scored.  Either way a trial reads each text once."""
+
+    def sessions(self):
+        """(task, backend, config, the texts a trial reads); only the first
+        session ends on its checked ending step."""
+        grid, _ = bench.gen_puzzle(11, 3, 3)
+        numeric = bench._task_from_record({"id": "n", "statement": "Add.", "gold": "1000"}, "numeric")
+        finishing = {
+            "routing": "ACTION: SUMMARY<FINISHED>\nGUIDANCE: State the answer.",
+            "solve": "So the total is 1e5000.",
+            "check": "Check Result: No error.",
+            "summarize": "The total is \\boxed{1000}.",
+        }
+        capped = {**finishing, "routing": "ACTION: PremiseDiscovery\nGUIDANCE: List the numbers."}
+        ending = answers.format_grid_answer(grid.schema, bench.brute_solve_task(grid)[0])
+        return [
+            (grid, bench.oracle_session_backend(grid), router.SessionConfig(), [f"All clues verified again.\n{ending}"]),
+            (numeric, ScriptedBackend(finishing), router.SessionConfig(), [finishing["solve"], finishing["summarize"]]),
+            (numeric, ScriptedBackend(capped), router.SessionConfig(max_rounds=2), [capped["summarize"]]),
+        ]
+
+    def test_final_answer_carries_the_read_answer_only_from_a_checked_ending(self):
+        for checked, (task, backend, config, texts) in zip((True, False, False), self.sessions()):
+            _, final = router.run_session(task.to_problem(), config=config, backends=backend.fresh())
+            assert final.text == texts[-1]
+            if checked:
+                assert final.answer == answers.extract(task.schema, final.text) is not None
+            else:
+                assert final.answer is None
+            assert bench.score(task, final.text, final.answer).correct
+
+    def test_a_trial_reads_each_text_once(self, monkeypatch):
+        reads = []
+        extract = answers.extract
+        monkeypatch.setattr(answers, "extract", lambda schema, text: reads.append(text) or extract(schema, text))
+        for task, backend, config, texts in self.sessions():
+            reads.clear()
+            report = bench.run_benchmark([task], "ar", backend, trials=1, session_config=config)
+            assert report.results[0].verdict.correct
+            assert reads == texts, task.id
 
 
 class TestRunBenchmark:
@@ -554,7 +599,10 @@ class TestHostileFinalAnswers:
         assert time.monotonic() - started < 2
 
     def test_sessions_ending_in_them_finish_and_score(self):
+        """Each session's carried answer, where it read one, is what
+        ``answers.extract`` reads from its text, and scores as the text."""
         started = time.monotonic()
+        carried = 0
         for task, text, correct in self.tasks_and_replies():
             backend = ScriptedBackend(
                 {
@@ -565,9 +613,14 @@ class TestHostileFinalAnswers:
                 }
             )
             tree, final = router.run_session(task.to_problem(), backends=backend)
-            verdict = bench.score(task, final.text)
+            verdict = bench.score(task, final.text, final.answer)
             assert isinstance(verdict, bench.Verdict)
             assert (verdict.failure == "NoAnswerFound") if correct is None else (verdict.correct is correct)
+            assert verdict == bench.score(task, final.text)
+            if final.answer is not None:
+                carried += 1
+                assert final.answer == answers.extract(task.schema, final.text)
+        assert carried == 5  # the complete grid, mcq and numeric endings
         assert time.monotonic() - started < 2
 
     def test_a_checked_ending_past_the_exponent_limit_goes_to_finalize(self):

@@ -659,6 +659,83 @@ class TestBench:
         assert "reject line 2" in capsys.readouterr().err
 
 
+class TestOutsideText:
+    """Text read from outside files: an unpaired surrogate escape reads as
+    U+FFFD, and a file that is not UTF-8 exits 3 naming the file."""
+
+    SUM_TASK = {"id": "n", "statement": "Add 2 and 2 \ud800.", "gold": "4"}
+
+    def test_solve_script_with_an_unpaired_surrogate_keeps_the_trace(self, tmp_path, capsys):
+        script = stdin_script(tmp_path)
+        script.write_text(
+            json.dumps({**json.loads(script.read_text(encoding="utf-8")), "solve": "x \ud800"}), encoding="utf-8"
+        )
+        assert "\\ud800" in script.read_text(encoding="utf-8")
+        problem = tmp_path / "p.txt"
+        problem.write_text("What is 2 + 2?", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli(["solve", str(problem), "--script", str(script), "--out", str(out)]) == 0
+        tree = metrics.deserialize_trace((out / "p.trace.json").read_text(encoding="utf-8"))
+        assert {node.content for node in tree.nodes.values()} == {"x \ufffd"}
+        assert (out / "p.meta.json").exists()
+        capsys.readouterr()
+
+    def test_solve_task_with_an_unpaired_surrogate_keeps_the_trace(self, tmp_path, capsys):
+        task = tmp_path / "n.json"
+        task.write_text(json.dumps({"format": "numeric", **self.SUM_TASK}), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli(["solve", str(task), "--script", str(stdin_script(tmp_path)), "--out", str(out)]) == 0
+        tree = metrics.deserialize_trace((out / "n.trace.json").read_text(encoding="utf-8"))
+        assert tree.problem.statement == "Add 2 and 2 \ufffd."
+        assert json.loads((out / "n.meta.json").read_text(encoding="utf-8"))["correct"] is True
+        capsys.readouterr()
+
+    def test_bench_suite_with_an_unpaired_surrogate_records_its_cache(self, tmp_path, capsys):
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(json.dumps(self.SUM_TASK) + "\n", encoding="utf-8")
+        cache, out = tmp_path / "cache", tmp_path / "o"
+        argv = ["bench", str(suite), "--format", "numeric", "--trials", "1", "--script", str(stdin_script(tmp_path))]
+        assert run_cli(argv + ["--cache", "record", "--cache-dir", str(cache), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregates"]["overall"] == 1.0
+        assert any(cache.iterdir())
+        capsys.readouterr()
+
+    SITES = ["problem", "task", "script", "sop", "suite", "bench-script", "inspect-trace", "synth-trace", "sidecar"]
+
+    @pytest.mark.parametrize("bad", [b"\xed\xa0\x80", b"\xff"], ids=["encoded-surrogate", "ff"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_a_file_that_is_not_utf8_is_io_error_naming_it(self, case_files, tmp_path, capsys, site, bad):
+        task, script = case_files("case1")
+        problem = tmp_path / "p.txt"
+        problem.write_text("Which bird is second from the right?", encoding="utf-8")
+        sops = tmp_path / "sops"
+        sops.mkdir()
+        for file in (resources.files("atomic_reasoner") / "data" / "sops").iterdir():
+            (sops / file.name).write_text(file.read_text(encoding="utf-8"), encoding="utf-8")
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(task.read_text(encoding="utf-8").replace("\n", " ") + "\n", encoding="utf-8")
+        traces = tmp_path / "traces"
+        assert run_cli(["solve", str(task), "--script", str(script), "--out", str(traces)]) == 0
+        out = str(tmp_path / "o")
+        solve = ["solve", str(problem), "--script", str(script), "--sop-dir", str(sops), "--out", out]
+        bench = ["bench", str(suite), "--format", "mcq", "--trials", "1", "--script", str(script), "--out", out]
+        target, argv = {
+            "problem": (problem, solve),
+            "task": (task, ["solve", str(task), "--script", str(script), "--out", out]),
+            "script": (script, solve),
+            "sop": (sops / "default.sop", solve),
+            "suite": (suite, bench),
+            "bench-script": (script, bench),
+            "inspect-trace": (traces / "case1.trace.json", ["inspect", str(traces / "case1.trace.json")]),
+            "synth-trace": (traces / "case1.trace.json", ["synth", str(traces), "--out", out]),
+            "sidecar": (traces / "case1.meta.json", ["synth", str(traces), "--out", out]),
+        }[site]
+        target.write_bytes(target.read_bytes() + bad)
+        capsys.readouterr()
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: {target}: not UTF-8: ")
+
+
 class TestGenpuzzles:
     def test_writes_suite_with_count_lines(self, tmp_path, capsys):
         out = tmp_path / "gen"
