@@ -31,8 +31,7 @@ from atomic_reasoner.backends import CompletionResult
 
 from test_router import request_digests
 
-ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LEDGER = Path(__file__).resolve().parent / "data" / "ledger.json"
 TEMPLATES = Path(prompts.__file__).parent / "templates"
 
