@@ -22,7 +22,6 @@ import json
 import math
 import os
 import random
-import re
 import tempfile
 import threading
 import time
@@ -39,6 +38,7 @@ from .errors import (
     MalformedResponse,
     RateLimited,
     ScriptExhausted,
+    encodable,
 )
 
 T = TypeVar("T")
@@ -326,36 +326,12 @@ class HttpBackend:
             raise MalformedResponse("completion content is not text", excerpt=response.text[:200])
         usage = payload.get("usage")
         return CompletionResult(
-            text=_encodable(text),
+            text=encodable(text),
             prompt_tokens=_token_count(usage, "prompt_tokens"),
             completion_tokens=_token_count(usage, "completion_tokens"),
             latency_ms=latency_ms,
             source=ResultSource.NETWORK,
         )
-
-
-# A surrogate code point left in decoded JSON text is unpaired (``json``
-# joins an escaped pair into one character), and UTF-8 cannot encode it.
-_UNPAIRED_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _encodable(value):
-    """``value``, a string or a decoded JSON value, with each unpaired
-    surrogate in its strings (object keys too) replaced by U+FFFD, so that
-    it encodes as UTF-8."""
-    if isinstance(value, str):
-        return _UNPAIRED_SURROGATE.sub("\ufffd", value)
-    if isinstance(value, list):
-        return [_encodable(item) for item in value]
-    if isinstance(value, dict):
-        return {_encodable(key): _encodable(item) for key, item in value.items()}
-    return value
-
-
-def _loads(text: str):
-    """``json.loads(text)``, each unpaired surrogate escape read as U+FFFD."""
-    value = json.loads(text)
-    return _encodable(value) if "\\u" in text else value  # only an escape decodes to a surrogate
 
 
 def _token_count(usage, name: str) -> int:
@@ -464,6 +440,8 @@ class CacheBackend:
         store_path: Union[str, Path],
         strict: bool = True,
     ):
+        if inner is None and (mode is CacheMode.RECORD or not strict):
+            raise ValueError(f"a {mode.value} cache that asks on a miss needs an inner backend")
         self.inner = inner
         self.mode = mode
         self.strict = strict

@@ -11,8 +11,8 @@ from typing import Callable, ClassVar, Optional, Union
 
 from . import answers, metrics, puzzles
 from . import model, prompts, router
-from .backends import ScriptedBackend, TallyBackend, _loads, ask
-from .errors import BackendFailure, EmptySuite, ParseError, _read_text
+from .backends import ScriptedBackend, TallyBackend, ask
+from .errors import BackendFailure, EmptySuite, ParseError, parse_json, read_text
 from .model import GridSchema, MultipleChoice, Numeric, Problem
 
 
@@ -146,7 +146,7 @@ def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Re
     is not UTF-8 raises ``ParseError``."""
     if format not in TASK_RECORDS:
         raise ValueError(f"format must be one of {tuple(TASK_RECORDS)}")
-    text = _read_text(path)
+    text = read_text(path)
     tasks: list[Task] = []
     rejects: list[Reject] = []
     # Not ``splitlines``: a record may hold a raw U+2028 or U+2029.
@@ -154,7 +154,7 @@ def load_tasks(path: Union[str, Path], format: str) -> tuple[list[Task], list[Re
         if not line.strip():
             continue
         try:
-            record = _loads(line)
+            record = parse_json(line, "task record")
             tasks.append(_task_from_record(record, format))
         except (ValueError, ParseError) as exc:
             rejects.append(Reject(line=line_no, reason=f"SchemaMismatch: {exc}"))
@@ -287,9 +287,15 @@ class BenchReport:
     strategy: str
     trials: int
     results: list[TrialResult]
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
     wall_time_s: float = 0.0
+
+    @property
+    def prompt_tokens(self) -> int:
+        return sum(r.prompt_tokens for r in self.results)
+
+    @property
+    def completion_tokens(self) -> int:
+        return sum(r.completion_tokens for r in self.results)
 
     def mean_success(self, split: Optional[str] = None) -> float:
         selected = self.results
@@ -415,7 +421,5 @@ def run_benchmark(
         strategy=strategy,
         trials=trials,
         results=all_results,
-        prompt_tokens=sum(r.prompt_tokens for r in all_results),
-        completion_tokens=sum(r.completion_tokens for r in all_results),
         wall_time_s=time.monotonic() - started,
     )

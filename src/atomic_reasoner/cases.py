@@ -4,13 +4,13 @@ answer."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 from . import bench as bench_mod
 from .backends import ScriptedBackend
 from .bench import Task
+from .errors import parse_json, read_text
 
 CASE_NAMES = ("case1", "case2")
 
@@ -29,10 +29,6 @@ class CaseFixture:
 def load_case(name: str) -> CaseFixture:
     if name not in CASE_NAMES:
         raise ValueError(f"unknown case {name!r}; available: {CASE_NAMES}")
-    raw = (
-        resources.files("atomic_reasoner")
-        .joinpath(f"data/cases/{name}.json")
-        .read_text(encoding="utf-8-sig")
-    )
-    record = json.loads(raw)
+    path = resources.files("atomic_reasoner").joinpath(f"data/cases/{name}.json")
+    record = parse_json(read_text(path), str(path))
     return CaseFixture(name=name, task=bench_mod.task_from_record(record), script=record["script"])

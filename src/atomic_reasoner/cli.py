@@ -17,15 +17,8 @@ from typing import ClassVar, Optional
 
 from . import bench as bench_mod
 from . import metrics, model, router, sop as sop_mod
-from .backends import (
-    CacheBackend,
-    CacheMode,
-    HttpBackend,
-    HttpConfig,
-    ScriptedBackend,
-    _loads,
-)
-from .errors import AtomicReasonerError, BackendFailure, ParseError, _read_text
+from .backends import CacheBackend, CacheMode, HttpBackend, HttpConfig, ScriptedBackend
+from .errors import AtomicReasonerError, BackendFailure, ParseError, parse_json, read_stdin, read_text
 from .model import FreeText, Problem
 
 EXIT_OK = 0
@@ -108,21 +101,10 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _read_json(path) -> object:
-    """The JSON value the file at ``path`` holds, each unpaired surrogate
-    escape read as U+FFFD; a ``ParseError`` naming the file when it holds
-    none."""
-    text = _read_text(path)
-    try:
-        return _loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", str(path), exc.lineno) from exc
-
-
 def _read_script(args):
     if not args.script:
         raise UsageError("--backend scripted requires --script")
-    script = _read_json(args.script)
+    script = parse_json(read_text(args.script), args.script)
     try:
         ScriptedBackend(script)  # the one check of a script's shape
     except TypeError as exc:
@@ -176,21 +158,18 @@ def _sop_registry(args) -> sop_mod.SopRegistry:
 
 def _read_problem(args) -> tuple[Problem, Optional[bench_mod.Task]]:
     if args.stdin:
-        # a piped byte-order mark, which the file readers drop by reading utf-8-sig
-        text = sys.stdin.read().removeprefix("\ufeff")
-        return Problem(id="stdin", statement=text, answer_schema=FreeText()), None
+        return Problem(id="stdin", statement=read_stdin(), answer_schema=FreeText()), None
     if not args.problem:
         raise UsageError("solve needs a problem file or --stdin")
     if args.problem.endswith(".json"):
-        record = _read_json(args.problem)
+        record = parse_json(read_text(args.problem), args.problem)
         try:
             task = bench_mod.task_from_record(record)
         except (ValueError, ParseError) as exc:  # as bench.load_tasks rejects a line
             reason = exc.message if isinstance(exc, ParseError) else exc  # the file stands for "task record"
             raise ParseError(f"not a task record: {reason}", source=args.problem) from exc
         return task.to_problem(), task
-    raw = _read_text(args.problem)
-    return Problem(id=Path(args.problem).stem, statement=raw, answer_schema=FreeText()), None
+    return Problem(id=Path(args.problem).stem, statement=read_text(args.problem), answer_schema=FreeText()), None
 
 
 @dataclass
@@ -293,11 +272,11 @@ def cmd_synth(args) -> int:
         raise FileNotFoundError(f"not a directory: {traces_dir}")
     scored = []
     for trace_path in sorted(traces_dir.glob("*.trace.json")):
-        tree = metrics.deserialize_trace(_read_text(trace_path), str(trace_path))
+        tree = metrics.deserialize_trace(read_text(trace_path), str(trace_path))
         meta_path = trace_path.with_name(trace_path.name.replace(".trace.json", ".meta.json"))
         correct, suite = False, ""
         if meta_path.exists():
-            meta = _read_json(meta_path)
+            meta = parse_json(read_text(meta_path), str(meta_path))
             suite = metrics.from_json(_Sidecar, meta, str(meta_path)).suite
             correct = meta.get("correct") is True  # not "false"
         scored.append(metrics.ScoredTrace(tree=tree, correct=correct, suite=suite))
@@ -310,7 +289,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    tree = metrics.deserialize_trace(_read_text(args.trace), args.trace)
+    tree = metrics.deserialize_trace(read_text(args.trace), args.trace)
     print(f"Problem: {tree.problem.statement}")
     print()
     print(model.render_tree(tree))

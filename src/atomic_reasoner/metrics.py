@@ -14,7 +14,7 @@ from itertools import cycle
 from typing import Callable, Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import model
-from .errors import DimensionMismatch, InvalidDistribution, ParseError
+from .errors import DimensionMismatch, InvalidDistribution, ParseError, parse_json
 from .model import AtomicAction, AtomicTree
 
 PROB_TOLERANCE = 1e-9
@@ -242,10 +242,7 @@ def deserialize_trace(document: str, source: str = "trace") -> AtomicTree:
     ``source`` unless the document has this ``format_version`` (read first)
     and the form ``tree_to_json`` writes, and every chain's nodes, parent
     step and the active chain exist, so no reader of the tree can fail on it."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid trace document: {exc.msg}", source, exc.lineno)
+    data = parse_json(document, source)
     version = from_json(_Version, data, source).format_version
     if version != TRACE_FORMAT_VERSION:
         raise ParseError(f"unknown format_version {version}", source)

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import model
 from .backends import ChatMessage, CompletionRequest
+from .errors import read_text
 
 # Characters of the session a prompt shows, statement included: the tree,
 # the active chain or the checked path gets what the statement leaves.
@@ -39,12 +40,7 @@ def _request(
 
 @lru_cache(maxsize=None)
 def load_template(name: str) -> str:
-    return (
-        resources.files("atomic_reasoner")
-        .joinpath("templates")
-        .joinpath(f"{name}.txt")
-        .read_text(encoding="utf-8-sig")
-    )
+    return read_text(resources.files("atomic_reasoner").joinpath("templates").joinpath(f"{name}.txt"))
 
 
 def _budget(tree: model.AtomicTree) -> int:

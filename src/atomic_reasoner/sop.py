@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import MissingDefault, ParseError, UnknownAction, _read_text
+from .errors import MissingDefault, ParseError, UnknownAction, read_text
 from .model import AtomicAction, Problem, parse_action
 
 log = logging.getLogger(__name__)
@@ -132,7 +132,7 @@ def load_sops(path: Union[str, Path]) -> SopRegistry:
     root = Path(path)
     sops: dict[str, Sop] = {}
     for file in sorted(root.glob("*.sop")):
-        sop = parse_sop(_read_text(file), source=str(file))
+        sop = parse_sop(read_text(file), source=str(file))
         if sop.domain in sops:
             log.warning("duplicate SOP domain %s in %s: last wins", sop.domain, file)
         sops[sop.domain] = sop

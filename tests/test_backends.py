@@ -443,6 +443,16 @@ class BlockingBackend:
 
 
 class TestCacheBackend:
+    @pytest.mark.parametrize(
+        "mode, strict", [(CacheMode.RECORD, True), (CacheMode.RECORD, False), (CacheMode.REPLAY, False)]
+    )
+    def test_a_cache_that_asks_on_a_miss_needs_an_inner_backend(self, tmp_path, mode, strict):
+        """Else the first miss raises ``AttributeError``, which no session or
+        benchmark catches."""
+        with pytest.raises(ValueError, match=f"a {mode.value} cache"):
+            CacheBackend(None, mode, tmp_path / "store", strict=strict)
+        assert not (tmp_path / "store").exists()
+
     def test_key_is_stable_and_order_sensitive(self):
         a = cache_key(make_request("one"), "m")
         assert a == cache_key(make_request("one"), "m")

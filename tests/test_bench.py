@@ -447,6 +447,16 @@ class TestRunBenchmark:
         assert len(report.results) == len(tasks) * 2
         assert report.completion_tokens > 0
 
+    def test_report_token_totals_are_the_sums_over_its_results(self):
+        verdict = bench.Verdict(correct=True, partial=1.0)
+        results = [
+            bench.TrialResult("t", trial, verdict, prompt_tokens=prompt, completion_tokens=completion)
+            for trial, (prompt, completion) in enumerate([(3, 1), (5, 2), (0, 7)], start=1)
+        ]
+        report = bench.BenchReport(suite="s", strategy="ar", trials=3, results=results)
+        assert (report.prompt_tokens, report.completion_tokens) == (8, 10)
+        assert report.to_json()["usage"] == {"prompt_tokens": 8, "completion_tokens": 10, "wall_time_s": 0.0}
+
     def test_trials_deterministic_backend_identical_verdicts(self):
         tasks = self.make_tasks(2)
         report = bench.run_benchmark(

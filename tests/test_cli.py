@@ -1,16 +1,26 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from atomic_reasoner import bench, cli, metrics, model
+from atomic_reasoner import bench, cli, errors, metrics, model
 from atomic_reasoner.model import FreeText, Problem
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def piped(data: bytes):
+    """Standard input as a pipe reaches ``sys.stdin``: a text layer over the bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def stdin_script(tmp_path):
@@ -472,14 +482,13 @@ class TestSolve:
         assert meta["correct"] is True
 
     def test_stdin_problem(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("what is 2+2?"))
+        monkeypatch.setattr("sys.stdin", piped(b"what is 2+2?"))
         code = run_cli(["solve", "--stdin", "--script", str(stdin_script(tmp_path)), "--out", str(tmp_path / "o")])
         assert code == 0
         assert capsys.readouterr().out.rstrip().endswith("The answer is 4.")
 
     def test_stdin_problem_drops_a_piped_byte_order_mark(self, tmp_path, capsys, monkeypatch):
-        # how a pipe reaches sys.stdin under a UTF-8 locale: decoded as utf-8, BOM kept
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbfWhat is 2+2?"), encoding="utf-8"))
+        monkeypatch.setattr("sys.stdin", piped(b"\xef\xbb\xbfWhat is 2+2?"))
         out = tmp_path / "o"
         assert run_cli(["solve", "--stdin", "--script", str(stdin_script(tmp_path)), "--out", str(out)]) == 0
         tree = metrics.deserialize_trace((out / "stdin.trace.json").read_text(encoding="utf-8"))
@@ -564,14 +573,14 @@ class TestBench:
     def test_scripted_bench_reads_the_script_once(self, case_files, tmp_path, monkeypatch):
         _, script_path, suite = self._case1_suite(case_files, tmp_path, ["t1", "t2"])
         reads = []
-        read_text = Path.read_text
+        decode = errors._decode  # every outside read goes through it
 
-        def counting(self, *args, **kwargs):
-            if self == script_path:
-                reads.append(self)
-            return read_text(self, *args, **kwargs)
+        def counting(data, source):
+            if source == str(script_path):
+                reads.append(source)
+            return decode(data, source)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(errors, "_decode", counting)
         out = tmp_path / "bench-out"
         code = run_cli(
             ["bench", str(suite), "--format", "mcq", "--trials", "2", "--workers", "1",
@@ -660,8 +669,9 @@ class TestBench:
 
 
 class TestOutsideText:
-    """Text read from outside files: an unpaired surrogate escape reads as
-    U+FFFD, and a file that is not UTF-8 exits 3 naming the file."""
+    """Text read from outside files and standard input: an unpaired surrogate
+    escape reads as U+FFFD, and input that is not UTF-8 exits 3 naming its
+    source."""
 
     SUM_TASK = {"id": "n", "statement": "Add 2 and 2 \ud800.", "gold": "4"}
 
@@ -700,11 +710,47 @@ class TestOutsideText:
         assert any(cache.iterdir())
         capsys.readouterr()
 
-    SITES = ["problem", "task", "script", "sop", "suite", "bench-script", "inspect-trace", "synth-trace", "sidecar"]
+    def test_trace_and_sidecar_with_an_unpaired_surrogate_read_as_replacement(self, case_files, tmp_path, capsys):
+        task, script = case_files("case1")
+        traces = tmp_path / "traces"
+        assert run_cli(["solve", str(task), "--script", str(script), "--out", str(traces)]) == 0
+        trace = traces / "case1.trace.json"
+        data = json.loads(trace.read_text(encoding="utf-8"))
+        first = data["chains"][data["active_chain"]]["node_ids"][0]
+        data["nodes"][first]["content"] += " \ud800"
+        trace.write_text(json.dumps(data), encoding="utf-8")
+        (traces / "case1.meta.json").write_text(json.dumps({"correct": True, "suite": "s \ud800"}), encoding="utf-8")
+        assert "\\ud800" in trace.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["inspect", str(trace)]) == 0
+        assert " \ufffd" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert run_cli(["synth", str(traces), "--out", str(out)]) == 0
+        record = json.loads((out / "sft.jsonl").read_text(encoding="utf-8"))
+        assert " \ufffd" in record["reasoning"] and record["meta"]["suite"] == "s \ufffd"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("utf8_mode", ["0", "1"])
+    def test_stdin_that_is_not_utf8_exits_3_under_either_utf8_mode(self, tmp_path, utf8_mode):
+        out = tmp_path / "o"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONUTF8": utf8_mode, "LC_ALL": "C", "PYTHONPATH": path}
+        argv = ["solve", "--stdin", "--script", str(stdin_script(tmp_path)), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "atomic_reasoner.cli", *argv],
+            input=b"abc\xff puzzle", capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.endswith(b"i/o error: <stdin>: not UTF-8: invalid start byte at byte 3\n")
+        assert not out.exists()
+
+    SITES = [
+        "problem", "task", "script", "sop", "suite", "bench-script", "inspect-trace", "synth-trace", "sidecar", "stdin"
+    ]
 
     @pytest.mark.parametrize("bad", [b"\xed\xa0\x80", b"\xff"], ids=["encoded-surrogate", "ff"])
     @pytest.mark.parametrize("site", SITES)
-    def test_a_file_that_is_not_utf8_is_io_error_naming_it(self, case_files, tmp_path, capsys, site, bad):
+    def test_a_file_that_is_not_utf8_is_io_error_naming_it(self, case_files, tmp_path, capsys, monkeypatch, site, bad):
         task, script = case_files("case1")
         problem = tmp_path / "p.txt"
         problem.write_text("Which bird is second from the right?", encoding="utf-8")
@@ -729,11 +775,16 @@ class TestOutsideText:
             "inspect-trace": (traces / "case1.trace.json", ["inspect", str(traces / "case1.trace.json")]),
             "synth-trace": (traces / "case1.trace.json", ["synth", str(traces), "--out", out]),
             "sidecar": (traces / "case1.meta.json", ["synth", str(traces), "--out", out]),
+            "stdin": ("<stdin>", ["solve", "--stdin", "--script", str(script), "--out", out]),
         }[site]
-        target.write_bytes(target.read_bytes() + bad)
+        if site == "stdin":
+            monkeypatch.setattr("sys.stdin", piped(b"What is 2+2?" + bad))
+        else:
+            target.write_bytes(target.read_bytes() + bad)
         capsys.readouterr()
         assert run_cli(argv) == 3
         assert capsys.readouterr().err.startswith(f"i/o error: {target}: not UTF-8: ")
+        assert not list(Path(out).glob("*.trace.json"))
 
 
 class TestGenpuzzles:

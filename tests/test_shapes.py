@@ -5,6 +5,7 @@ is set in turn to each of six JSON values, and every command that reads the
 record must exit 0, 1 or 3."""
 
 import ast
+import io
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -13,7 +14,7 @@ from typing import ClassVar, Optional
 
 import pytest
 
-from atomic_reasoner import bench, cli, metrics
+from atomic_reasoner import bench, cli, errors, metrics
 from atomic_reasoner.errors import ParseError
 
 WRONG_VALUES = [5, None, [], {}, "x", True]
@@ -208,13 +209,52 @@ def test_every_wrongly_typed_task_field_exits_cleanly(tmp_path, capsys, format, 
     capsys.readouterr()
 
 
-def test_every_file_is_read_as_utf8_with_an_optional_byte_order_mark():
-    """Each ``read_text`` in the package decodes ``utf-8-sig``: a file saved
-    with a byte-order mark reads as the same text as one without."""
-    calls = []
-    for path in sorted(Path(metrics.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if getattr(getattr(node, "func", None), "attr", None) == "read_text":
-                encoding = {kw.arg: getattr(kw.value, "value", None) for kw in node.keywords}.get("encoding")
-                calls.append((path.stem, node.lineno, encoding))
-    assert calls and all(encoding == "utf-8-sig" for _, _, encoding in calls), calls
+# Names whose use reads outside input: a file, package data or standard
+# input read (``sys.stdin``), a decode of bytes, a parse of JSON.
+READERS = {"read_text", "read_bytes", "stdin", "decode", "loads", "load"}
+
+
+def reader_uses(path):
+    """(module, innermost function, name) for each name in ``READERS`` that
+    the module at ``path`` uses as an attribute or imports from a module
+    other than ``errors``; ``stdin`` only as ``sys.stdin``."""
+    uses = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in READERS:
+            if node.attr != "stdin" or getattr(node.value, "id", None) == "sys":
+                uses.append((path.stem, function, node.attr))
+        if isinstance(node, ast.ImportFrom) and node.module != "errors":
+            uses.extend((path.stem, function, alias.name) for alias in node.names if alias.name in READERS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return uses
+
+
+def test_only_errors_decodes_outside_bytes_or_parses_outside_json():
+    """Every file, package resource, standard input and JSON document is read
+    by ``errors``, which decodes ``utf-8-sig``: a file saved with a byte-order
+    mark reads as the same text as one without.  The one other decode is
+    ``CacheBackend._load``'s of its own entry format."""
+    modules = sorted(Path(errors.__file__).parent.glob("*.py"))
+    uses = [use for path in modules if path.stem != "errors" for use in reader_uses(path)]
+    assert uses == [("backends", "_load", "decode")]
+    source = Path(errors.__file__).read_text(encoding="utf-8")
+    decodes = [
+        node.args for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "decode"
+    ]
+    assert [[arg.value for arg in args] for args in decodes] == [["utf-8-sig"]]
+
+
+def test_a_file_and_standard_input_read_as_the_same_text(tmp_path, monkeypatch):
+    """A byte-order mark is dropped, and a CRLF or lone CR reads as a newline."""
+    data = b"\xef\xbb\xbfa\r\nb\rc\n"
+    path = tmp_path / "p.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert errors.read_text(path) == errors.read_text(str(path)) == errors.read_stdin() == "a\nb\nc\n"
