@@ -149,10 +149,6 @@ class EmptySuite(AtomicReasonerError):
 
 # --- puzzle / metrics errors ------------------------------------------------
 
-class GenerationExhausted(AtomicReasonerError):
-    pass
-
-
 class TooLarge(AtomicReasonerError):
     pass
 

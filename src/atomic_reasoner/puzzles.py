@@ -15,11 +15,13 @@ The generator shuffles the clues that hold for a planted solution and finds
 the shortest unique prefix of them by galloping (prefix lengths 1, 2, 4, ...)
 and then bisecting, which works because a longer prefix never has more
 solutions.  It then prunes that prefix greedily, skipping the trial without
-its last clue, which the search already found not unique.  A clue list that
-leaves two values of one attribute unnamed is found not unique without a
-search, since those two values can trade houses in any solution; every other
-uniqueness test, and so every "unique" verdict on an accepted puzzle, goes
-through the module's ``brute_solve``.
+its last clue, which the search already found not unique.  Clue lists are
+bitmasks over the candidates.  Before the search the generator computes, for
+every exchange of two values of one attribute in the planted solution, the
+mask of the candidates that the exchanged assignment breaks.  A list that no
+exchange breaks is not unique with no search, since the exchanged assignment
+is a second solution; every other uniqueness test, and so every "unique"
+verdict on an accepted puzzle, goes through the module's ``brute_solve``.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import ClassVar, Iterator, Optional, Union
 
-from .errors import GenerationExhausted, TooLarge
+from .errors import TooLarge
 from .model import GridSchema
 
 MAX_HOUSES = 5
-MAX_ATTEMPTS = 20  # sampled solutions per puzzle before GenerationExhausted
 
 # Assignment: attribute name -> tuple of values, index = house - 1.
 Assignment = dict[str, tuple[str, ...]]
@@ -355,28 +356,59 @@ def _candidate_clues(schema: GridSchema, solution: Assignment, rng: random.Rando
     return candidates
 
 
-def _is_unique(schema: GridSchema, clues: list[Clue]) -> bool:
-    """Whether ``clues`` has exactly one solution.
+# An exchange: (attribute, house index h, house index q), h < q, the planted
+# solution with that attribute's values in houses h and q traded.
+_Exchange = tuple[str, int, int]
 
-    False with no search when some attribute has two values that no clue
-    names (a ``FixedPosition`` names one value, the other kinds two): those
-    two values can trade houses in any solution, so there are none or at
-    least two.  Otherwise ``brute_solve`` decides.  For every clue list that
-    fits the schema this equals ``len(brute_solve(schema, clues, limit=2)) == 1``."""
-    named = set()
-    for clue in clues:
+
+def _exchange_masks(schema: GridSchema, solution: Assignment, candidates: list[Clue]) -> dict[_Exchange, int]:
+    """Per exchange of two values of one attribute in ``solution``, a
+    bitmask over ``candidates`` with bit i set when the exchanged assignment
+    breaks candidate i.  Every candidate holds in ``solution``; an exchange
+    moves only the two values it trades, so only the exchanges that move a
+    value a clue names can break it, and a ``FixedPosition`` is broken by
+    every one of them."""
+    masks = {(attr, h, q): 0 for attr in schema.attribute_names
+             for h, q in combinations(range(schema.houses), 2)}
+    for i, clue in enumerate(candidates):
+        bit = 1 << i
         if isinstance(clue, FixedPosition):
-            named.add((clue.attribute, clue.value))
-        else:
-            named.add((clue.attribute_a, clue.value_a))
-            named.add((clue.attribute_b, clue.value_b))
-    for attr, pool in schema.attributes:
-        if sum((attr, value) not in named for value in pool) >= 2:
-            return False
+            moved = clue.house - 1
+            for other in range(schema.houses):
+                if other != moved:
+                    masks[clue.attribute, min(moved, other), max(moved, other)] |= bit
+            continue
+        test = _CLUE_TESTS[type(clue)][0]
+        a, b = solution[clue.attribute_a].index(clue.value_a), solution[clue.attribute_b].index(clue.value_b)
+        for attr, moved in ((clue.attribute_a, a), (clue.attribute_b, b)):
+            for other in range(schema.houses):
+                if other == moved:
+                    continue
+                trade = {moved: other, other: moved}
+                traded_a = trade.get(a, a) if attr == clue.attribute_a else a
+                traded_b = trade.get(b, b) if attr == clue.attribute_b else b
+                if not test(traded_a, traded_b):
+                    masks[attr, min(moved, other), max(moved, other)] |= bit
+    return masks
+
+
+def _is_unique(schema: GridSchema, candidates: list[Clue], chosen: int, breaks: dict[_Exchange, int]) -> bool:
+    """Whether the candidates whose bits are set in ``chosen`` have exactly
+    one solution.
+
+    False with no search when some exchange's mask in ``breaks`` (see
+    ``_exchange_masks``) shares no bit with ``chosen``: that exchanged
+    assignment and the planted one both satisfy every chosen clue.
+    Otherwise ``brute_solve`` decides, over the chosen clues in candidate
+    order.  Since every candidate holds in the planted solution, this equals
+    ``len(brute_solve(schema, clues, limit=2)) == 1`` for the chosen clues."""
+    if not all(mask & chosen for mask in breaks.values()):
+        return False
+    clues = [clue for clue, bit in zip(candidates, bin(chosen)[:1:-1]) if bit == "1"]
     return len(brute_solve(schema, clues, limit=2)) == 1
 
 
-def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue]) -> Optional[int]:
+def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue], breaks: dict[_Exchange, int]) -> Optional[int]:
     """The smallest ``k`` for which ``candidates[:k]`` has a unique solution,
     or None if the whole list has more than one.
 
@@ -384,19 +416,20 @@ def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue]) -> Optio
     has more solutions and uniqueness is monotone in ``k``.  The search
     gallops (k = 1, 2, 4, ..., capped at the list's length) to the first
     unique prefix, then bisects between it and the last prefix found not
-    unique: about 2*log2(k) oracle calls where adding one clue at a time
-    takes k.  The empty prefix is never unique, so the search starts at
-    k = 1: with at least two houses it leaves two values of every attribute
-    unnamed, and ``_is_unique`` finds every such prefix not unique without
-    calling ``brute_solve``, which decides all others."""
+    unique: about 2*log2(k) uniqueness tests where adding one clue at a time
+    takes k.  The empty prefix is never unique (with at least two houses no
+    exchange breaks it), so the search starts at k = 1.  A prefix that some
+    exchange leaves unbroken is found not unique without calling
+    ``brute_solve`` (see ``_is_unique``), so the oracle runs only on the
+    prefixes that every exchange breaks."""
     low, high = 0, 1  # candidates[:low] is not unique; candidates[:high] is tried next
-    while not _is_unique(schema, candidates[:high]):
+    while not _is_unique(schema, candidates, (1 << high) - 1, breaks):
         if high >= len(candidates):
             return None
         low, high = high, min(2 * high, len(candidates))
     while high - low > 1:
         middle = (low + high) // 2
-        if _is_unique(schema, candidates[:middle]):
+        if _is_unique(schema, candidates, (1 << middle) - 1, breaks):
             high = middle
         else:
             low = middle
@@ -406,12 +439,17 @@ def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue]) -> Optio
 def generate_puzzle(seed: int, houses: int, attributes: int) -> tuple[GridSchema, list[Clue], Assignment]:
     """Deterministic puzzle with a unique solution and a minimal clue set.
 
-    The chosen clues are the shortest prefix of the shuffled candidates that
-    the oracle finds unique (``_shortest_unique_prefix``, a galloping
-    search), then greedily pruned: every surviving clue is necessary, so
-    dropping any one of them re-admits a second solution.  The pruning pass
-    never tries dropping the prefix's last clue: what remains is a subset of
-    the one-shorter prefix, which the search found not unique."""
+    The candidates are every clue that holds in a planted solution, shuffled.
+    They include a ``FixedPosition`` for every value, so the whole list is
+    unique.  The chosen clues are its shortest unique prefix
+    (``_shortest_unique_prefix``, a galloping search), then greedily pruned:
+    every surviving clue is necessary, so dropping any one of them re-admits
+    a second solution.  The pruning pass never tries dropping the prefix's
+    last clue: what remains is a subset of the one-shorter prefix, which the
+    search found not unique.  Both passes settle a list that some exchange
+    of two values leaves unbroken as not unique with no search (see
+    ``_exchange_masks``); ``brute_solve`` decides every other list, and so
+    every "unique" verdict."""
     if not 2 <= houses <= MAX_HOUSES:
         raise ValueError(f"houses must be in [2, {MAX_HOUSES}]")
     if not 1 <= attributes <= 4:
@@ -424,23 +462,20 @@ def generate_puzzle(seed: int, houses: int, attributes: int) -> tuple[GridSchema
             (name, tuple(values[:houses])) for name, values in ATTRIBUTE_POOLS[:attributes]
         ),
     )
-    for _ in range(MAX_ATTEMPTS):
-        solution: Assignment = {
-            attr: tuple(rng.sample(schema.values_for(attr), houses))
-            for attr in schema.attribute_names
-        }
-        candidates = _candidate_clues(schema, solution, rng)
-        k = _shortest_unique_prefix(schema, candidates)
-        if k is None:
-            continue  # this solution never became unique; resample
+    solution: Assignment = {
+        attr: tuple(rng.sample(schema.values_for(attr), houses))
+        for attr in schema.attribute_names
+    }
+    candidates = _candidate_clues(schema, solution, rng)
+    breaks = _exchange_masks(schema, solution, candidates)
+    k = _shortest_unique_prefix(schema, candidates, breaks)  # not None: the whole list is unique
 
-        minimal = candidates[:k]
-        for clue in candidates[:k - 1]:
-            trial = [c for c in minimal if c != clue]
-            if _is_unique(schema, trial):
-                minimal = trial
-        return schema, minimal, solution
-    raise GenerationExhausted(f"no unique puzzle after {MAX_ATTEMPTS} attempts (seed={seed})")
+    minimal = (1 << k) - 1
+    for i in range(k - 1):
+        trial = minimal & ~(1 << i)
+        if _is_unique(schema, candidates, trial, breaks):
+            minimal = trial
+    return schema, [clue for clue, bit in zip(candidates, bin(minimal)[:1:-1]) if bit == "1"], solution
 
 
 def render_statement(schema: GridSchema, clues: list[Clue]) -> str:
