@@ -1,27 +1,11 @@
-"""Logic-grid puzzle generation and an independent brute-force solver.
+"""Logic-grid puzzles: clues, an independent brute-force solver and a
+generator.
 
-The solver enumerates permutation assignments attribute by attribute; it is
-the oracle against which generated puzzles are checked for solution
-uniqueness.  Its enumeration order (attributes in schema order, each
-attribute's permutations in ``itertools.permutations`` order) is part of its
-contract, because ``limit`` cuts the search there.  Every permutation's
-house of each value is precomputed once, at import, together with one
-bitmask per (value, house) of the permutations that put that value there.
-Clues naming a single attribute prefilter that attribute's permutations by
-ANDing such masks before the search, and every other clue becomes an
-integer comparison of two house indices.
-
-The generator shuffles the clues that hold for a planted solution and finds
-the shortest unique prefix of them by galloping (prefix lengths 1, 2, 4, ...)
-and then bisecting, which works because a longer prefix never has more
-solutions.  It then prunes that prefix greedily, skipping the trial without
-its last clue, which the search already found not unique.  Clue lists are
-bitmasks over the candidates.  Before the search the generator computes, for
-every exchange of two values of one attribute in the planted solution, the
-mask of the candidates that the exchanged assignment breaks.  A list that no
-exchange breaks is not unique with no search, since the exchanged assignment
-is a second solution; every other uniqueness test, and so every "unique"
-verdict on an accepted puzzle, goes through the module's ``brute_solve``.
+A clue is a frozen dataclass whose ``holds`` states its meaning over a full
+assignment.  ``brute_solve`` is the oracle: it enumerates every assignment
+that satisfies a clue list.  ``generate_puzzle`` plants a solution and picks
+a minimal clue list that the oracle finds unique.  Each algorithm is
+described in the docstring of the function that implements it.
 """
 
 from __future__ import annotations
@@ -72,21 +56,29 @@ class FixedPosition:
 
 
 @dataclass(frozen=True, slots=True)
-class LeftOf:
-    kind: ClassVar[str] = "LeftOf"
+class _TwoSided:
+    """A clue about the houses of two values: ``value_a`` of ``attribute_a``
+    and ``value_b`` of ``attribute_b``."""
     attribute_a: str
     value_a: str
     attribute_b: str
     value_b: str
 
-    def holds(self, assignment: Assignment) -> bool:
-        return (
-            assignment[self.attribute_a].index(self.value_a)
-            < assignment[self.attribute_b].index(self.value_b)
-        )
-
     def attributes(self) -> tuple[str, ...]:
         return (self.attribute_a, self.attribute_b)
+
+    def _houses(self, assignment: Assignment) -> tuple[int, int]:
+        """The house indices of side a and side b in ``assignment``."""
+        return assignment[self.attribute_a].index(self.value_a), assignment[self.attribute_b].index(self.value_b)
+
+
+@dataclass(frozen=True, slots=True)
+class LeftOf(_TwoSided):
+    kind: ClassVar[str] = "LeftOf"
+
+    def holds(self, assignment: Assignment) -> bool:
+        a, b = self._houses(assignment)
+        return a < b
 
     def render(self, index: int) -> str:
         return (
@@ -96,24 +88,12 @@ class LeftOf:
 
 
 @dataclass(frozen=True, slots=True)
-class Adjacent:
+class Adjacent(_TwoSided):
     kind: ClassVar[str] = "Adjacent"
-    attribute_a: str
-    value_a: str
-    attribute_b: str
-    value_b: str
 
     def holds(self, assignment: Assignment) -> bool:
-        return (
-            abs(
-                assignment[self.attribute_a].index(self.value_a)
-                - assignment[self.attribute_b].index(self.value_b)
-            )
-            == 1
-        )
-
-    def attributes(self) -> tuple[str, ...]:
-        return (self.attribute_a, self.attribute_b)
+        a, b = self._houses(assignment)
+        return abs(a - b) == 1
 
     def render(self, index: int) -> str:
         return (
@@ -123,21 +103,12 @@ class Adjacent:
 
 
 @dataclass(frozen=True, slots=True)
-class SameHouse:
+class SameHouse(_TwoSided):
     kind: ClassVar[str] = "SameHouse"
-    attribute_a: str
-    value_a: str
-    attribute_b: str
-    value_b: str
 
     def holds(self, assignment: Assignment) -> bool:
-        return (
-            assignment[self.attribute_a].index(self.value_a)
-            == assignment[self.attribute_b].index(self.value_b)
-        )
-
-    def attributes(self) -> tuple[str, ...]:
-        return (self.attribute_a, self.attribute_b)
+        a, b = self._houses(assignment)
+        return a == b
 
     def render(self, index: int) -> str:
         if self.attribute_a == "name":
@@ -191,6 +162,12 @@ def _placement_masks(placements: list[_Placement]) -> list[list[int]]:
 
 
 _AT: dict[int, list[list[int]]] = {n: _placement_masks(placements) for n, placements in _PLACEMENTS.items()}
+
+
+def _selected(items: list, mask: int) -> list:
+    """The items whose bits are set in ``mask`` (bit i selects
+    ``items[i]``), in order."""
+    return [item for item, bit in zip(items, bin(mask)[:1:-1]) if bit == "1"]
 
 
 def validate_clues(schema: GridSchema, clues: list[Clue]) -> None:
@@ -248,43 +225,31 @@ def brute_solve(
     depth_of = {attr: depth for depth, (attr, _) in enumerate(schema.attributes)}
     index_of = {attr: {value: i for i, value in enumerate(pool)} for attr, pool in schema.attributes}
 
-    # fixed[d]: (value index, house index) pairs attribute d must place;
-    # pairs[d]: (test, value index, value index) clues within attribute d;
-    # staged[d]: (test, value index of d, earlier depth e, value index of e)
-    # clues between d and an earlier attribute, tested once d is placed.
-    fixed: list[list] = [[] for _ in schema.attributes]
-    pairs: list[list] = [[] for _ in schema.attributes]
+    # masks[d]: a bitmask over the placements, with the bits of those that
+    # pass every clue within attribute d; staged[d]: (test, value index of d,
+    # earlier depth e, value index of e) clues between d and an earlier
+    # attribute, tested once d is placed.
+    placements, at = _PLACEMENTS[schema.houses], _AT[schema.houses]
+    house_pairs = [(h, q) for h in range(schema.houses) for q in range(schema.houses)]
+    masks = [(1 << len(placements)) - 1] * len(schema.attributes)
     staged: list[list] = [[] for _ in schema.attributes]
     for clue in clues:
         if isinstance(clue, FixedPosition):
-            fixed[depth_of[clue.attribute]].append((index_of[clue.attribute][clue.value], clue.house - 1))
+            masks[depth_of[clue.attribute]] &= at[index_of[clue.attribute][clue.value]][clue.house - 1]
             continue
         test_a, test_b = _CLUE_TESTS[type(clue)]
         side_a = (depth_of[clue.attribute_a], index_of[clue.attribute_a][clue.value_a], test_a)
         side_b = (depth_of[clue.attribute_b], index_of[clue.attribute_b][clue.value_b], test_b)
         (depth, v, test), (other, w, _) = (side_a, side_b) if side_a[0] >= side_b[0] else (side_b, side_a)
         if depth == other:
-            pairs[depth].append((test, v, w))
-        else:
-            staged[depth].append((test, v, other, w))
-
-    # The permutations of each attribute that pass its one-attribute clues, in
-    # order: the AND of one mask per clue, whose bits bin(mask)[:1:-1] lists
-    # lowest first.
-    placements, at = _PLACEMENTS[schema.houses], _AT[schema.houses]
-    house_pairs = [(h, q) for h in range(schema.houses) for q in range(schema.houses)]
-    candidates = []
-    for depth in range(len(schema.attributes)):
-        mask = (1 << len(placements)) - 1
-        for v, h in fixed[depth]:
-            mask &= at[v][h]
-        for test, v, w in pairs[depth]:
             accepted = 0
             for h, q in house_pairs:
                 if test(h, q):
                     accepted |= at[v][h] & at[w][q]
-            mask &= accepted
-        candidates.append([placed for placed, bit in zip(placements, bin(mask)[:1:-1]) if bit == "1"])
+            masks[depth] &= accepted
+        else:
+            staged[depth].append((test, v, other, w))
+    candidates = [_selected(placements, mask) for mask in masks]
 
     # Depth-first search: pending[d] yields the permutations of attribute d
     # that fit the ones chosen for attributes 0..d-1.
@@ -346,7 +311,7 @@ def _candidate_clues(schema: GridSchema, solution: Assignment, rng: random.Rando
                         continue
                     pos_a = solution[attr_a].index(value_a)
                     pos_b = solution[attr_b].index(value_b)
-                    if attr_a != attr_b and pos_a == pos_b:
+                    if pos_a == pos_b:
                         candidates.append(SameHouse(attr_a, value_a, attr_b, value_b))
                     if pos_a < pos_b:
                         candidates.append(LeftOf(attr_a, value_a, attr_b, value_b))
@@ -379,7 +344,7 @@ def _exchange_masks(schema: GridSchema, solution: Assignment, candidates: list[C
                     masks[clue.attribute, min(moved, other), max(moved, other)] |= bit
             continue
         test = _CLUE_TESTS[type(clue)][0]
-        a, b = solution[clue.attribute_a].index(clue.value_a), solution[clue.attribute_b].index(clue.value_b)
+        a, b = clue._houses(solution)
         for attr, moved in ((clue.attribute_a, a), (clue.attribute_b, b)):
             for other in range(schema.houses):
                 if other == moved:
@@ -404,8 +369,7 @@ def _is_unique(schema: GridSchema, candidates: list[Clue], chosen: int, breaks: 
     ``len(brute_solve(schema, clues, limit=2)) == 1`` for the chosen clues."""
     if not all(mask & chosen for mask in breaks.values()):
         return False
-    clues = [clue for clue, bit in zip(candidates, bin(chosen)[:1:-1]) if bit == "1"]
-    return len(brute_solve(schema, clues, limit=2)) == 1
+    return len(brute_solve(schema, _selected(candidates, chosen), limit=2)) == 1
 
 
 def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue], breaks: dict[_Exchange, int]) -> Optional[int]:
@@ -418,10 +382,8 @@ def _shortest_unique_prefix(schema: GridSchema, candidates: list[Clue], breaks: 
     unique prefix, then bisects between it and the last prefix found not
     unique: about 2*log2(k) uniqueness tests where adding one clue at a time
     takes k.  The empty prefix is never unique (with at least two houses no
-    exchange breaks it), so the search starts at k = 1.  A prefix that some
-    exchange leaves unbroken is found not unique without calling
-    ``brute_solve`` (see ``_is_unique``), so the oracle runs only on the
-    prefixes that every exchange breaks."""
+    exchange breaks it), so the search starts at k = 1.  Each test is
+    ``_is_unique``."""
     low, high = 0, 1  # candidates[:low] is not unique; candidates[:high] is tried next
     while not _is_unique(schema, candidates, (1 << high) - 1, breaks):
         if high >= len(candidates):
@@ -446,10 +408,8 @@ def generate_puzzle(seed: int, houses: int, attributes: int) -> tuple[GridSchema
     every surviving clue is necessary, so dropping any one of them re-admits
     a second solution.  The pruning pass never tries dropping the prefix's
     last clue: what remains is a subset of the one-shorter prefix, which the
-    search found not unique.  Both passes settle a list that some exchange
-    of two values leaves unbroken as not unique with no search (see
-    ``_exchange_masks``); ``brute_solve`` decides every other list, and so
-    every "unique" verdict."""
+    search found not unique.  Both passes test uniqueness with
+    ``_is_unique``, so ``brute_solve`` gives every "unique" verdict."""
     if not 2 <= houses <= MAX_HOUSES:
         raise ValueError(f"houses must be in [2, {MAX_HOUSES}]")
     if not 1 <= attributes <= 4:
@@ -475,7 +435,7 @@ def generate_puzzle(seed: int, houses: int, attributes: int) -> tuple[GridSchema
         trial = minimal & ~(1 << i)
         if _is_unique(schema, candidates, trial, breaks):
             minimal = trial
-    return schema, [clue for clue, bit in zip(candidates, bin(minimal)[:1:-1]) if bit == "1"], solution
+    return schema, _selected(candidates, minimal), solution
 
 
 def render_statement(schema: GridSchema, clues: list[Clue]) -> str:

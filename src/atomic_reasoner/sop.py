@@ -15,9 +15,9 @@ SOPs live in ``.sop`` files: UTF-8, INI-like sections.
 ``keywords`` is a comma-separated list that triage matches, case-insensitively,
 against the problem statement; an SOP without keywords is reached only as the
 default.  Action section names use snake_case action names; unknown action,
-section or ``[meta]`` key names, and non-blank ``[meta]`` lines without
-``=``, are a parse error.  The registry always
-carries a default SOP.
+section or ``[meta]`` key names, non-blank ``[meta]`` lines without ``=``
+and non-blank text before the first section are a parse error.  The registry
+always carries a default SOP.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .errors import MissingDefault, ParseError, UnknownAction, read_text
 from .model import AtomicAction, Problem, parse_action
@@ -59,23 +59,27 @@ class SopRegistry:
 # --- .sop parsing -------------------------------------------------------------
 
 def parse_sop(text: str, source: str = "<string>") -> Sop:
+    """The SOP in ``text``: split into sections first, then each section read
+    once, in order.  A non-blank line before the first section header is a
+    parse error."""
+    sections: list[tuple[str, int, list[str]]] = []  # (header, header line number, body lines)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            sections.append((stripped[1:-1].strip(), line_no, []))
+        elif sections:
+            sections[-1][2].append(raw)
+        elif stripped:
+            raise ParseError(f"text before the first section: {stripped!r}", source, line_no)
+
     domain = ""
     keywords: tuple[str, ...] = ()
     schedule_lines: list[str] = []
     strategies: dict[AtomicAction, str] = {}
-
-    section: Optional[str] = None
-    section_line = 0
-    section_action: Optional[AtomicAction] = None
-    buffer: list[str] = []
-
-    def flush():
-        nonlocal domain, keywords
-        if section is None:
-            return
-        body = "\n".join(buffer).strip()
-        if section == "meta":
-            for line_no, raw in enumerate(buffer, start=section_line + 1):
+    for header, header_line, lines in sections:
+        body = "\n".join(lines).strip()
+        if header == "meta":
+            for line_no, raw in enumerate(lines, start=header_line + 1):
                 if not raw.strip():
                     continue
                 if "=" not in raw:
@@ -87,35 +91,16 @@ def parse_sop(text: str, source: str = "<string>") -> Sop:
                     words = (w.strip().lower() for w in value.split(","))
                     keywords = tuple(w for w in words if w)
                 else:
-                    raise ParseError(
-                        f"unknown [meta] key {key!r} (known: domain, keywords)", source, line_no
-                    )
-        elif section == "schedule":
+                    raise ParseError(f"unknown [meta] key {key!r} (known: domain, keywords)", source, line_no)
+        elif header == "schedule":
             schedule_lines.append(body)
-        elif section == "action":
-            strategies[section_action] = body
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            flush()
-            buffer = []
-            section_line = line_no
-            header = stripped[1:-1].strip()
-            if header == "meta" or header == "schedule":
-                section, section_action = header, None
-            elif header.startswith("action:"):
-                name = header.split(":", 1)[1].strip()
-                try:
-                    section_action = parse_action(name)
-                except UnknownAction as exc:
-                    raise ParseError(str(exc), source, line_no)
-                section = "action"
-            else:
-                raise ParseError(f"unknown section [{header}]", source, line_no)
-            continue
-        buffer.append(raw)
-    flush()
+        elif header.startswith("action:"):
+            try:
+                strategies[parse_action(header.split(":", 1)[1].strip())] = body
+            except UnknownAction as exc:
+                raise ParseError(str(exc), source, header_line)
+        else:
+            raise ParseError(f"unknown section [{header}]", source, header_line)
 
     if not domain:
         raise ParseError("missing [meta] domain", source)

@@ -1,8 +1,12 @@
+import collections
+import random
+from typing import Optional
+
 import pytest
 
 from atomic_reasoner import sop
-from atomic_reasoner.errors import MissingDefault, ParseError
-from atomic_reasoner.model import AtomicAction, FreeText, Problem
+from atomic_reasoner.errors import MissingDefault, ParseError, UnknownAction
+from atomic_reasoner.model import AtomicAction, FreeText, Problem, parse_action
 
 SAMPLE = """\
 [meta]
@@ -17,6 +21,107 @@ List all reagents and conditions.
 [action:hypothesis_verification]
 Re-derive each product from the balanced equation.
 """
+
+
+def reference_parse_sop(text: str, source: str = "<string>") -> sop.Sop:
+    """The one-pass parser ``sop.parse_sop`` replaced, kept as ground truth.
+    It drops text before the first section, which ``parse_sop`` rejects."""
+    domain = ""
+    keywords: tuple[str, ...] = ()
+    schedule_lines: list[str] = []
+    strategies: dict[AtomicAction, str] = {}
+
+    section: Optional[str] = None
+    section_line = 0
+    section_action: Optional[AtomicAction] = None
+    buffer: list[str] = []
+
+    def flush():
+        nonlocal domain, keywords
+        if section is None:
+            return
+        body = "\n".join(buffer).strip()
+        if section == "meta":
+            for line_no, raw in enumerate(buffer, start=section_line + 1):
+                if not raw.strip():
+                    continue
+                if "=" not in raw:
+                    raise ParseError(f"[meta] line {raw.strip()!r} is not 'key = value'", source, line_no)
+                key, value = (part.strip() for part in raw.split("=", 1))
+                if key == "domain":
+                    domain = value
+                elif key == "keywords":
+                    words = (w.strip().lower() for w in value.split(","))
+                    keywords = tuple(w for w in words if w)
+                else:
+                    raise ParseError(
+                        f"unknown [meta] key {key!r} (known: domain, keywords)", source, line_no
+                    )
+        elif section == "schedule":
+            schedule_lines.append(body)
+        elif section == "action":
+            strategies[section_action] = body
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            flush()
+            buffer = []
+            section_line = line_no
+            header = stripped[1:-1].strip()
+            if header == "meta" or header == "schedule":
+                section, section_action = header, None
+            elif header.startswith("action:"):
+                name = header.split(":", 1)[1].strip()
+                try:
+                    section_action = parse_action(name)
+                except UnknownAction as exc:
+                    raise ParseError(str(exc), source, line_no)
+                section = "action"
+            else:
+                raise ParseError(f"unknown section [{header}]", source, line_no)
+            continue
+        buffer.append(raw)
+    flush()
+
+    if not domain:
+        raise ParseError("missing [meta] domain", source)
+    return sop.Sop(
+        domain=domain,
+        action_strategies=strategies,
+        scheduling_hints="\n".join(s for s in schedule_lines if s),
+        keywords=keywords,
+    )
+
+
+# The line groups the differential test draws its texts from.
+FUZZ_LINES = (
+    ("[meta]", " [ meta ] ", "[schedule]", "[action:premise_discovery]", "[ action: Hypothesis_Verification ]"),
+    ("[example]", "[Meta]", "[action:telepathy]", "[action:]", "[]", "[[meta]]", "[meta", "meta]", "[meta] #", "["),
+    ("domain = chem", "domain=default", " domain = x y ", "domain =", "keywords = Reagent, titration ,, pH",
+     "keywords = ,", "keywords=a=b", "keyword = x", "keywords: x", "= x", "Domain = x"),
+    ("", "   ", "\t", "Balance equations first.", "step = s", "# a note", "x [y] z", "  indented text"),
+)
+
+
+def fuzz_text(rng: random.Random) -> str:
+    """Up to ten lines drawn from ``FUZZ_LINES``; half the texts open with a
+    good ``[meta]`` section, so that many of them parse."""
+    lines = ["[meta]", "domain = chem"] if rng.random() < 0.5 else []
+    lines += [rng.choice(rng.choice(FUZZ_LINES)) for _ in range(rng.randint(0, 8))]
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+def stray_line(text: str) -> Optional[tuple[int, str]]:
+    """The first non-blank line before the first section header, as (line
+    number, stripped text), or None."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            return None
+        if stripped:
+            return line_no, stripped
+    return None
 
 
 def make_problem(statement, hint=None):
@@ -70,6 +175,39 @@ class TestParsing:
     def test_example_section_is_parse_error(self):
         with pytest.raises(ParseError, match=r"unknown section \[example\]"):
             sop.parse_sop("[meta]\ndomain = x\n\n[example]\nproblem = p\nstep = s\n")
+
+    def test_text_before_the_first_section_is_parse_error(self):
+        """A keywords line above ``[meta]`` fails loudly instead of leaving the
+        SOP without keywords."""
+        with pytest.raises(ParseError) as excinfo:
+            sop.parse_sop("\nkeywords = titration\n[meta]\ndomain = x\n", source="bad.sop")
+        assert str(excinfo.value) == "bad.sop:2: text before the first section: 'keywords = titration'"
+
+    def test_matches_the_reference_parser(self):
+        """100,000 seeded texts give the reference's ``Sop`` or its
+        ``ParseError`` (message, source and line), except those with text
+        before the first section, which give that error at that line."""
+
+        def outcome(parse, text):
+            try:
+                return parse(text, source="s.sop")
+            except ParseError as exc:
+                return exc.message, exc.source, exc.line
+
+        kinds = ("text before", "unknown section", "unknown atomic action", "unknown [meta] key", "[meta] line", "missing")
+        seen = collections.Counter()
+        rng = random.Random(38)
+        for _ in range(100_000):
+            text = fuzz_text(rng)
+            stray = stray_line(text)
+            if stray is None:
+                expected = outcome(reference_parse_sop, text)
+            else:
+                expected = (f"text before the first section: {stray[1]!r}", "s.sop", stray[0])
+            result = outcome(sop.parse_sop, text)
+            assert result == expected, text
+            seen[next(k for k in kinds if result[0].startswith(k)) if isinstance(result, tuple) else "parsed"] += 1
+        assert len(seen) == len(kinds) + 1 and min(seen.values()) > 1000, seen
 
 
 class TestRegistry:
