@@ -409,6 +409,72 @@ class TestHttpBackend:
         assert captured["Authorization"] == "Bearer sk-unit-test"
 
 
+def jittered_backoffs(count, floor=None):
+    """The first ``count`` backoffs of an HttpBackend with ``backoff_base``
+    1 s and ``rng=random.Random(0)``: 2**attempt s times a jitter in
+    [0.5, 1.5), never below ``floor``."""
+    rng = random.Random(0)
+    return [max(2**attempt * (0.5 + rng.random()), floor or 0.0) for attempt in range(count)]
+
+
+@pytest.mark.parametrize(
+    "reply, max_retries, error, message, retried, retry_after",
+    [
+        (("status", 400), 2, MalformedResponse, "unexpected status 400", False, None),
+        (("status", 404), 2, MalformedResponse, "unexpected status 404", False, None),
+        (("status", 401), 2, AuthError, "auth failed with status 401", False, None),
+        (("status", 403), 2, AuthError, "auth failed with status 403", False, None),
+        (("status", 429), 0, RateLimited, "status 429", True, None),
+        (("status", 429), 2, RateLimited, "status 429", True, None),
+        (("status", (429, {"Retry-After": "7"})), 2, RateLimited, "status 429", True, 7.0),
+        (("status", 503), 0, BackendTimeout, "server error 503", True, None),
+        (("status", 503), 2, BackendTimeout, "server error 503", True, None),
+        (("status", (503, {"Retry-After": "7"})), 2, BackendTimeout, "server error 503", True, 7.0),
+        ("connection", 2, BackendTimeout, "connection error: refused", True, None),
+        ("timeout", 2, BackendTimeout, "request timed out after 120.0s", True, None),
+        (("ok", ok_payload(None)), 2, MalformedResponse, "completion content is not text", False, None),
+        (("ok", ok_payload(["a list"])), 2, MalformedResponse, "completion content is not text", False, None),
+        (("malformed", '{"choices": []}'), 2, MalformedResponse, "unparseable completion body", False, None),
+        (("malformed", "not json"), 2, MalformedResponse, "unparseable completion body", False, None),
+    ],
+    ids=[
+        "400", "404", "401", "403", "429-no-retries", "429", "429-retry-after", "503-no-retries", "503",
+        "503-retry-after", "connection-error", "timeout", "null-content", "list-content", "no-choices",
+        "not-json",
+    ],
+)
+def test_http_failure_table(stub_server, monkeypatch, reply, max_retries, error, message, retried, retry_after):
+    """Each failure HttpBackend meets: the error it raises and its message,
+    the requests it sends and the backoffs it sleeps.  A retried failure is
+    sent ``max_retries + 1`` times with a backoff after each attempt but the
+    last; a ``Retry-After`` is the backoff's floor."""
+    import requests as requests_lib
+
+    stub_server.script = [reply] * 10
+    backend, sleeps = make_http_backend(stub_server, max_retries=max_retries)
+    posts = []
+    post = backend._session.post
+
+    def spy(url, **kwargs):
+        posts.append(url)
+        if reply == "connection":
+            raise requests_lib.ConnectionError("refused")
+        if reply == "timeout":
+            raise requests_lib.Timeout("scripted timeout")
+        return post(url, **kwargs)
+
+    monkeypatch.setattr(backend._session, "post", spy)
+    with pytest.raises(error) as excinfo:
+        backend.complete(make_request())
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+    assert len(posts) == (max_retries + 1 if retried else 1)
+    assert sleeps == jittered_backoffs(max_retries if retried else 0, retry_after)
+    if error is RateLimited:
+        assert excinfo.value.retry_after == retry_after
+    else:
+        assert not hasattr(excinfo.value, "retry_after")
+
+
 def reference_key(request, model, tag=backends.CACHE_FORMAT):
     """``cache_key`` as one pass over the documented byte stream under ``tag``."""
     fields = [model, repr(request.temperature), str(request.max_tokens), str(request.seed)]
