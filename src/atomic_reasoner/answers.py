@@ -102,7 +102,10 @@ def parse_grid(text: str, schema: GridSchema) -> dict[int, dict[str, Optional[st
         match = _HOUSE_LINE.search(raw.strip().lstrip("-* ").strip())
         if not match:
             continue
-        house = int(match.group(1))
+        try:
+            house = int(match.group(1))
+        except ValueError:  # too long for int(): names no house
+            continue
         if house not in grid:
             continue
         rest = match.group(2).strip()

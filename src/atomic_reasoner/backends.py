@@ -18,6 +18,7 @@ import email.utils
 import enum
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -36,9 +37,10 @@ from .errors import (
     BackendTimeout,
     EmptyCompletion,
     MalformedResponse,
+    ParseError,
     RateLimited,
     ScriptExhausted,
-    encodable,
+    parse_json,
 )
 
 T = TypeVar("T")
@@ -110,15 +112,10 @@ def ask(backend, request: CompletionRequest, parse: Callable[[str], Optional[T]]
     return None
 
 
-def nonblank(text: str) -> Optional[str]:
-    """Parser for free-text replies: the stripped text, None when blank."""
-    return text.strip() or None
-
-
 def ask_text(backend, request: CompletionRequest) -> str:
     """``ask`` for a free-text reply: the stripped text; raises
     EmptyCompletion when every attempt comes back blank."""
-    text = ask(backend, request, nonblank)
+    text = ask(backend, request, lambda reply: reply.strip() or None)
     if text is None:
         raise EmptyCompletion(f"backend returned blank output twice (tag={request.tag})")
     return text
@@ -132,54 +129,47 @@ ScriptValue = Union[list, str]
 class ScriptedBackend:
     """Deterministic, network-free backend.
 
-    The script maps a request tag to a queue of responses; a plain string
-    value means "always answer this" for that tag.  Queues are per tag, so
-    the answers do not depend on the order in which concurrent calls of
-    different tags arrive.  An optional ``default`` (string or
-    ``callable(request) -> str``) serves any exhausted queue instead of
-    raising ScriptExhausted.
+    The script maps a request tag to a list of responses, served in order,
+    or to one string, served every time.  Each tag has its own reply stream,
+    so the answers do not depend on the order in which concurrent calls of
+    different tags arrive.  An optional ``default``, a
+    ``callable(request) -> str``, answers a tag whose stream has run out
+    instead of raising ScriptExhausted.  The script is never copied or
+    changed, so ``fresh`` backends share it.
     """
 
     def __init__(
         self,
         script: dict[str, ScriptValue],
-        default: Union[str, Callable[[CompletionRequest], str], None] = None,
+        default: Optional[Callable[[CompletionRequest], str]] = None,
     ):
         if not isinstance(script, dict):
             raise TypeError("a script maps request tags to responses")
+        self._replies = {}
         for tag, value in script.items():
-            texts = [value] if isinstance(value, str) else value
-            if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+            if isinstance(value, str):
+                self._replies[tag] = itertools.repeat(value)
+            elif isinstance(value, list) and all(isinstance(text, str) for text in value):
+                self._replies[tag] = iter(value)
+            else:
                 raise TypeError(f"script value for {tag!r} must be a string or a list of strings")
         self._lock = threading.Lock()
         self._script = script
         self._default = default
-        self._queues = {
-            tag: list(value) if isinstance(value, list) else value
-            for tag, value in script.items()
-        }
         self.calls: list[CompletionRequest] = []
 
     def fresh(self) -> "ScriptedBackend":
         """A new backend at the start of this one's script, with no calls."""
         return ScriptedBackend(self._script, self._default)
 
-    def _next(self, request: CompletionRequest) -> str:
-        entry = self._queues.get(request.tag)
-        if isinstance(entry, str):
-            return entry
-        if entry:
-            return entry.pop(0)
-        if self._default is not None:
-            if callable(self._default):
-                return self._default(request)
-            return self._default
-        raise ScriptExhausted(f"no scripted response left (tag={request.tag})")
-
     def complete(self, request: CompletionRequest) -> CompletionResult:
         with self._lock:
             self.calls.append(request)
-            text = self._next(request)
+            text = next(self._replies.get(request.tag, iter(())), None)
+            if text is None:
+                if self._default is None:
+                    raise ScriptExhausted(f"no scripted response left (tag={request.tag})")
+                text = self._default(request)
         return CompletionResult(
             text=text,
             prompt_tokens=sum(len(m.content.split()) for m in request.messages),
@@ -214,14 +204,16 @@ class HttpConfig:
 class HttpBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
 
-    Retries Timeout/429/5xx with exponential backoff (base 1 s, factor 2,
-    jitter), up to ``max_retries`` extra attempts.  A ``Retry-After`` is the
+    Retries a timeout, a connection error, a 429 and a 5xx with exponential
+    backoff (base ``backoff_base``, factor 2, jitter), up to ``max_retries``
+    extra attempts; 401/403 raise AuthError and any other status that is not
+    200 raises MalformedResponse, at once.  A ``Retry-After`` is the
     backoff's floor; one longer than ``timeout`` is not waited for, and that
-    attempt's error is raised at once.  At most
-    ``max_concurrent`` requests are in flight; a caller sleeping through a
-    backoff holds no slot.  An unpaired surrogate in a reply's text becomes
-    U+FFFD, so every reply encodes as UTF-8.  API keys are read from the
-    environment only.
+    attempt's error is raised at once.  At most ``max_concurrent`` requests
+    are in flight; a caller sleeping through a backoff holds no slot.  The
+    reply body is read by ``errors.parse_json``, so an unpaired surrogate in
+    a reply's text becomes U+FFFD and every reply encodes as UTF-8.  API
+    keys are read from the environment only.
     ``close()`` closes the ``requests.Session`` the backend made itself; one
     passed in stays open.
     """
@@ -263,8 +255,8 @@ class HttpBackend:
             body["seed"] = request.seed
 
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        last_error: Exception = BackendTimeout("no attempt made")
         for attempt in range(self.config.max_retries + 1):
+            retry_after = None
             try:
                 # the slot is held for the request only, never through a backoff
                 with self._semaphore:
@@ -276,57 +268,43 @@ class HttpBackend:
                         timeout=self.config.timeout,
                     )
             except requests.Timeout:
-                last_error = BackendTimeout(f"request timed out after {self.config.timeout}s")
-                self._backoff(attempt)
-                continue
+                error = BackendTimeout(f"request timed out after {self.config.timeout}s")
             except requests.RequestException as exc:
-                last_error = BackendTimeout(f"connection error: {exc}")
-                self._backoff(attempt)
-                continue
-
-            latency = (time.monotonic() - started) * 1000.0
-            if response.status_code in (401, 403):
-                raise AuthError(f"auth failed with status {response.status_code}")
-            if response.status_code == 429 or response.status_code >= 500:
+                error = BackendTimeout(f"connection error: {exc}")
+            else:
+                status = response.status_code
+                if status == 200:
+                    return self._parse(response, (time.monotonic() - started) * 1000.0)
+                if status in (401, 403):
+                    raise AuthError(f"auth failed with status {status}")
+                if status != 429 and status < 500:
+                    raise MalformedResponse(f"unexpected status {status}", excerpt=response.text[:200])
                 retry_after = _parse_retry_after(response)
-                last_error = RateLimited(
-                    f"status {response.status_code}", retry_after=retry_after
-                ) if response.status_code == 429 else BackendTimeout(
-                    f"server error {response.status_code}"
-                )
+                if status == 429:
+                    error = RateLimited(f"status {status}", retry_after=retry_after)
+                else:
+                    error = BackendTimeout(f"server error {status}")
                 if retry_after is not None and retry_after > self.config.timeout:
-                    raise last_error
-                self._backoff(attempt, floor=retry_after)
-                continue
-            if response.status_code != 200:
-                raise MalformedResponse(
-                    f"unexpected status {response.status_code}",
-                    excerpt=response.text[:200],
-                )
-            return self._parse(response, latency)
-        raise last_error
-
-    def _backoff(self, attempt: int, floor: Optional[float] = None) -> None:
-        if attempt >= self.config.max_retries:
-            return
-        delay = self.config.backoff_base * 2 ** attempt
-        delay *= 0.5 + self._rng.random()  # jitter in [0.5x, 1.5x)
-        if floor is not None:
-            delay = max(delay, floor)
-        self._sleep(delay)
+                    raise error
+            if attempt == self.config.max_retries:
+                raise error
+            # jitter in [0.5x, 1.5x); a Retry-After is the floor
+            delay = self.config.backoff_base * 2**attempt * (0.5 + self._rng.random())
+            self._sleep(max(delay, retry_after or 0.0))
 
     @staticmethod
     def _parse(response: requests.Response, latency_ms: float) -> CompletionResult:
+        body = response.text
         try:
-            payload = response.json()
+            payload = parse_json(body, "completion body")
             text = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
-            raise MalformedResponse("unparseable completion body", excerpt=response.text[:200])
+        except (ParseError, KeyError, IndexError, TypeError):
+            raise MalformedResponse("unparseable completion body", excerpt=body[:200])
         if not isinstance(text, str):
-            raise MalformedResponse("completion content is not text", excerpt=response.text[:200])
+            raise MalformedResponse("completion content is not text", excerpt=body[:200])
         usage = payload.get("usage")
         return CompletionResult(
-            text=encodable(text),
+            text=text,
             prompt_tokens=_token_count(usage, "prompt_tokens"),
             completion_tokens=_token_count(usage, "completion_tokens"),
             latency_ms=latency_ms,

@@ -131,12 +131,17 @@ def encodable(value):
 
 def parse_json(text: str, source: str):
     """The JSON value ``text`` holds, each unpaired surrogate escape read as
-    U+FFFD; a ``ParseError`` naming ``source`` when it holds none."""
+    U+FFFD; a ``ParseError`` naming ``source`` when it holds none, or one
+    nested too deeply or with an integer too long for ``int`` to read."""
     try:
         value = json.loads(text)
+        return encodable(value) if "\\u" in text else value  # only an escape decodes to a surrogate
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", source, exc.lineno) from exc
-    return encodable(value) if "\\u" in text else value  # only an escape decodes to a surrogate
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise ParseError("invalid JSON: a number too long to read", source) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply", source) from exc
 
 
 class MissingDefault(AtomicReasonerError):

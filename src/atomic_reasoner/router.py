@@ -344,7 +344,10 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
         target_match = _last_line(_TARGET_LINE, text)
         if target_match is None:
             return None
-        step = int(target_match.group(1))
+        try:
+            step = int(target_match.group(1))
+        except ValueError:  # too long for int(): names no step
+            return None
         if not 1 <= step <= len(path):
             return None
         reason = BacktrackReason.KEY_NODE

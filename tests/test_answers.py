@@ -101,6 +101,17 @@ class TestGrid:
         grid = answers.parse_grid("no structured answer here", SCHEMA)
         assert all(v is None for cells in grid.values() for v in cells.values())
 
+    @pytest.mark.parametrize("number", ["9" * 5000, "0" * 4300 + "1"], ids=["5000-nines", "4301-digit-one"])
+    def test_a_house_number_too_long_to_read_names_no_house(self, number):
+        """A number past ``sys.get_int_max_str_digits()`` names no house, even
+        one whose value is a house's."""
+        text = f"Solution:\n- House {number}: Peter (pizza)\n- House 2: Eric (spaghetti)"
+        assert answers.parse_grid(text, SCHEMA) == {
+            1: {"name": None, "lunch": None},
+            2: {"name": "Eric", "lunch": "spaghetti"},
+            3: {"name": None, "lunch": None},
+        }
+
 
 class TestNumeric:
     def test_plain_and_boxed(self):

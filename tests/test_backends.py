@@ -475,6 +475,28 @@ def test_http_failure_table(stub_server, monkeypatch, reply, max_retries, error,
         assert not hasattr(excinfo.value, "retry_after")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"choices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"choices": [{"message": {"content": "x"}}], "n": ' + "7" * 5000 + "}",
+    ],
+    ids=["deep", "long-integer"],
+)
+def test_a_body_too_deep_or_too_long_to_read_fails_one_trial(stub_server, body):
+    """A 200 body that ``json`` cannot read is a MalformedResponse, so a
+    benchmark records its trial as a BackendFailure and runs on."""
+    stub_server.script = [("malformed", body)] * 2
+    backend, sleeps = make_http_backend(stub_server)
+    with pytest.raises(MalformedResponse, match="^unparseable completion body$"):
+        backend.complete(make_request())
+    task = bench.gen_puzzle(0, 3, 2)[0]
+    report = bench.run_benchmark([task], "ar", backend, trials=1, workers=1)
+    (result,) = report.results
+    assert result.verdict.failure == "BackendFailure"
+    assert len(stub_server.requests) == 2 and sleeps == []
+
+
 def reference_key(request, model, tag=backends.CACHE_FORMAT):
     """``cache_key`` as one pass over the documented byte stream under ``tag``."""
     fields = [model, repr(request.temperature), str(request.max_tokens), str(request.seed)]

@@ -647,3 +647,37 @@ class TestHostileFinalAnswers:
         assert [call.tag for call in backend.calls][-1] == "summarize"
         assert final.text == "The total is \\boxed{1000}."
         assert bench.score(task, final.text).correct
+
+
+class TestNumbersTooLongToRead:
+    """The oracle's session with one number in its replies made 5000 digits
+    long, past ``sys.get_int_max_str_digits()``: such a number names no
+    step and no house, and each trial ends in a verdict."""
+
+    TASK, _ = bench.gen_puzzle(11, 3, 3)
+    LONG = "9" * 5000
+
+    def run(self, old, new):
+        """One trial over the oracle's replies with ``old`` read as ``new``;
+        its result and the tags of the requests it sent."""
+        backends = []
+
+        def factory(task):
+            oracle = bench.oracle_session_backend(task)
+            backends.append(ScriptedBackend({}, default=lambda request: oracle.complete(request).text.replace(old, new)))
+            return backends[-1]
+
+        (result,) = bench.run_benchmark([self.TASK], "ar", factory, trials=1, workers=1).results
+        return result, [call.tag for call in backends[0].calls]
+
+    def test_a_backtrack_target_too_long_to_read_is_asked_again(self):
+        result, _ = self.run("TARGET: Step 2", f"TARGET: Step {self.LONG}")
+        # The re-ask takes the script's next routing reply, so the session
+        # runs ahead of its script until the script runs out.
+        assert result.verdict == bench.Verdict(correct=False, partial=0.0, failure="BackendFailure")
+
+    def test_a_house_too_long_to_read_leaves_the_checked_ending_to_the_summary(self):
+        ending = "All clues verified again.\nSolution:\n- House 1:"
+        result, tags = self.run(ending, ending.replace("House 1", f"House {self.LONG}"))
+        assert result.verdict == bench.Verdict(correct=True, partial=1.0)
+        assert tags[-1] == "summarize"

@@ -786,6 +786,38 @@ class TestOutsideText:
         assert capsys.readouterr().err.startswith(f"i/o error: {target}: not UTF-8: ")
         assert not list(Path(out).glob("*.trace.json"))
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+            ('{"x": ' + "7" * 5000 + "}", "a number too long to read"),
+        ],
+        ids=["deep", "long-integer"],
+    )
+    @pytest.mark.parametrize("site", ["task", "bench-script", "inspect-trace", "sidecar"])
+    def test_json_too_deep_or_too_long_to_read_is_io_error_naming_it(
+        self, case_files, tmp_path, capsys, site, text, reason
+    ):
+        task, script = case_files("case1")
+        suite = tmp_path / "suite.jsonl"
+        suite.write_text(task.read_text(encoding="utf-8").replace("\n", " ") + "\n", encoding="utf-8")
+        traces = tmp_path / "traces"
+        assert run_cli(["solve", str(task), "--script", str(script), "--out", str(traces)]) == 0
+        out = str(tmp_path / "o")
+        target, argv = {
+            "task": (task, ["solve", str(task), "--script", str(script), "--out", out]),
+            "bench-script": (
+                script, ["bench", str(suite), "--format", "mcq", "--trials", "1", "--script", str(script), "--out", out]
+            ),
+            "inspect-trace": (traces / "case1.trace.json", ["inspect", str(traces / "case1.trace.json")]),
+            "sidecar": (traces / "case1.meta.json", ["synth", str(traces), "--out", out]),
+        }[site]
+        target.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == f"i/o error: {target}: invalid JSON: {reason}\n"
+        assert not list(Path(out).glob("*.trace.json"))
+
 
 class TestGenpuzzles:
     def test_writes_suite_with_count_lines(self, tmp_path, capsys):

@@ -228,6 +228,16 @@ class TestBacktracking:
         assert target == (model.active_path(tree)[1].id, BacktrackReason.KEY_NODE)
         assert len(backend.calls) == 1
 
+    @pytest.mark.parametrize("number", ["9" * 5000, "0" * 4300 + "2"], ids=["5000-nines", "4301-digit-two"])
+    def test_a_target_step_too_long_to_read_is_asked_again(self, number):
+        """A number past ``sys.get_int_max_str_digits()`` names no step, even
+        one whose value is a step's."""
+        tree = self.completed_tree()
+        backend = ScriptedBackend({"routing": [f"TARGET: Step {number}", "TARGET: Step 3"]})
+        target = router.select_backtrack_target(tree, backend)
+        assert target == (model.active_path(tree)[2].id, BacktrackReason.KEY_NODE)
+        assert len(backend.calls) == 2
+
     def test_target_with_more_than_a_step_number_is_asked_again(self):
         tree = self.completed_tree()
         backend = ScriptedBackend({"routing": ["TARGET: Step 2 because it branches", "TARGET: Step 3"]})

@@ -211,7 +211,7 @@ def test_every_wrongly_typed_task_field_exits_cleanly(tmp_path, capsys, format, 
 
 # Names whose use reads outside input: a file, package data or standard
 # input read (``sys.stdin``), a decode of bytes, a parse of JSON.
-READERS = {"read_text", "read_bytes", "stdin", "decode", "loads", "load"}
+READERS = {"read_text", "read_bytes", "stdin", "decode", "loads", "load", "json"}
 
 
 def reader_uses(path):
@@ -258,3 +258,34 @@ def test_a_file_and_standard_input_read_as_the_same_text(tmp_path, monkeypatch):
     path.write_bytes(data)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert errors.read_text(path) == errors.read_text(str(path)) == errors.read_stdin() == "a\nb\nc\n"
+
+
+# JSON texts that ``json.loads`` cannot read although each is well formed:
+# nesting past the recursion limit (with an escape, so that the surrogate
+# walk runs over it too), and an integer past ``sys.get_int_max_str_digits()``.
+UNREADABLE_JSON = {
+    "deep": ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+    "deep-with-escape": ('{"x": "\\u00e9", "y": ' + "[" * 700 + "]" * 700 + "}", "nested too deeply"),
+    "long-integer": ('{"x": ' + "7" * 5000 + "}", "a number too long to read"),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_JSON)
+def test_json_too_deep_or_too_long_to_read_is_a_parse_error(kind):
+    text, reason = UNREADABLE_JSON[kind]
+    with pytest.raises(ParseError) as excinfo:
+        errors.parse_json(text, "doc.json")
+    assert str(excinfo.value) == f"doc.json: invalid JSON: {reason}"
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_JSON)
+def test_a_task_line_too_deep_or_too_long_to_read_is_rejected(tmp_path, kind):
+    text, reason = UNREADABLE_JSON[kind]
+    record = json.dumps({"id": "t1", "statement": "Add.", "gold": "4"})
+    path = tmp_path / "suite.jsonl"
+    path.write_text(f"{record}\n{text}\n", encoding="utf-8")
+    tasks, rejects = bench.load_tasks(path, "numeric")
+    assert [task.id for task in tasks] == ["t1"]
+    assert [(reject.line, reject.reason) for reject in rejects] == [
+        (2, f"SchemaMismatch: task record: invalid JSON: {reason}")
+    ]
