@@ -238,6 +238,14 @@ def active_chain(tree: AtomicTree) -> Chain:
     return tree.chains[tree.active_chain_id]
 
 
+def closing_step(tree: AtomicTree) -> Optional[Node]:
+    """The SummaryFinished step the active chain closed on; None while the
+    chain is open."""
+    ids = active_chain(tree).node_ids
+    last = tree.nodes[ids[-1]] if ids else None
+    return last if last is not None and last.action is AtomicAction.SUMMARY_FINISHED else None
+
+
 def _active_segments(tree: AtomicTree) -> Iterator[tuple[Chain, list[str]]]:
     """Each chain on the active path with its node ids on the path, from the
     active chain back to the root chain."""
@@ -280,8 +288,8 @@ def append_node(tree: AtomicTree, action: AtomicAction, guidance: str, content: 
 def branch_at(tree: AtomicTree, target_node: str) -> str:
     """Fork a new Active chain off a node on the active path.
 
-    The old active chain becomes Suspended when it ran to a SummaryFinished
-    ending, Dormant when merely paused.
+    The old active chain becomes Suspended when it closed on a
+    SummaryFinished step (``closing_step``), Dormant when merely paused.
     """
     if tree.terminated is not None:
         raise Terminated("tree is terminated")
@@ -290,11 +298,7 @@ def branch_at(tree: AtomicTree, target_node: str) -> str:
         raise NodeNotOnActivePath(f"node {target_node} is not on the active path")
     chain_id, index = location
 
-    old = active_chain(tree)
-    ended_in_summary = bool(old.node_ids) and (
-        tree.nodes[old.node_ids[-1]].action is AtomicAction.SUMMARY_FINISHED
-    )
-    old.status = ChainStatus.SUSPENDED if ended_in_summary else ChainStatus.DORMANT
+    active_chain(tree).status = ChainStatus.SUSPENDED if closing_step(tree) else ChainStatus.DORMANT
 
     new = Chain(id=_chain_id(tree), parent=(chain_id, index))
     tree.chains[new.id] = new

@@ -21,18 +21,17 @@ from .errors import read_text
 # the active chain or the checked path gets what the statement leaves.
 RENDER_BUDGET = 12000
 
-# Sampling defaults per role (mirrors common slow-thinking framework settings).
-ROUTING_TEMPERATURE = 0.2
-SOLVE_TEMPERATURE = 0.7
-CHECK_TEMPERATURE = 0.0
+# A request's temperature follows its tag (mirrors common slow-thinking
+# framework settings).
+_TEMPERATURE = {"routing": 0.2, "solve": 0.7, "check": 0.0, "summarize": 0.0}
 
 
 def _request(
-    system: str, user: str, tag: str, temperature: float, max_tokens: int = 2048
+    system: str, user: str, tag: str, max_tokens: int = 2048
 ) -> CompletionRequest:
     return CompletionRequest(
         messages=[ChatMessage("system", system), ChatMessage("user", user)],
-        temperature=temperature,
+        temperature=_TEMPERATURE[tag],
         max_tokens=max_tokens,
         tag=tag,
     )
@@ -89,7 +88,6 @@ def build_routing_prompt(
         "You are an expert routing agent for structured reasoning.",
         body,
         "routing",
-        ROUTING_TEMPERATURE,
     )
 
 
@@ -117,7 +115,7 @@ def build_expansion_prompt(
         parts += ["", "# Domain procedure for this action:", sop_guidance]
     if answer_format:
         parts += ["", "# The format of the final answer:", answer_format]
-    return _request(load_template("solver_system"), "\n".join(parts), "solve", SOLVE_TEMPERATURE)
+    return _request(load_template("solver_system"), "\n".join(parts), "solve")
 
 
 def build_revision_prompt(content: str, report: model.CheckReport) -> CompletionRequest:
@@ -134,7 +132,7 @@ def build_revision_prompt(content: str, report: model.CheckReport) -> Completion
     if report.suggestion:
         parts += ["", "# Suggested fix:", report.suggestion]
     parts += ["", "Respond with the full revised step content only."]
-    return _request(load_template("solver_system"), "\n".join(parts), "solve", SOLVE_TEMPERATURE)
+    return _request(load_template("solver_system"), "\n".join(parts), "solve")
 
 
 def build_single_pass_prompt(statement: str, format_instruction: str) -> CompletionRequest:
@@ -142,7 +140,6 @@ def build_single_pass_prompt(statement: str, format_instruction: str) -> Complet
         "You are a careful problem solver.",
         f"{statement}\n\n{format_instruction}",
         "solve",
-        SOLVE_TEMPERATURE,
     )
 
 
@@ -159,7 +156,6 @@ def build_backtracking_prompt(tree: model.AtomicTree) -> CompletionRequest:
         "You are a routing agent reviewing a finished reasoning chain.",
         body,
         "routing",
-        ROUTING_TEMPERATURE,
     )
 
 
@@ -174,7 +170,7 @@ def build_checker_prompt(
     steps = model.render_steps(path, _budget(tree), focus=node)
     process = f"Problem: {tree.problem.statement}\n\n{steps}"
     body = fill(load_template("checker"), errors=error_definitions, process=process)
-    return _request("You are a meticulous reasoning checker.", body, "check", CHECK_TEMPERATURE)
+    return _request("You are a meticulous reasoning checker.", body, "check")
 
 
 def build_summary_prompt(
@@ -198,7 +194,6 @@ def build_summary_prompt(
         "You conclude reasoning sessions with a final answer.",
         body,
         "summarize",
-        CHECK_TEMPERATURE,
     )
 
 
@@ -212,6 +207,5 @@ def build_compression_prompt(tree: model.AtomicTree, chain: model.Chain) -> Comp
         "You compress finished reasoning chains into short summaries.",
         body,
         "summarize",
-        CHECK_TEMPERATURE,
         max_tokens=512,
     )

@@ -22,7 +22,7 @@ when that call is done.  Two kinds of request go ahead:
 * the next routing request, while a step is checked (``run_session``):
   during a hypothesis's first check, whose next decision is R2's, and
   during every re-check of a revised step, unless R1 ends the session or
-  the chain is completed (``_routing_sent_during``).
+  the chain has closed on SUMMARY<FINISHED> (``_routing_sent_during``).
 
 One rule holds for both: a pooled reply answers only a request
 byte-identical to the one sent ahead, and any other request goes to the
@@ -105,7 +105,14 @@ class Terminate:
 RoutingDecision = Union[Extend, Backtrack, Terminate]
 
 
-CHECKER_MODES = ("every", "reasoning-only", "ending-only", "off")
+# Each checker mode with the action categories whose steps it checks.
+_CHECKED = {
+    "every": tuple(ActionCategory),
+    "reasoning-only": (ActionCategory.REASONING,),
+    "ending-only": (ActionCategory.ENDING,),
+    "off": (),
+}
+CHECKER_MODES = tuple(_CHECKED)
 
 
 @dataclass
@@ -136,6 +143,15 @@ _GUIDANCE_LINE = _field("GUIDANCE")
 # TARGET's value is a step number alone; markup may wrap it, as ``**TARGET:** Step 2``.
 _TARGET_LINE = _field("TARGET", r"\**[^\S\n]*(?:Step[^\S\n]*)?(\d+)[^\S\n]*\**[^\S\n]*")
 _REASON_LINE = _field("REASON")
+
+
+def _letters(text: str) -> str:
+    """``text`` lower-cased with all but the letters a-z dropped."""
+    return re.sub(r"[^a-z]", "", text.lower())
+
+
+# A REASON value, as ``_letters`` reads it, to its reason.
+_REASONS = {_letters(reason.value): reason for reason in BacktrackReason}
 
 
 def _last_line(pattern: re.Pattern, text: str) -> Optional[re.Match]:
@@ -198,25 +214,14 @@ def parse_guidance_only(text: str) -> Optional[str]:
 
 # --- decision logic -------------------------------------------------------------
 
-def _chain_completed(tree: AtomicTree) -> bool:
-    chain = model.active_chain(tree)
-    return bool(chain.node_ids) and (
-        tree.nodes[chain.node_ids[-1]].action is AtomicAction.SUMMARY_FINISHED
-    )
+def _deepest(path: list[model.Node], action: AtomicAction) -> Optional[model.Node]:
+    """The deepest step on ``path`` that took ``action``; None when none did."""
+    return next((node for node in reversed(path) if node.action is action), None)
 
 
-def _has_verification(path: list[model.Node]) -> bool:
-    return any(n.action is AtomicAction.HYPOTHESIS_VERIFICATION for n in path)
-
-
-def _has_hypothesis(path: list[model.Node]) -> bool:
-    return any(n.action is AtomicAction.HYPOTHESIS_GENERATION for n in path)
-
-
-def _verification_guidance(path: list[model.Node]) -> str:
-    """Guidance to verify the deepest hypothesis on ``path``, which holds one."""
-    node = next(n for n in reversed(path) if n.action is AtomicAction.HYPOTHESIS_GENERATION)
-    excerpt = node.content.strip().replace("\n", " ")
+def _verification_guidance(hypothesis: model.Node) -> str:
+    """Guidance to verify the ``hypothesis`` step."""
+    excerpt = hypothesis.content.strip().replace("\n", " ")
     if len(excerpt) > 300:
         excerpt = excerpt[:300] + "..."
     return (
@@ -248,7 +253,7 @@ def decide(
     path = model.active_path(tree)
 
     # Completed chain: backtrack once, then conclude.
-    if _chain_completed(tree):
+    if model.closing_step(tree):
         if (
             len(tree.chains) > 1
             or len(tree.chains) >= config.max_chains
@@ -266,7 +271,7 @@ def decide(
     # through a parser that never rejects, so it is asked once.
     if path and path[-1].action is AtomicAction.HYPOTHESIS_GENERATION:
         guidance = backends_mod.ask(
-            backend, request, lambda text: parse_guidance_only(text) or _verification_guidance(path)
+            backend, request, lambda text: parse_guidance_only(text) or _verification_guidance(path[-1])
         )
         return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, guidance, outline)
 
@@ -277,9 +282,10 @@ def decide(
 
     if proposal.kind in ("finish", "terminate"):
         # R3: the first finish claim on an unverified path is not accepted.
-        if not _has_verification(path):
-            if _has_hypothesis(path):
-                return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, _verification_guidance(path), outline)
+        if _deepest(path, AtomicAction.HYPOTHESIS_VERIFICATION) is None:
+            hypothesis = _deepest(path, AtomicAction.HYPOTHESIS_GENERATION)
+            if hypothesis is not None:
+                return Extend(AtomicAction.HYPOTHESIS_VERIFICATION, _verification_guidance(hypothesis), outline)
             # Nothing to verify yet: demand an explicit hypothesis first.
             return Extend(
                 AtomicAction.HYPOTHESIS_GENERATION,
@@ -301,7 +307,7 @@ def decide(
     action = proposal.action
     # A verification with no hypothesis to verify cannot be appended; route
     # the intent into generating the missing hypothesis instead.
-    if action is AtomicAction.HYPOTHESIS_VERIFICATION and not _has_hypothesis(path):
+    if action is AtomicAction.HYPOTHESIS_VERIFICATION and _deepest(path, AtomicAction.HYPOTHESIS_GENERATION) is None:
         return Extend(
             AtomicAction.HYPOTHESIS_GENERATION,
             proposal.guidance or "Propose explicit hypotheses for the current sub-problem.",
@@ -350,25 +356,17 @@ def select_backtrack_target(tree: AtomicTree, backend) -> tuple[str, BacktrackRe
             return None
         if not 1 <= step <= len(path):
             return None
-        reason = BacktrackReason.KEY_NODE
         reason_match = _last_line(_REASON_LINE, text)
-        if reason_match is not None:
-            token = re.sub(r"[^a-z]", "", reason_match.group(1).lower())
-            for candidate in BacktrackReason:
-                if re.sub(r"[^a-z]", "", candidate.value.lower()) == token:
-                    reason = candidate
-                    break
-        return path[step - 1].id, reason
+        token = _letters(reason_match.group(1)) if reason_match else ""
+        return path[step - 1].id, _REASONS.get(token, BacktrackReason.KEY_NODE)
 
     chosen = backends_mod.ask(backend, prompts.build_backtracking_prompt(tree), parse_target)
     if chosen is not None:
         return chosen
 
     # Fallback: deepest hypothesis-generation node, else the last node.
-    for node in reversed(path):
-        if node.action is AtomicAction.HYPOTHESIS_GENERATION:
-            return node.id, BacktrackReason.KEY_NODE
-    return path[-1].id, BacktrackReason.KEY_NODE
+    node = _deepest(path, AtomicAction.HYPOTHESIS_GENERATION) or path[-1]
+    return node.id, BacktrackReason.KEY_NODE
 
 
 # Threads that send the requests sent ahead (``_Replies.ahead``) and do
@@ -382,18 +380,12 @@ _send_pool = futures.ThreadPoolExecutor(_SEND_THREADS, thread_name_prefix="send-
 
 
 class _Replies:
-    """A session's backend: every call of the session goes through it, on
-    the session's thread, and it holds at most one request sent ahead.
+    """A session's backend, sending ahead as the module docstring states.
 
-    ``cached`` records whether the last reply the session used came from a
-    cache replay (``ResultSource.CACHE``): then the next reply is expected
-    with no model wait too, and nothing is built ahead.  ``ahead(build)``
-    calls ``build`` unless ``cached`` is set and sends the request it
-    returns, if any, on the pool with ``backend.complete``; leaving its
-    ``with`` block waits for that send.  ``complete`` answers a request
-    equal to the one sent ahead, once, with the pooled reply, or raises its
-    failure; any other request goes to ``backend`` on the caller's thread.
-    A pooled reply that no request takes is dropped at the next ``ahead``."""
+    It holds at most one request sent ahead: leaving ``ahead``'s ``with``
+    block waits for its send, ``complete`` takes its reply once or raises
+    its failure, and the next ``ahead`` drops a reply no request took.
+    ``cached`` is whether the last reply used came from a cache."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -448,32 +440,23 @@ def _leave_chain(tree: AtomicTree, backend) -> Backtrack:
 
 # --- session loop ----------------------------------------------------------------
 
-def _checker_applies(mode: str, action: AtomicAction) -> bool:
-    if mode == "off":
-        return False
-    if mode == "every":
-        return True
-    cat = model.category(action)
-    if mode == "reasoning-only":
-        return cat is ActionCategory.REASONING
-    return cat is ActionCategory.ENDING  # ending-only
+# A session with no SOP registry runs as under an SOP with no text.
+_NO_SOP = sop_mod.Sop(sop_mod.DEFAULT_DOMAIN)
 
 
 def _routing_sent_during(
     tree: AtomicTree, node: model.Node, revisions: int, config: SessionConfig
 ) -> bool:
     """Whether the next routing request goes ahead during a check of
-    ``node`` after ``revisions`` revisions: during a hypothesis's first
-    check, whose next decision is R2's, and during every re-check of a
-    revised step, when R1 leaves room and the chain is not completed (a
-    completed chain terminates or backtracks with no routing request).  The
-    first check of any other step is not overlapped: it is the check that
-    finds most errors, and each error drops the send and adds a routing
-    call."""
+    ``node`` after ``revisions`` revisions, by the module docstring's rule.
+    A completed chain terminates or backtracks with no routing request.  The
+    first check of a step other than a hypothesis is not overlapped: it is
+    the check that finds most errors, and each error drops the send and adds
+    a routing call."""
     return (
         (revisions > 0 or node.action is AtomicAction.HYPOTHESIS_GENERATION)
         and model.round_count(tree) < config.max_rounds
-        and not _chain_completed(tree)
+        and model.closing_step(tree) is None
     )
 
 
@@ -483,10 +466,8 @@ def _checked_ending(tree: AtomicTree, mode: TerminationMode) -> Optional[FinalAn
     checker left that step unflagged and the content is a complete answer
     under the schema; it carries the answer read from that content.  None
     sends the session through ``finalize``."""
-    if mode is not TerminationMode.ACTIVE_SOLVED or not _chain_completed(tree):
-        return None
-    ending = tree.nodes[model.active_chain(tree).node_ids[-1]]
-    if ending.flagged:
+    ending = model.closing_step(tree)
+    if mode is not TerminationMode.ACTIVE_SOLVED or ending is None or ending.flagged:
         return None
     schema = tree.problem.answer_schema
     answer = answers.extract(schema, ending.content)
@@ -503,18 +484,9 @@ def run_session(
 ) -> tuple[AtomicTree, FinalAnswer]:
     """Full solving loop: decide -> execute -> check -> (branch | terminate).
     The final answer is the checked ending step when ``_checked_ending``
-    accepts it, and otherwise the reply to one ``finalize`` call.
-
-    Two calls of one session may be in flight at once, one of them sent
-    ahead (see the module docstring): the compression of a chain being left
-    goes with the target request, and the next routing request goes while a
-    hypothesis has its first check or a revised step is checked again
-    (``_routing_sent_during``), through ``run_check_cycle``'s ``during``.
-    A send ahead is answered before its check returns or raises, and its
-    reply is used only for an identical request, so a check that revises
-    the step after a send costs one extra routing call.  While replies come
-    from a cache (``ResultSource.CACHE``) nothing is built ahead: every call
-    is built and sent on the caller's thread, in series.
+    accepts it, and otherwise the reply to one ``finalize`` call.  The next
+    routing request is sent ahead through ``run_check_cycle``'s ``during``
+    (see the module docstring).
 
     ``backends`` is the one backend every call goes to; each request names its
     role in ``CompletionRequest.tag``, so a backend that dispatches on the tag
@@ -524,10 +496,10 @@ def run_session(
     backends = _Replies(backends)
 
     tree = model.new_tree(problem)
-    active_sop = None
+    active_sop = _NO_SOP
     if sop_registry is not None:
         active_sop = sop_registry.get(sop_mod.triage(problem, sop_registry))
-    sop_hints = active_sop.scheduling_hints if active_sop else ""
+    sop_hints = active_sop.scheduling_hints
 
     try:
         while True:
@@ -543,11 +515,11 @@ def run_session(
             if isinstance(decision, Backtrack):
                 continue  # ``decide`` has branched and stored the summary
 
-            guidance_extra = active_sop.action_strategies.get(decision.action, "") if active_sop else ""
+            guidance_extra = active_sop.action_strategies.get(decision.action, "")
             node = executor_mod.execute(
                 tree, decision.action, decision.guidance, backends, guidance_extra, decision.outline
             )
-            if not _checker_applies(config.checker_mode, node.action):
+            if model.category(node.action) not in _CHECKED[config.checker_mode]:
                 continue
 
             def send_routing_ahead(revisions):

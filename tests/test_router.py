@@ -266,6 +266,16 @@ class TestBacktracking:
         decision, path, _, _ = self.leave(tree, "TARGET: Step 99")
         assert decision.target == path[1].id
 
+    def test_unreadable_target_on_a_path_with_no_hypothesis_branches_at_the_last_step(self):
+        tree = make_tree()
+        model.append_node(tree, AtomicAction.PREMISE_DISCOVERY, "g", "c")
+        model.append_node(tree, AtomicAction.PREMISE_RETRIEVAL, "g", "c")
+        model.append_node(tree, AtomicAction.PREMISE_SUMMARIZATION, "g", "c")
+        decision, path, left, backend = self.leave(tree, ["ACTION: BACKTRACK", "TARGET: Step 9", "gibberish"])
+        assert decision == Backtrack(path[-1].id, BacktrackReason.KEY_NODE)
+        assert left.status is ChainStatus.DORMANT
+        assert [call.tag for call in backend.calls].count("routing") == 3
+
     def test_target_and_reason_are_read_on_their_own_lines(self):
         tree = self.completed_tree()
         decision, path, _, _ = self.leave(
