@@ -119,13 +119,25 @@ _UNPAIRED_SURROGATE = re.compile("[\ud800-\udfff]")
 def encodable(value):
     """``value``, a string or a decoded JSON value, with each unpaired
     surrogate in its strings (object keys too) replaced by U+FFFD, so that
-    it encodes as UTF-8."""
+    it encodes as UTF-8.  Lists and objects are mended in place, walked with
+    a stack rather than by recursion, so every depth ``json.loads`` reads is
+    mended.  An object keeps its key order; of two keys that mend alike,
+    the later one's value wins."""
     if isinstance(value, str):
         return _UNPAIRED_SURROGATE.sub("\ufffd", value)
-    if isinstance(value, list):
-        return [encodable(item) for item in value]
-    if isinstance(value, dict):
-        return {encodable(key): encodable(item) for key, item in value.items()}
+    stack = [value] if isinstance(value, (list, dict)) else []
+    while stack:
+        container = stack.pop()
+        if isinstance(container, dict):
+            items = [(encodable(key), item) for key, item in container.items()]
+            container.clear()
+            container.update(items)
+        for slot in container.keys() if isinstance(container, dict) else range(len(container)):
+            item = container[slot]
+            if isinstance(item, str):
+                container[slot] = encodable(item)
+            elif isinstance(item, (list, dict)):
+                stack.append(item)
     return value
 
 

@@ -92,7 +92,9 @@ def stub_server():
     server.script = []
     server.requests = []
     server.backends = []  # every backend make_http_backend built against it
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # ``shutdown()`` waits for ``serve_forever`` to poll; the default 0.5 s
+    # interval would add up to that to every HTTP test's teardown.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield server
     for backend in server.backends:

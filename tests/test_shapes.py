@@ -265,7 +265,7 @@ def test_a_file_and_standard_input_read_as_the_same_text(tmp_path, monkeypatch):
 # walk runs over it too), and an integer past ``sys.get_int_max_str_digits()``.
 UNREADABLE_JSON = {
     "deep": ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
-    "deep-with-escape": ('{"x": "\\u00e9", "y": ' + "[" * 700 + "]" * 700 + "}", "nested too deeply"),
+    "deep-with-escape": ('{"x": "\\u00e9", "y": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
     "long-integer": ('{"x": ' + "7" * 5000 + "}", "a number too long to read"),
 }
 
@@ -276,6 +276,25 @@ def test_json_too_deep_or_too_long_to_read_is_a_parse_error(kind):
     with pytest.raises(ParseError) as excinfo:
         errors.parse_json(text, "doc.json")
     assert str(excinfo.value) == f"doc.json: invalid JSON: {reason}"
+
+
+def test_json_that_json_loads_reads_is_mended_at_any_depth():
+    """700 levels read without recursing past the limit, with an escape too,
+    and the unpaired surrogate at the bottom reads as U+FFFD."""
+    text = '{"x": "\\u00e9", "y": ' + "[" * 700 + '"\\ud800"' + "]" * 700 + "}"
+    value = errors.parse_json(text, "doc.json")
+    assert value["x"] == "\u00e9"
+    item = value["y"]
+    for _ in range(700):
+        (item,) = item
+    assert item == "\ufffd"
+
+
+def test_mended_object_keys_keep_their_order_and_the_last_value():
+    text = '{"\\ud800": 1, "a": ["\\udc00", {"b": "\\udfff"}], "\\udc00": 3}'
+    value = errors.parse_json(text, "doc.json")
+    assert value == {"\ufffd": 3, "a": ["\ufffd", {"b": "\ufffd"}]}
+    assert list(value) == ["\ufffd", "a"]
 
 
 @pytest.mark.parametrize("kind", UNREADABLE_JSON)
